@@ -27,9 +27,12 @@ class Block:
     # Lazily compiled closure form (legacy unlinked JIT); never compared.
     fast: list | None = field(default=None, repr=False, compare=False)
     # Trace-cache tier runners (see repro.dbm.jit.compile_block_fn):
-    # the fast variant (no instrumentation; may link/trace) and the
-    # instrumented variant (mem_hook/transaction threaded through).
+    # the fast variant (no instrumentation; may link/trace), the
+    # recording variant (every hookable access appended to the run's
+    # access log while a recording window is live) and the instrumented
+    # variant (mem_hook/transaction threaded through).
     jit_fast: object = field(default=None, repr=False, compare=False)
+    jit_rec: object = field(default=None, repr=False, compare=False)
     jit_inst: object = field(default=None, repr=False, compare=False)
     # Shadow variant: fast-tier codegen with the parallel runtime's
     # shadow-memory filter inlined and raw events appended to the

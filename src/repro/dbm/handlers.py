@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from repro.isa.instructions import Instruction, Opcode
 from repro.isa.operands import Imm, Mem, Reg
 from repro.isa.registers import SCRATCH_REG, STACK_REG, TLS_REG
+from repro.dbm.accesslog import RecordSite
 from repro.dbm.editor import BlockEditor
 from repro.dbm.rtcalls import RTCallID
 from repro.rewrite.rules import RewriteRule, RuleID
@@ -312,9 +313,17 @@ def _h_prof_loop_finish(editor, rule, tctx) -> None:
 
 
 def _h_prof_mem_access(editor, rule, tctx) -> None:
+    # No trap: a RECORD pseudo-instruction whose operand is decoded here,
+    # once; the block runner appends the site's address to the access
+    # log inline (repro.dbm.accesslog).
     if tctx.is_main:
+        from repro.rewrite.metadata import decode_operand
+
+        _, loop_id, operand, is_write, lanes = tctx.record(rule.data)
+        site = RecordSite(loop_id, decode_operand(tuple(operand)),
+                          bool(is_write), lanes)
         editor.insert_before(rule.address,
-                             editor.rtcall(RTCallID.PROF_MEM, rule.data))
+                             Instruction(Opcode.RECORD, (site,)))
 
 
 def _h_prof_excall_start(editor, rule, tctx) -> None:

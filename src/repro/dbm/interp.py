@@ -13,6 +13,11 @@ Transactional mode: when ``active_tx`` is set, every data access outside the
 current thread's own stack region is redirected through the transaction's
 ``read``/``write`` (paper section II-E2: heap and out-of-frame stack accesses
 use Janus' STM).
+
+Recording mode: with an :class:`~repro.dbm.accesslog.AccessLog` attached
+(``access_log``), ``RECORD`` sites append to it, and while ``recording`` is
+set every access that would reach ``mem_hook`` is appended too — the same
+entries the compiled runners append.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from repro.isa.instructions import CONDITION_OF, Instruction, Opcode
 from repro.isa.operands import Imm, Mem, Reg
 from repro.isa.registers import NUM_GPR, RET_REG, STACK_REG, XMM_BASE
 from repro.jbin import layout, syscalls
+from repro.dbm.accesslog import ACCESS
 from repro.dbm.blocks import Block
 # Module-level import (not per-call in execute_block): jit never imports
 # interp at module scope, so this cannot cycle.
@@ -60,6 +66,11 @@ class Interpreter:
         self.rtcall_handler = None
         # Optional memory-profiling hook: f(ctx, ins, addr, is_write, lanes)
         self.mem_hook = None
+        # The run's access log (repro.dbm.accesslog), attached before the
+        # run by profiling and the oracle; ``recording`` (toggled only by
+        # their RTCALL handlers) adds every hookable access to it.
+        self.access_log = None
+        self.recording = False
         # Active software transaction for the currently executing thread.
         self.active_tx = None
         # Compiled shadow tracking (repro.dbm.shadow): when a ShadowSink
@@ -103,6 +114,8 @@ class Interpreter:
         addr = self.ea(ctx, m)
         if self.mem_hook is not None:
             self.mem_hook(ctx, ins, addr, False, lanes)
+        if self.recording:
+            self._record(ins, addr, False, lanes)
         tx = self.active_tx
         if tx is not None and not self._is_own_stack(ctx, addr):
             return tx.read(addr)
@@ -113,11 +126,29 @@ class Interpreter:
         addr = self.ea(ctx, m)
         if self.mem_hook is not None:
             self.mem_hook(ctx, ins, addr, True, lanes)
+        if self.recording:
+            self._record(ins, addr, True, lanes)
         tx = self.active_tx
         if tx is not None and not self._is_own_stack(ctx, addr):
             tx.write(addr, value)
             return
         self.machine.memory.write(addr, value)
+
+    def _record(self, ins, addr: int, is_write: bool, lanes: int) -> None:
+        log = self.access_log
+        if log.private is not None:
+            low, high = log.private
+            if low < addr <= high:
+                return
+        log.entries.append(((ACCESS, ins.address, is_write, lanes), addr))
+
+    def _record_site(self, ctx: ThreadContext, site) -> None:
+        log = self.access_log
+        if log is None:
+            raise JXRuntimeError("RECORD executed with no access log attached")
+        ctx.cycles += log.site_cycles
+        if log.sites:
+            log.entries.append((site.key, self.ea(ctx, site.operand)))
 
     def _mem_read_at(self, ctx: ThreadContext, addr: int) -> int:
         tx = self.active_tx
@@ -173,16 +204,23 @@ class Interpreter:
         :mod:`repro.dbm.tracecache` and chain compiled blocks directly; this
         wrapper compiles without a lookup (so it never links) and maps the
         runner protocol back to pc-or-None.  Instrumented runs (memory hook
-        or open transaction) use the instrumented compiled variant; setting
+        or open transaction) use the instrumented compiled variant, a live
+        recording window the recording variant; setting
         ``force_reference`` pins execution to the per-instruction reference
         dispatch.
         """
         if self.force_reference:
             return self.execute_block_reference(ctx, block)
         if self.mem_hook is None and self.active_tx is None:
-            run = block.jit_fast
-            if run is None:
-                run = block.jit_fast = compile_block_fn(block, self)
+            if self.recording:
+                run = block.jit_rec
+                if run is None:
+                    run = block.jit_rec = compile_block_fn(block, self,
+                                                           record=True)
+            else:
+                run = block.jit_fast
+                if run is None:
+                    run = block.jit_fast = compile_block_fn(block, self)
         else:
             run = block.jit_inst
             if run is None:
@@ -204,6 +242,7 @@ class Interpreter:
         ``force_reference``.
         """
         ctx.cycles += block.cost
+        ctx.entry_instructions = ctx.instructions
         ctx.instructions += len(block.instructions)
         for ins in block.instructions:
             transfer = self._exec(ctx, ins)
@@ -457,6 +496,8 @@ class Interpreter:
             if handler is None:
                 raise JXRuntimeError("RTCALL executed with no runtime attached")
             return handler(ctx, ops[0].value, ops[1].value if len(ops) > 1 else 0)
+        elif op is Opcode.RECORD:
+            self._record_site(ctx, ops[0])
         else:
             raise JXRuntimeError(f"unimplemented opcode {op.name}")
         return None
@@ -472,6 +513,8 @@ class Interpreter:
             addr = self.ea(ctx, src)
             if self.mem_hook is not None:
                 self.mem_hook(ctx, ins, addr, False, lanes)
+            if self.recording:
+                self._record(ins, addr, False, lanes)
             values = [i64_to_f64(self._mem_read_at(ctx, addr + 8 * k))
                       for k in range(lanes)]
         if op in (Opcode.MOVAPD, Opcode.VMOVAPD):
@@ -498,6 +541,8 @@ class Interpreter:
             addr = self.ea(ctx, dst)
             if self.mem_hook is not None:
                 self.mem_hook(ctx, ins, addr, True, lanes)
+            if self.recording:
+                self._record(ins, addr, True, lanes)
             for k, value in enumerate(results):
                 self._mem_write_at(ctx, addr + 8 * k, f64_to_i64(value))
 

@@ -9,21 +9,34 @@ time, and the generated source is ``exec``-compiled so steady-state
 execution is straight-line Python bytecode with no per-instruction
 dispatch.
 
-Two variants exist per block:
+Four variants exist per block:
 
 * the **fast** variant assumes no instrumentation (no ``mem_hook``, no open
-  transaction, no block listeners) and reads/writes machine memory
+  transaction, no live recording window) and reads/writes machine memory
   directly; it may *link*: a terminator resolves its successor's compiled
   :class:`~repro.dbm.blocks.Block` once through the dispatcher's ``lookup``
   and caches it, so the dispatch loop skips the code-cache lookup.  A
   self-looping block (a DOALL loop body) is promoted to a *trace*: the
   whole block body spins inside the compiled function and only returns to
   the dispatcher every ``TRACE_BUDGET`` iterations (so instruction limits
-  stay enforced).
+  stay enforced).  ``RECORD`` sites (PROF_MEM, see
+  :mod:`repro.dbm.accesslog`) compile into every variant as an inline
+  append of the site's address to the run's access log, so training runs
+  stay on this tier, traces and superblocks included.
+* the **recording** variant (``record=True``; selected while
+  ``interp.recording`` is set, i.e. an external-call window or an oracle
+  replay window is live) is the fast variant plus an inline log append at
+  every access the instrumented variant would pass to ``mem_hook``.  It
+  links but never traces, so instruction limits stay exact per block
+  while accesses are being recorded.  In a run with an access log
+  attached, a block containing an RTCALL compiles — in both its fast and
+  its recording slot — to a *dynamic* form that re-reads
+  ``interp.recording`` after every RTCALL: the RTCALL may open or close a
+  window, and the accesses after it in the same block must follow.
 * the **instrumented** variant threads ``mem_hook`` and the active
   transaction through every memory access *dynamically* (checked per
-  access, exactly like the reference ``_exec``), so profiling and STM
-  worker runs also execute compiled code.
+  access, exactly like the reference ``_exec``), so STM worker runs and
+  hook-mode shadow tracking also execute compiled code.
 * the **shadow** variant (``shadow=True``; selected by the dispatcher when
   ``interp.shadow_sink`` is installed) keeps the fast variant's direct
   memory access and linking/tracing, and additionally records shadow
@@ -60,6 +73,7 @@ from repro.isa.instructions import CONDITION_OF, Instruction, Opcode
 from repro.isa.operands import Imm, Mem, Reg
 from repro.isa.registers import STACK_REG, XMM_BASE
 from repro.jbin import layout
+from repro.dbm.accesslog import ACCESS
 from repro.dbm.machine import HALT_ADDRESS
 from repro.dbm.memory import f64_to_i64, i64_to_f64, s64
 from repro.telemetry.core import RegistryView
@@ -116,8 +130,7 @@ def _instrumented_helpers(interp) -> dict:
     """Per-interpreter memory helpers that re-check hook/tx on every access.
 
     The hook and transaction are read *at call time* (not bound at compile
-    time) because profiling installs ``mem_hook`` mid-run via RTCALLs
-    (external-call windows) and workers open transactions mid-block.
+    time) because workers open and close transactions mid-block.
     """
     memory_read = interp.machine.memory.read
     memory_write = interp.machine.memory.write
@@ -241,7 +254,7 @@ def _shadow_helpers(interp, sink) -> dict:
 
 
 def compile_block_fn(block, interp, lookup=None, instrumented=False,
-                     shadow=False):
+                     shadow=False, record=False):
     """Compile ``block`` into a single runner function ``run(ctx)``.
 
     The runner charges the block's static cost, executes the block, and
@@ -260,8 +273,11 @@ def compile_block_fn(block, interp, lookup=None, instrumented=False,
     from repro.dbm.interp import JXRuntimeError
 
     compiler = _BlockCompiler(block, interp, lookup, instrumented,
-                              JXRuntimeError, shadow=shadow)
+                              JXRuntimeError, shadow=shadow, record=record)
     fn = compiler.build()
+    if compiler.rec_mode == "dynamic":
+        # Window state is re-read inside: one runner serves both slots.
+        block.jit_fast = block.jit_rec = fn
     stats = interp.jit_stats
     stats.blocks_translated += 1
     if instrumented:
@@ -273,7 +289,7 @@ class _BlockCompiler:
     """Generates the Python source of one block runner and exec-compiles it."""
 
     def __init__(self, block, interp, lookup, instrumented, error_type,
-                 shadow=False):
+                 shadow=False, record=False):
         self.block = block
         self.interp = interp
         self.lookup = lookup
@@ -311,9 +327,25 @@ class _BlockCompiler:
             # Most heap addresses sit below both excluded regions: one
             # compare short-circuits the full four-compare filter.
             self._low = min(sink.stack_lo + 1, sink.tls_lo)
-            self.n_shadow = 0
         else:
             self.shadow_dynamic = False
+        self.n_temps = 0
+        # Access recording into the run's access log (None: record
+        # nothing; "static": every access, the whole block runs inside
+        # a live window; "dynamic": every access while the ``rc`` flag —
+        # re-read after each RTCALL — is set).
+        self.log = interp.access_log
+        self.rec_mode = None
+        if self.log is not None:
+            self.ns["_lg"] = self.log.entries.append
+            self.ns["_in"] = interp
+            if any(ins.opcode is Opcode.RTCALL
+                   for ins in block.instructions):
+                self.rec_mode = "dynamic"
+            elif record:
+                self.rec_mode = "static"
+            if instrumented or shadow:
+                self.rec_mode = None  # these tiers never run a window
         # Stack-word accesses (PUSH/POP/CALL/RET spill slots) are never
         # shadow-recorded (they always hit the worker's own stack) but
         # still need tx redirection when a transaction can be open.
@@ -377,12 +409,45 @@ class _BlockCompiler:
             parts.append(str(m.disp))
         return " + ".join(parts)
 
-    # -- shadow recording (see repro.dbm.shadow) ------------------------------
+    # -- access recording (see repro.dbm.accesslog) ---------------------------
 
-    def shadow_temp(self) -> str:
-        name = f"sa{self.n_shadow}"
-        self.n_shadow += 1
+    def addr_temp(self) -> str:
+        name = f"sa{self.n_temps}"
+        self.n_temps += 1
         return name
+
+    def record_access(self, var: str, ins: Instruction, is_write: bool,
+                      lanes: int) -> None:
+        """Append one access-log entry (the key folds to a constant)."""
+        key = (ACCESS, ins.address, is_write, lanes)
+        conditions = ["rc"] if self.rec_mode == "dynamic" else []
+        if self.log.private is not None:
+            low, high = self.log.private
+            conditions.append(f"not {low} < {var} <= {high}")
+        line = f"_lg(({key!r}, {var}))"
+        if conditions:
+            line = f"if {' and '.join(conditions)}: {line}"
+        self.emit(line)
+
+    def recorded_ea(self, op, ins: Instruction, is_write: bool) -> str:
+        """A local holding ``op``'s address, with the access recorded."""
+        sa = self.addr_temp()
+        self.emit(f"{sa} = {self.ea(op)}")
+        self.record_access(sa, ins, is_write, 1)
+        return sa
+
+    def record_site(self, site) -> None:
+        """A ``RECORD`` pseudo-instruction: charge, then log the site."""
+        log = self.log
+        if log is None:
+            self.raise_error("RECORD executed with no access log attached")
+            return
+        if log.site_cycles:
+            self.emit(f"ctx.cycles += {log.site_cycles}")
+        if log.sites:
+            self.emit(f"_lg(({site.key!r}, {self.ea(site.operand)}))")
+
+    # -- shadow recording (see repro.dbm.shadow) ------------------------------
 
     def record_cond(self, var: str) -> str:
         """The inlined filter: record iff outside own stack and TLS."""
@@ -402,7 +467,7 @@ class _BlockCompiler:
             return f"_mr({ea})"
         if self.shadow_dynamic:
             return f"_sr(ctx, {ea})"
-        sa = self.shadow_temp()
+        sa = self.addr_temp()
         self.emit(f"{sa} = {ea}")
         self.emit_record(sa, f"_re({sa})")
         return f"_mr({sa})"
@@ -418,7 +483,7 @@ class _BlockCompiler:
         if self.shadow_dynamic:
             self.emit(f"_sw(ctx, {ea}, {value})")
             return
-        sa = self.shadow_temp()
+        sa = self.addr_temp()
         self.emit(f"{sa} = {ea}")
         self.emit_record(sa, f"_we({sa})")
         self.emit(f"_mw({sa}, {value})")
@@ -435,6 +500,8 @@ class _BlockCompiler:
             return f"_hr(ctx, {self.ea(op)}, {self.ins_name(k, ins)})"
         if self.shadow:
             return self.shadow_read_expr(op, ins)
+        if self.rec_mode:
+            return f"_mr({self.recorded_ea(op, ins, False)})"
         return f"_mr({self.ea(op)})"
 
     def istore(self, op, k: int, ins: Instruction, value: str) -> None:
@@ -445,6 +512,8 @@ class _BlockCompiler:
                       f"{self.ins_name(k, ins)}, {value})")
         elif self.shadow:
             self.shadow_write(op, ins, value)
+        elif self.rec_mode:
+            self.emit(f"_mw({self.recorded_ea(op, ins, True)}, {value})")
         else:
             self.emit(f"_mw({self.ea(op)}, {value})")
 
@@ -455,6 +524,8 @@ class _BlockCompiler:
             return f"_i2f(_hr(ctx, {self.ea(op)}, {self.ins_name(k, ins)}))"
         if self.shadow:
             return f"_i2f({self.shadow_read_expr(op, ins)})"
+        if self.rec_mode:
+            return f"_i2f(_mr({self.recorded_ea(op, ins, False)}))"
         return f"_i2f(_mr({self.ea(op)}))"
 
     def fstore(self, op, k: int, ins: Instruction, value: str) -> None:
@@ -465,6 +536,9 @@ class _BlockCompiler:
                       f"{self.ins_name(k, ins)}, _f2i({value}))")
         elif self.shadow:
             self.shadow_write(op, ins, f"_f2i({value})")
+        elif self.rec_mode:
+            sa = self.recorded_ea(op, ins, True)
+            self.emit(f"_mw({sa}, _f2i({value}))")
         else:
             self.emit(f"_mw({self.ea(op)}, _f2i({value}))")
 
@@ -740,14 +814,21 @@ class _BlockCompiler:
             hid = ops[0].value
             arg = ops[1].value if len(ops) > 1 else 0
             self.emit("ctx.flags = f")
+            # RTCALL blocks never trace: the block's charge is the last.
+            self.emit(f"ctx.entry_instructions = ctx.instructions"
+                      f" - {len(self.block.instructions)}")
             self.emit(f"t = _rt(ctx, {hid}, {arg})")
             # Runtime handlers may replace the register lists wholesale
             # (worker merge) and adjust flags: re-hoist the locals.
             self.emit("g = ctx.gregs")
             self.emit("x = ctx.fregs")
             self.emit("f = ctx.flags")
+            if self.rec_mode == "dynamic":
+                self.emit("rc = _in.recording")
             self.emit("if t is not None:")
             self.emit("    return t")
+        elif op is Opcode.RECORD:
+            self.record_site(ops[0])
         else:
             # No template: reference per-instruction fallback (cold path).
             name = self.ins_name(k, ins)
@@ -797,6 +878,8 @@ class _BlockCompiler:
                         offset = f" + {8 * lane}" if lane else ""
                         self.emit(f"s{lane} = _i2f(_mr(a{offset}))")
             else:
+                if self.rec_mode:
+                    self.record_access("a", ins, False, lanes)
                 for lane in range(lanes):
                     offset = f" + {8 * lane}" if lane else ""
                     self.emit(f"s{lane} = _i2f(_mr(a{offset}))")
@@ -848,6 +931,8 @@ class _BlockCompiler:
                         offset = f" + {8 * lane}" if lane else ""
                         self.emit(f"_mw(a2{offset}, _f2i({results[lane]}))")
             else:
+                if self.rec_mode:
+                    self.record_access("a2", ins, True, lanes)
                 for lane in range(lanes):
                     offset = f" + {8 * lane}" if lane else ""
                     self.emit(f"_mw(a2{offset}, _f2i({results[lane]}))")
@@ -945,12 +1030,16 @@ class _BlockCompiler:
 
         Requires the fast or shadow variant with a dispatcher lookup
         (links legal at all), and no SYSCALL/RTCALL in the block: those
-        can install hooks, open transactions or halt, which must re-enter
-        the dispatcher's per-block legality check.  (A shadow trace needs
-        no extra back-edge check: with no RTCALL inside, neither the sink
-        nor the transaction state can change mid-trace.)
+        can install hooks, open transactions or recording windows, or
+        halt, which must re-enter the dispatcher's per-block legality
+        check.  (A shadow trace needs no extra back-edge check: with no
+        RTCALL inside, neither the sink nor the transaction state can
+        change mid-trace.)  The recording variant never traces: while
+        accesses are recorded, an instruction limit must stop the run at
+        exactly the block boundary the reference interpreter stops at.
         """
-        if self.lookup is None or self.instrumented:
+        if self.lookup is None or self.instrumented \
+                or self.rec_mode == "static":
             return False
         for ins in self.block.instructions:
             if ins.opcode in (Opcode.SYSCALL, Opcode.RTCALL):
@@ -972,6 +1061,8 @@ class _BlockCompiler:
             "    x = ctx.fregs",
             "    f = ctx.flags",
         ]
+        if self.rec_mode == "dynamic":
+            head.append("    rc = _in.recording")
         if trace:
             # The dispatcher counts entries to self-loop heads toward
             # superblock promotion (repro.dbm.superblock).
@@ -999,6 +1090,8 @@ class _BlockCompiler:
             variant = "inst"
         elif self.shadow:
             variant = "shadow"
+        elif self.rec_mode == "static":
+            variant = "rec"
         else:
             variant = "fast"
         code = compile(source, f"<jit {variant} {block.start:#x}>", "exec")

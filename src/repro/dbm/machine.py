@@ -25,7 +25,7 @@ class ThreadContext:
 
     __slots__ = ("thread_id", "gregs", "fregs", "flags", "pc", "halted",
                  "exit_code", "cycles", "instructions", "stack_top",
-                 "tls_base")
+                 "tls_base", "entry_instructions")
 
     def __init__(self, thread_id: int = 0) -> None:
         self.thread_id = thread_id
@@ -41,6 +41,10 @@ class ThreadContext:
         self.exit_code = 0
         self.cycles = 0
         self.instructions = 0
+        # ``instructions`` before the charge of the block now executing,
+        # as seen by its RTCALL handlers (blocks charge up front): the
+        # coverage profiler attributes a block as a whole from it.
+        self.entry_instructions = 0
         self.stack_top = layout.thread_stack_top(thread_id)
         self.tls_base = layout.thread_tls_base(thread_id)
 

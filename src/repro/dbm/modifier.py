@@ -97,9 +97,6 @@ class JanusDBM:
         self.rtcall_handlers: dict[int, object] = {}
         self.caches: dict[int, dict[int, Block]] = {0: {}}
         self.stats = DBMStats(self.registry)
-        # Listeners invoked after every main-thread block execution
-        # (the coverage profiler counts instructions this way).
-        self.block_listeners: list = []
         if schedule is not None and schedule.rules:
             self._check_schedule()
 
@@ -191,8 +188,7 @@ class JanusDBM:
         with rec.span("dbm.run", cat="dbm",
                       threads=self.n_threads) as span:
             run_loop(self.interp, ctx, ctx.pc, self._main_lookup,
-                     max_instructions=max_instructions,
-                     listeners=self.block_listeners)
+                     max_instructions=max_instructions)
             span.set(cycles=ctx.cycles, instructions=ctx.instructions)
         if rec.enabled:
             rec.absorb(self.registry)

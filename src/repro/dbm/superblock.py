@@ -27,9 +27,10 @@ top — DynamoRIO's trace building, PyPy's bridges, in miniature:
   blocks actually entered — folded to constants per exit site) before
   returning to the block tier.  Superblocks are fast-path-only: the
   legality predicate the dispatcher uses for the fast block variant (no
-  memory hook, no open transaction, no listeners) is re-checked at every
-  loop back edge, and a violation deopts to the block tier at a clean
-  block boundary.
+  memory hook, no open transaction; a recording window only opens at an
+  RTCALL, which no superblock contains) is re-checked at every loop back
+  edge, and a violation deopts to the block tier at a clean block
+  boundary.
 
 Exit kinds and their contracts (DESIGN.md section 5):
 
@@ -446,7 +447,7 @@ class _SuperblockCompiler(_BlockCompiler):
             name = f"mf{self._n_addr}"
             self._n_addr += 1
             if record:
-                sa = self.shadow_temp()
+                sa = self.addr_temp()
                 self.emit(f"{sa} = {key}")
                 self.emit_record(sa, f"_re({sa})")
                 self.emit(f"{name} = _uD(_pQ(_wg({sa}, 0)))[0]")
@@ -471,7 +472,7 @@ class _SuperblockCompiler(_BlockCompiler):
             if self._site_record:
                 # One base-filtered packed event covers all lanes (the
                 # lane loads below must not raw-record individually).
-                sa = self.shadow_temp()
+                sa = self.addr_temp()
                 self.emit(f"{sa} = {expr}")
                 self.emit_record(sa, f"_pre(({sa}, {lanes}))")
             if aligned:
@@ -515,7 +516,7 @@ class _SuperblockCompiler(_BlockCompiler):
         expr, aligned = self.mem_ref(dst)
         if aligned:
             if self._site_record:
-                sa = self.shadow_temp()
+                sa = self.addr_temp()
                 self.emit(f"{sa} = {expr}")
                 self.emit_record(sa, f"_pwe(({sa}, {lanes}))")
                 expr = sa
@@ -638,7 +639,7 @@ class _SuperblockCompiler(_BlockCompiler):
                     # the same runtime address, which is already in the
                     # raw events, a packed expansion, or a descriptor —
                     # the materialised read set is identical either way.
-                    sa = self.shadow_temp()
+                    sa = self.addr_temp()
                     self.emit(f"{sa} = {expr}")
                     self.emit_record(sa, f"_re({sa})")
                     self.emit(f"{name} = _wg({sa}, 0)")
@@ -664,7 +665,7 @@ class _SuperblockCompiler(_BlockCompiler):
                 # Writes record per execution (the false-sharing charge
                 # counts line events per store instruction), so the event
                 # append is unconditional at every recordable store site.
-                sa = self.shadow_temp()
+                sa = self.addr_temp()
                 self.emit(f"{sa} = {expr}")
                 self.emit_record(sa, f"_we({sa})")
                 self.emit(f"_ws({sa}, {value})")

@@ -7,12 +7,19 @@ successor block itself* (a link), in which case the loop re-enters compiled
 code immediately — no code-cache lookup.
 
 Fast-path legality is re-checked at every block boundary: the fast variant
-runs only while no memory hook is installed, no transaction is open and no
-block listeners are attached; otherwise the instrumented variant runs (it
-re-checks the hook/transaction *per access*, so mid-block installation —
-e.g. a profiler external-call window — behaves exactly like the reference
-interpreter).  Listeners force per-block dispatch (never traces) because
-the coverage profiler attributes instructions block-by-block.
+runs only while no memory hook is installed, no transaction is open and —
+in a run with an access log attached (:mod:`repro.dbm.accesslog`: training
+and the DOALL oracle) — no recording window is live.  A live window
+selects the *recording* variant, which appends every hookable access to
+the log and links but never traces; a hook or an open transaction selects
+the instrumented variant (it re-checks the hook/transaction *per access*,
+exactly like the reference interpreter).  Windows open and close only in
+RTCALL handlers, and in a run with a log every RTCALL block compiles to a
+form that re-reads the window state after each RTCALL, so the accesses
+after a window-opening RTCALL in the same block are recorded too.
+Outside the windows, profiling runs execute exactly like plain runs —
+traces, superblocks and inline ``RECORD`` sites included; loop coverage
+is attributed from ``ctx.instructions`` by the bracket RTCALLs, not here.
 
 When a :class:`~repro.dbm.shadow.ShadowSink` is installed (parallel
 workers in compiled shadow mode) the fast tier is replaced wholesale by
@@ -46,8 +53,7 @@ from repro.dbm.superblock import maybe_form_superblock
 
 
 def run_loop(interp, ctx, pc: int, lookup,
-             max_instructions: int | None = None,
-             listeners=()) -> None:
+             max_instructions: int | None = None) -> None:
     """Run from ``pc`` until the program halts.
 
     ``lookup(pc, ctx) -> Block`` is the caller's code-cache lookup
@@ -57,10 +63,16 @@ def run_loop(interp, ctx, pc: int, lookup,
     Raises :class:`~repro.dbm.interp.ExecutionLimitExceeded` when
     ``max_instructions`` is crossed (checked at block boundaries; a
     self-loop trace or superblock bails out at least every
-    ``interp.trace_budget`` iterations, bounding the overshoot).
+    ``interp.trace_budget`` iterations, bounding the overshoot).  The
+    overshoot never crosses an RTCALL, and while a recording window is
+    live no block traces, so everything an access-log consumer observes
+    stops at the same block boundary as under per-block dispatch.
     """
     from repro.dbm.interp import ExecutionLimitExceeded
 
+    # Only a run with an access log can open a recording window: in a
+    # plain run one local flag short-circuits the window test.
+    plain = interp.access_log is None
     threshold = interp.superblock_threshold
     counting = interp.superblocks_enabled and threshold > 0
     # Loop-head heat and most-recently-taken successors, both keyed by
@@ -72,9 +84,6 @@ def run_loop(interp, ctx, pc: int, lookup,
     while True:
         if interp.force_reference:
             nxt = interp.execute_block_reference(ctx, block)
-            if listeners:
-                for listener in listeners:
-                    listener(ctx, block)
             if max_instructions is not None \
                     and ctx.instructions > max_instructions:
                 raise ExecutionLimitExceeded(
@@ -84,7 +93,7 @@ def run_loop(interp, ctx, pc: int, lookup,
             block = lookup(nxt, ctx)
             continue
         fast = interp.mem_hook is None and interp.active_tx is None \
-            and not listeners
+            and (plain or not interp.recording)
         sink = interp.shadow_sink
         if fast:
             if sink is None:
@@ -103,28 +112,32 @@ def run_loop(interp, ctx, pc: int, lookup,
                             block, interp, lookup, shadow=True)
         else:
             run = None
-            if sink is not None and interp.mem_hook is None \
-                    and not listeners:
-                # Transaction open at entry.  A dynamic shadow runner
-                # redirects pre-close accesses through the tx and records
-                # the post-TX_FINISH tail; a static block cannot close
-                # the transaction, so the instrumented runner below (hook
-                # is None) records nothing — the hook path's behaviour.
-                run = block.jit_shadow
-                if run is None:
-                    run = block.jit_shadow = compile_block_fn(
-                        block, interp, lookup, shadow=True)
-                if not run.__shadow_dynamic__:
-                    run = None
+            if interp.mem_hook is None:
+                if interp.active_tx is None:
+                    # A recording window is live.
+                    run = block.jit_rec
+                    if run is None:
+                        run = block.jit_rec = compile_block_fn(
+                            block, interp, lookup, record=True)
+                elif sink is not None:
+                    # Transaction open at entry.  A dynamic shadow runner
+                    # redirects pre-close accesses through the tx and
+                    # records the post-TX_FINISH tail; a static block
+                    # cannot close the transaction, so the instrumented
+                    # runner below (hook is None) records nothing — the
+                    # hook path's behaviour.
+                    run = block.jit_shadow
+                    if run is None:
+                        run = block.jit_shadow = compile_block_fn(
+                            block, interp, lookup, shadow=True)
+                    if not run.__shadow_dynamic__:
+                        run = None
             if run is None:
                 run = block.jit_inst
                 if run is None:
                     run = block.jit_inst = compile_block_fn(
                         block, interp, lookup, instrumented=True)
         nxt = run(ctx)
-        if listeners:
-            for listener in listeners:
-                listener(ctx, block)
         if max_instructions is not None \
                 and ctx.instructions > max_instructions:
             raise ExecutionLimitExceeded(

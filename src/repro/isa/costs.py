@@ -56,6 +56,7 @@ OPCODE_CYCLES: dict[Opcode, int] = {
     Opcode.NOP: 1,
     Opcode.PREFETCH: 1,
     Opcode.RTCALL: 2,
+    Opcode.RECORD: 2,
 }
 
 # Extra cycles for each memory operand touched (cache-hit cost).

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 
-from repro.isa.instructions import Instruction, Opcode
+from repro.isa.instructions import PSEUDO_OPCODES, Instruction, Opcode
 from repro.isa.operands import Imm, Mem, Reg
 
 _TAG_REG = 0
@@ -25,7 +25,7 @@ class DecodingError(Exception):
     """Raised on malformed instruction bytes (bad opcode, truncation, ...)."""
 
 
-_VALID_OPCODES = {int(op) for op in Opcode if op is not Opcode.RTCALL}
+_VALID_OPCODES = {int(op) for op in Opcode if op not in PSEUDO_OPCODES}
 
 
 def decode_instruction(data: bytes, offset: int, address: int) -> Instruction:

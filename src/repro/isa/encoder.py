@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 
-from repro.isa.instructions import Instruction, Opcode
+from repro.isa.instructions import PSEUDO_OPCODES, Instruction
 from repro.isa.operands import Imm, Label, Mem, Reg
 
 _TAG_REG = 0
@@ -60,8 +60,8 @@ def _encode_operand(op, out: bytearray) -> None:
 
 def encode_instruction(ins: Instruction) -> bytes:
     """Encode one instruction to bytes (and record its size on it)."""
-    if ins.opcode is Opcode.RTCALL:
-        raise EncodingError("RTCALL is a DBM pseudo-instruction; "
+    if ins.opcode in PSEUDO_OPCODES:
+        raise EncodingError(f"{ins.opcode.name} is a DBM pseudo-instruction; "
                             "it never appears in a binary")
     out = bytearray()
     out.append(int(ins.opcode))

@@ -14,7 +14,10 @@ double-width registers.
 ``RTCALL`` is a pseudo-instruction that can only be *inserted by the DBM's
 rewrite-rule handlers* (never found in a binary); it traps into the Janus
 runtime, standing in for the dynamically generated handler code of paper
-section II-E.
+section II-E.  ``RECORD`` is the other DBM pseudo-instruction: a profiled
+memory access site, whose effective address the block runner appends
+inline to the run's access log (:mod:`repro.dbm.accesslog`) instead of
+trapping.
 """
 
 from __future__ import annotations
@@ -107,9 +110,13 @@ class Opcode(IntEnum):
     # Software prefetch hint: computes its address, touches no architectural
     # state (the cost model credits covered accesses as cache hits).
     PREFETCH = 98
-    # DBM-inserted pseudo instruction (never present in binaries)
+    # DBM-inserted pseudo instructions (never present in binaries)
     RTCALL = 120
+    RECORD = 121
 
+
+# Opcodes only the DBM inserts: never encoded, never decoded.
+PSEUDO_OPCODES = frozenset((Opcode.RTCALL, Opcode.RECORD))
 
 # Condition code consumed by each conditional opcode.
 CONDITION_OF = {

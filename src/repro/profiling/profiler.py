@@ -1,20 +1,34 @@
 """The profiling runtime attached to the DBM during training runs.
 
-Profiling runs execute through the *instrumented* compiled tier
-(:mod:`repro.dbm.jit`): the memory hook installed for shadow-memory
-tracking routes each block to a compiled variant that threads the hook
-through its memory accesses, rather than falling back to per-instruction
-reference dispatch.  The hook is re-read per access, so the external-call
-windows (which install and remove a counting hook mid-run) observe
-exactly the reference semantics.
+Profiling runs execute on the ordinary *fast* compiled tiers
+(:mod:`repro.dbm.jit`), traces and superblocks included, because nothing
+is instrumented per block or per access:
+
+* loop **coverage** is attributed from ``ctx.instructions`` by the
+  bracket RTCALLs themselves (:meth:`Profiler._attribute`);
+* each PROF_MEM site is a ``RECORD`` pseudo-instruction that the block
+  runner compiles into an inline append of the site's address to the
+  run's ordered access log (:mod:`repro.dbm.accesslog`), charging
+  ``prof_event_cycles`` per site;
+* an **external-call window** sets ``Interpreter.recording``, which
+  switches the dispatcher to the recording runner variant: every
+  Mem-operand access (what a ``mem_hook`` would see) goes into the same
+  log.
+
+The shared :class:`~repro.profiling.shadow.IterationShadowChecker` drains
+the log in program order at every bracket and window RTCALL, so the
+profiles come out exactly as if every access had been checked on the
+spot — which is what the reference interpreter (``force_reference``)
+still does, one entry at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.dbm.accesslog import SITE
 from repro.dbm.rtcalls import RTCallID
-from repro.rewrite.metadata import decode_operand
+from repro.profiling.shadow import IterationShadowChecker, LoopShadow
 from repro.telemetry.core import get_recorder
 
 
@@ -83,33 +97,39 @@ class ProfileResult:
                       if self.coverage(loop_id) >= threshold)
 
 
-class _LoopFrame:
-    __slots__ = ("loop_id", "iteration", "shadow_writes", "shadow_reads",
-                 "instructions_at_start")
+class _Window:
+    """One open external-call window (PROF_EXCALL_START .. FINISH)."""
 
-    def __init__(self, loop_id: int) -> None:
+    __slots__ = ("record_index", "loop_id", "name", "instructions_before",
+                 "counters", "frame", "profile")
+
+    def __init__(self, record_index, loop_id, name, instructions_before,
+                 frame, profile) -> None:
+        self.record_index = record_index
         self.loop_id = loop_id
-        self.iteration = 0
-        self.shadow_writes: dict[int, int] = {}
-        self.shadow_reads: dict[int, int] = {}
-        self.instructions_at_start = 0
+        self.name = name
+        self.instructions_before = instructions_before
+        self.counters = [0, 0]  # heap reads, writes (indexed by is_write)
+        # The enclosing loop's frame when the window opened (None when
+        # the loop was not active); the call's accesses feed its shadow.
+        self.frame = frame
+        self.profile = profile
 
 
-class Profiler:
+class Profiler(IterationShadowChecker):
     """Registers the PROF_* rtcalls on a DBM and accumulates profiles."""
 
     def __init__(self, dbm) -> None:
-        self.dbm = dbm
+        super().__init__(dbm, site_cycles=dbm.cost.prof_event_cycles)
         self.profiles: dict[int, LoopProfile] = {}
-        self._frames: list[_LoopFrame] = []
-        self._excall_stack: list[tuple] = []
+        self._windows: list[_Window] = []
+        # Coverage is attributed up to this instruction count.
+        self._attributed = 0
         dbm.register_rtcall(RTCallID.PROF_LOOP_START, self._loop_start)
         dbm.register_rtcall(RTCallID.PROF_LOOP_ITER, self._loop_iter)
         dbm.register_rtcall(RTCallID.PROF_LOOP_FINISH, self._loop_finish)
-        dbm.register_rtcall(RTCallID.PROF_MEM, self._mem_access)
         dbm.register_rtcall(RTCallID.PROF_EXCALL_START, self._excall_start)
         dbm.register_rtcall(RTCallID.PROF_EXCALL_FINISH, self._excall_finish)
-        dbm.block_listeners.append(self._on_block)
 
     # -- profile collection ---------------------------------------------------
 
@@ -125,156 +145,124 @@ class Profiler:
 
     def _loop_start(self, ctx, loop_id: int):
         self._charge(ctx)
+        self.drain()
+        self._attribute(ctx.entry_instructions)
         profile = self._profile(loop_id)
         profile.invocations += 1
-        self._frames.append(_LoopFrame(loop_id))
+        self.frames.append(LoopShadow(loop_id))
         return None
 
     def _loop_iter(self, ctx, loop_id: int):
         self._charge(ctx)
-        for frame in reversed(self._frames):
-            if frame.loop_id == loop_id:
-                frame.iteration += 1
-                self._profile(loop_id).iterations += 1
-                break
+        self.drain()
+        frame = self.frame_of(loop_id)
+        if frame is not None:
+            frame.iteration += 1
+            self._profile(loop_id).iterations += 1
         return None
 
     def _loop_finish(self, ctx, loop_id: int):
         self._charge(ctx)
-        # Exit targets can be reached from outside the loop; only pop if
-        # the loop is actually active (innermost occurrence).
-        for index in range(len(self._frames) - 1, -1, -1):
-            if self._frames[index].loop_id == loop_id:
-                del self._frames[index:]
-                break
+        self.drain()
+        if self.frame_of(loop_id) is not None:
+            self._attribute(ctx.entry_instructions)
+            self.pop(loop_id)
         return None
 
-    def _on_block(self, ctx, block) -> None:
-        # Block listener: its presence forces the dispatcher to stay on
-        # per-block dispatch (never whole-loop traces), so every executed
-        # block is attributed here even under the compiled tier.
-        frames = self._frames
-        if not frames:
+    def _attribute(self, upto: int) -> None:
+        """Charge the instructions before ``upto`` to the active loops.
+
+        Called just before the loop stack changes, with the instruction
+        count at the start of the changing block: every block since the
+        last change ended under the current stack, and a block counts
+        for the loops active when it *ends* (the changing block itself
+        goes to the stack it leaves behind).  Each loop is counted once
+        however often recursion re-activated it; the innermost active
+        loop also gets the exclusive count.
+        """
+        count = upto - self._attributed
+        self._attributed = upto
+        frames = self.frames
+        if not frames or not count:
             return
-        count = len(block.instructions)
         if len(frames) == 1:
-            # The overwhelmingly common case (one active loop): no dedup
-            # set allocation on the per-block hot path.
             profile = self._profile(frames[0].loop_id)
             profile.instructions += count
             profile.instructions_exclusive += count
             return
-        seen = set()
-        for frame in frames:
-            if frame.loop_id in seen:
-                continue  # recursive re-activation counts once
-            seen.add(frame.loop_id)
-            self._profile(frame.loop_id).instructions += count
-        innermost = frames[-1].loop_id
-        self._profile(innermost).instructions_exclusive += count
+        for loop_id in {frame.loop_id for frame in frames}:
+            self._profile(loop_id).instructions += count
+        self._profile(frames[-1].loop_id).instructions_exclusive += count
 
-    def _mem_access(self, ctx, record_index: int):
-        self._charge(ctx)
-        record = self.dbm.schedule.record(record_index)
-        _, loop_id, operand_record, is_write, lanes = record
-        frame = self._frame_of(loop_id)
-        if frame is None:
-            return None
-        operand = decode_operand(tuple(operand_record))
-        addr = self.dbm.interp.ea(ctx, operand)
-        profile = self._profile(loop_id)
-        for k in range(lanes):
-            self._shadow_access(profile, frame, addr + 8 * k, is_write)
-        return None
+    # -- the access log -----------------------------------------------------------
 
-    def _shadow_access(self, profile: LoopProfile, frame: "_LoopFrame",
-                       word: int, is_write: bool) -> None:
-        """Cross-iteration dependence detection against the loop shadow."""
-        if is_write:
-            previous_read = frame.shadow_reads.get(word)
-            previous_write = frame.shadow_writes.get(word)
-            for previous in (previous_read, previous_write):
-                if previous is not None and previous != frame.iteration:
-                    self._record_dependence(profile, word, previous,
-                                            frame.iteration)
-            frame.shadow_writes[word] = frame.iteration
-        else:
-            previous_write = frame.shadow_writes.get(word)
-            if previous_write is not None \
-                    and previous_write != frame.iteration:
-                self._record_dependence(profile, word, previous_write,
-                                        frame.iteration)
-            frame.shadow_reads[word] = frame.iteration
+    def _consume(self, entries: list) -> None:
+        # Innermost occurrence wins: the frame a PROF_MEM site checks.
+        frames = {frame.loop_id: frame for frame in self.frames}
+        # An access inside nested windows (two instrumented loops sharing
+        # a call site) counts for every open window, innermost first.
+        windows = self._windows[::-1]
+        check = self.check
+        for (kind, loop_id, is_write, lanes), addr in entries:
+            if kind == SITE:
+                frame = frames.get(loop_id)
+                if frame is not None:
+                    check(frame, addr, lanes, is_write, None)
+                continue
+            for window in windows:
+                window.counters[is_write] += lanes
+                # The call's accesses also feed the enclosing loop's
+                # dependence shadow: dynamically discovered code can carry
+                # cross-iteration dependences (e.g. overlapping halos).
+                if window.frame is not None:
+                    check(window.frame, addr, lanes, is_write, None)
 
-    @staticmethod
-    def _record_dependence(profile: LoopProfile, word: int,
-                           from_iteration: int, to_iteration: int) -> None:
+    def report(self, frame: LoopShadow, word: int, kind: str,
+               earlier: tuple, pc) -> None:
+        profile = self.profiles[frame.loop_id]
         profile.has_dependence = True
         if len(profile.dependence_samples) < 8:
             profile.dependence_samples.append(
-                (word, from_iteration, to_iteration))
-
-    def _frame_of(self, loop_id: int) -> _LoopFrame | None:
-        for frame in reversed(self._frames):
-            if frame.loop_id == loop_id:
-                return frame
-        return None
+                (word, earlier[0], frame.iteration))
 
     # -- external call windows ---------------------------------------------------
 
     def _excall_start(self, ctx, record_index: int):
         self._charge(ctx)
-        record = self.dbm.schedule.record(record_index)
-        _, loop_id, name = record
-        counters = [0, 0]  # heap reads, writes
-        frame = self._frame_of(loop_id)
-        profile = self._profile(loop_id)
-
-        def hook(hctx, ins, addr, is_write, lanes):
-            counters[1 if is_write else 0] += lanes
-            # The call's accesses also feed the enclosing loop's
-            # dependence shadow: dynamically discovered code can carry
-            # cross-iteration dependences (e.g. overlapping halos).
-            if frame is not None:
-                for k in range(lanes):
-                    self._shadow_access(profile, frame, addr + 8 * k,
-                                        is_write)
-            # Chain to the window below: when two instrumented loops share
-            # a call site (a nested loop pair), every open window must see
-            # the call's accesses, not just the innermost one's.
-            if previous is not None:
-                previous(hctx, ins, addr, is_write, lanes)
-
-        previous = self.dbm.interp.mem_hook
-        self.dbm.interp.mem_hook = hook
-        self._excall_stack.append(
-            (record_index, loop_id, name, ctx.instructions, counters,
-             previous))
+        self.drain()
+        _, loop_id, name = self.dbm.schedule.record(record_index)
+        self._windows.append(_Window(
+            record_index, loop_id, name, ctx.instructions,
+            self.frame_of(loop_id), self._profile(loop_id)))
+        self.set_recording(True)
         return None
 
     def _excall_finish(self, ctx, record_index: int):
         self._charge(ctx)
-        if not self._excall_stack:
+        if not self._windows:
             return None
-        (start_index, loop_id, name, instructions_before, counters,
-         previous) = self._excall_stack.pop()
-        self.dbm.interp.mem_hook = previous
-        profile = self._profile(loop_id)
-        excall = profile.excalls.get(start_index)
+        self.drain()
+        window = self._windows.pop()
+        self.set_recording(bool(self._windows))
+        excalls = window.profile.excalls
+        excall = excalls.get(window.record_index)
         if excall is None:
-            excall = ExCallProfile(name=name)
-            profile.excalls[start_index] = excall
+            excall = excalls[window.record_index] = ExCallProfile(
+                name=window.name)
         excall.invocations += 1
         # The window spans the call; subtract the two rtcall instructions.
         excall.instructions += max(
-            0, ctx.instructions - instructions_before - 2)
-        excall.heap_reads += counters[0]
-        excall.heap_writes += counters[1]
+            0, ctx.instructions - window.instructions_before - 2)
+        reads, writes = window.counters
+        excall.heap_reads += reads
+        excall.heap_writes += writes
         return None
 
     # -- result ------------------------------------------------------------------
 
     def result(self, execution) -> ProfileResult:
+        self.drain()
+        self._attribute(execution.instructions)
         return ProfileResult(total_instructions=execution.instructions,
                              loops=dict(self.profiles))
 
@@ -291,7 +279,7 @@ def run_profiling(process, schedule, cost_model=None,
         else DEFAULT_INSTRUCTION_LIMIT
     with get_recorder().span("profiling.run", cat="profiling",
                              rules=len(schedule.rules)) as span:
-        execution = dbm.run(max_instructions=limit)
+        execution = profiler.run(limit)
         profile = profiler.result(execution)
         span.set(loops_profiled=len(profile.loops),
                  instructions=execution.instructions)

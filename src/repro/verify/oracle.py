@@ -1,10 +1,12 @@
 """Tier 3: the DOALL oracle — an adversarial replay of classification claims.
 
 Every loop the classifier marked STATIC_DOALL / DYNAMIC_DOALL (and that the
-schedule generator would accept) is replayed *single-threaded* through the
-interpreter with a full memory hook installed, recording per-iteration
-read/write sets against a shadow word map.  A cross-iteration W→R, W→W or
-R→W conflict contradicts the independence claim.
+schedule generator would accept) is replayed *single-threaded* under the
+DBM, recording every access of its first iterations into the run's access
+log and checking per-iteration read/write sets against a shadow word map
+(:class:`~repro.profiling.shadow.IterationShadowChecker`).  A
+cross-iteration W→R, W→W or R→W conflict contradicts the independence
+claim.
 
 Not every conflict is unsoundness, though: the claim each category makes is
 conditional on the guards the pipeline installs, and the oracle judges a
@@ -26,10 +28,10 @@ conflict against exactly those guards:
   parallel execution could silently compute wrong answers.  With
   ``JanusConfig.verify_demote`` set, such loops are demoted in place.
 
-The shadow machinery mirrors the dependence profiler
+The shadow machinery is the dependence profiler's
 (:mod:`repro.profiling.profiler`), but where the profiler trusts the static
 analyser to tell it *which* accesses to watch, the oracle watches every
-access the interpreter performs while a claimed loop is active, exempting
+access the program performs while a claimed loop is active, exempting
 only the thread-private traffic the parallel transformation removes (own
 stack, privatised words, reduction slots).
 
@@ -43,10 +45,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.classify import LoopCategory
-from repro.dbm.interp import ExecutionLimitExceeded, Interpreter
+from repro.dbm.interp import ExecutionLimitExceeded
 from repro.dbm.modifier import JanusDBM
 from repro.dbm.rtcalls import RTCallID
+from repro.jbin import layout
 from repro.jbin.loader import load
+from repro.profiling.shadow import IterationShadowChecker, LoopShadow
 from repro.rewrite.gen_profile import (
     DEPENDENCE_STAGE,
     generate_profile_schedule,
@@ -192,28 +196,32 @@ class OracleResult:
         return out
 
 
-class _Frame:
-    __slots__ = ("loop_id", "iteration", "spec_depth", "reads", "writes")
+class DOALLOracle(IterationShadowChecker):
+    """Registers the profiling-bracket rtcalls and records every access.
 
-    def __init__(self, loop_id: int) -> None:
-        self.loop_id = loop_id
-        self.iteration = 0
-        self.spec_depth = 0    # inside an STM-speculated call region
-        # word -> (iteration, pc of the access)
-        self.reads: dict[int, tuple] = {}
-        self.writes: dict[int, tuple] = {}
+    While at least one claimed loop is inside its first
+    ``max_iterations`` iterations, the oracle keeps a recording window
+    open: every access ``mem_hook`` would see lands in the access log and
+    is checked at the next drain.  Outside it the replay runs on the fast
+    tiers.  PROF_MEM sites of the dependence-stage schedule are ignored
+    (no charge, no entry): the window watches every access anyway.
+    """
 
-
-class DOALLOracle:
-    """Registers the profiling-bracket rtcalls and a full memory hook."""
+    anti_first = False  # W->W before R->W
 
     def __init__(self, dbm: JanusDBM, claimed,
                  max_iterations: int = DEFAULT_ORACLE_ITERATIONS) -> None:
-        self.dbm = dbm
+        # Replay is single-threaded: each worker thread would get its
+        # own private stack, so the main stack's traffic is never
+        # recorded.
+        top = layout.thread_stack_top(0)
+        super().__init__(dbm, sites=False,
+                         private=(top - layout.THREAD_STACK_SIZE, top))
         self.max_iterations = max_iterations
         self.result = OracleResult()
-        self._frames: list[_Frame] = []
         self._tracked: dict[int, _Tracked] = {}
+        # Samples kept per (loop, guard): at most _MAX_SAMPLES each.
+        self._samples: dict[tuple, int] = {}
         for result in claimed:
             self._tracked[result.loop_id] = _Tracked(result)
             self.result.loops[result.loop_id] = OracleLoopStats(
@@ -223,97 +231,81 @@ class DOALLOracle:
         dbm.register_rtcall(RTCallID.PROF_LOOP_FINISH, self._loop_finish)
         dbm.register_rtcall(RTCallID.PROF_EXCALL_START, self._excall_start)
         dbm.register_rtcall(RTCallID.PROF_EXCALL_FINISH, self._excall_finish)
-        # The dependence-stage schedule also carries PROF_MEM rules; the
-        # oracle's own hook supersedes them.
-        dbm.register_rtcall(RTCallID.PROF_MEM, lambda ctx, arg: None)
-        dbm.interp.mem_hook = self._mem_hook
+
+    def _update_window(self) -> None:
+        limit = self.max_iterations
+        self.set_recording(any(frame.iteration <= limit
+                               for frame in self.frames))
 
     # -- loop bracket rtcalls -------------------------------------------------
 
     def _loop_start(self, ctx, loop_id: int):
         if loop_id in self.result.loops:
+            self.drain()
             self.result.loops[loop_id].invocations += 1
-            self._frames.append(_Frame(loop_id))
+            self.frames.append(LoopShadow(loop_id))
+            self._update_window()
         return None
 
     def _loop_iter(self, ctx, loop_id: int):
-        for frame in reversed(self._frames):
-            if frame.loop_id == loop_id:
-                frame.iteration += 1
-                if frame.iteration <= self.max_iterations:
-                    self.result.loops[loop_id].iterations += 1
-                break
+        self.drain()
+        frame = self.frame_of(loop_id)
+        if frame is not None:
+            frame.iteration += 1
+            if frame.iteration <= self.max_iterations:
+                self.result.loops[loop_id].iterations += 1
+            self._update_window()
         return None
 
     def _loop_finish(self, ctx, loop_id: int):
-        # Exit targets are reachable from outside the loop too: only pop
-        # when the loop is actually active (innermost occurrence).
-        for index in range(len(self._frames) - 1, -1, -1):
-            if self._frames[index].loop_id == loop_id:
-                del self._frames[index:]
-                break
+        self.drain()
+        if self.pop(loop_id):
+            self._update_window()
         return None
 
     # -- speculated call windows (TX_START/TX_FINISH at parallel runtime) ------
 
-    def _frame_of(self, loop_id: int) -> _Frame | None:
-        for frame in reversed(self._frames):
-            if frame.loop_id == loop_id:
-                return frame
-        return None
-
     def _excall_start(self, ctx, record_index: int):
+        self.drain()
         record = self.dbm.schedule.record(record_index)
-        frame = self._frame_of(record[1])
+        frame = self.frame_of(record[1])
         if frame is not None:
             frame.spec_depth += 1
         return None
 
     def _excall_finish(self, ctx, record_index: int):
+        self.drain()
         record = self.dbm.schedule.record(record_index)
-        frame = self._frame_of(record[1])
+        frame = self.frame_of(record[1])
         if frame is not None and frame.spec_depth > 0:
             frame.spec_depth -= 1
         return None
 
-    # -- the adversarial memory hook -------------------------------------------
+    # -- the adversarial replay ----------------------------------------------------
 
-    def _mem_hook(self, ctx, ins, addr, is_write, lanes) -> None:
-        frames = self._frames
-        if not frames:
-            return
-        if Interpreter._is_own_stack(ctx, addr):
-            return  # each worker thread gets a private stack
-        pc = ins.address
-        for frame in frames:
-            if frame.iteration > self.max_iterations:
-                continue  # replay bound reached for this invocation
-            stats = self.result.loops[frame.loop_id]
-            if frame.spec_depth > 0:
-                stats.speculated_accesses += lanes
-                continue  # STM validates and serialises these at runtime
-            if pc in self._tracked[frame.loop_id].exempt_pcs:
-                continue  # privatised/reduction traffic for this loop
-            for k in range(lanes):
-                stats.shadowed_accesses += 1
-                self._shadow(frame, stats, addr + 8 * k, is_write, pc)
-
-    def _shadow(self, frame: _Frame, stats: OracleLoopStats, word: int,
-                is_write: bool, pc: int) -> None:
-        iteration = frame.iteration
-        if is_write:
-            previous = frame.writes.get(word)
-            if previous is not None and previous[0] != iteration:
-                self._conflict(frame, stats, word, "W->W", previous, pc)
-            previous = frame.reads.get(word)
-            if previous is not None and previous[0] != iteration:
-                self._conflict(frame, stats, word, "R->W", previous, pc)
-            frame.writes[word] = (iteration, pc)
-        else:
-            previous = frame.writes.get(word)
-            if previous is not None and previous[0] != iteration:
-                self._conflict(frame, stats, word, "W->R", previous, pc)
-            frame.reads[word] = (iteration, pc)
+    def _consume(self, entries: list) -> None:
+        # Frames past their replay bound see nothing; inside an
+        # STM-speculated call a frame only counts what the STM would
+        # validate.  Neither changes between drains.
+        limit = self.max_iterations
+        loops = self.result.loops
+        watched = [frame for frame in self.frames
+                   if frame.iteration <= limit]
+        replayed = [(frame, loops[frame.loop_id],
+                     self._tracked[frame.loop_id].exempt_pcs)
+                    for frame in watched if not frame.spec_depth]
+        check = self.check
+        for (_, pc, is_write, lanes), addr in entries:
+            for frame, stats, exempt_pcs in replayed:
+                if pc in exempt_pcs:
+                    continue  # privatised/reduction traffic for this loop
+                stats.shadowed_accesses += lanes
+                check(frame, addr, lanes, is_write, pc)
+        if len(replayed) < len(watched):
+            speculated = sum(key[3] for key, _ in entries)
+            for frame in watched:
+                if frame.spec_depth:
+                    loops[frame.loop_id].speculated_accesses += speculated
 
     def _classify(self, tracked: _Tracked, pc: int,
                   prev_pc: int) -> str | None:
@@ -326,25 +318,26 @@ class DOALLOracle:
             return "bounds"
         return None
 
-    def _conflict(self, frame: _Frame, stats: OracleLoopStats, word: int,
-                  kind: str, previous: tuple, pc: int) -> None:
-        prev_iteration, prev_pc = previous
-        tracked = self._tracked[frame.loop_id]
-        guard = self._classify(tracked, pc, prev_pc)
+    def report(self, frame: LoopShadow, word: int, kind: str,
+               earlier: tuple, pc: int) -> None:
+        prev_iteration, prev_pc = earlier
+        loop_id = frame.loop_id
+        guard = self._classify(self._tracked[loop_id], pc, prev_pc)
         result = self.result
+        stats = result.loops[loop_id]
         if guard is None:
             stats.confirmed += 1
-            result.confirmed_totals[frame.loop_id] = \
-                result.confirmed_totals.get(frame.loop_id, 0) + 1
+            result.confirmed_totals[loop_id] = \
+                result.confirmed_totals.get(loop_id, 0) + 1
         else:
             stats.guarded += 1
-            by_guard = result.guarded_totals.setdefault(frame.loop_id, {})
+            by_guard = result.guarded_totals.setdefault(loop_id, {})
             by_guard[guard] = by_guard.get(guard, 0) + 1
-        per_loop = sum(1 for c in result.conflicts
-                       if c.loop_id == frame.loop_id and c.guard == guard)
-        if per_loop < _MAX_SAMPLES:
+        kept = self._samples.get((loop_id, guard), 0)
+        if kept < _MAX_SAMPLES:
+            self._samples[(loop_id, guard)] = kept + 1
             result.conflicts.append(OracleConflict(
-                loop_id=frame.loop_id, word=word, kind=kind,
+                loop_id=loop_id, word=word, kind=kind,
                 from_iteration=prev_iteration,
                 to_iteration=frame.iteration,
                 from_pc=prev_pc, to_pc=pc, guard=guard))
@@ -379,7 +372,7 @@ def run_doall_oracle(image, analysis, inputs=None, claimed=None,
                              max_iterations=max_iterations) as span:
         result = oracle.result
         try:
-            execution = dbm.run(max_instructions=max_instructions)
+            execution = oracle.run(max_instructions)
             result.instructions = execution.instructions
         except ExecutionLimitExceeded:
             # A bounded replay is still a replay: judge what was seen.

@@ -4,10 +4,12 @@ The trace-cache JIT (repro.dbm.jit) re-implements every opcode's semantics
 as generated Python; any divergence from the reference ``_exec`` dispatch
 would corrupt execution silently.  These tests run identical programs
 through the reference path (``force_reference``), the fast compiled
-variant, and the instrumented compiled variant (with a recording memory
-hook, compared against the reference under the same hook) and require
-bit-identical outcomes: registers, flags, memory, outputs, cycle and
-instruction counts — and identical hook event streams.
+variant, the instrumented compiled variant (with a recording memory
+hook, compared against the reference under the same hook) and the
+recording variant (with an access log attached and a recording window
+open for the whole run) and require bit-identical outcomes: registers,
+flags, memory, outputs, cycle and instruction counts — and identical hook
+event streams and access logs.
 
 ``test_opcode_sweep`` is the pin for full template coverage: it sweeps all
 opcodes with randomized operand kinds (register / immediate / memory with
@@ -20,11 +22,13 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.dbm.accesslog import AccessLog
 from repro.dbm.executor import run_native
 from repro.dbm.interp import Interpreter
 from repro.dbm.machine import Machine, make_main_context
 from repro.dbm.blocks import discover_block
 from repro.isa import Imm, Opcode as O, Reg
+from repro.isa.instructions import PSEUDO_OPCODES
 from repro.isa.operands import Label, Mem
 from repro.isa.registers import R
 from repro.jbin import syscalls
@@ -33,14 +37,18 @@ from repro.jbin.loader import load
 from repro.jcc import CompileOptions, compile_source
 
 
-def run_with_path(process, mode: str = "fast", record_hook: bool = False):
+def run_with_path(process, mode: str = "fast", record_hook: bool = False,
+                  record_log: bool = False):
     """Execute a process through one of the execution tiers.
 
     ``mode`` is ``"fast"`` (compiled, no instrumentation), ``"reference"``
     (per-instruction reference dispatch) or ``"superblock"`` (the full
     trace-cache dispatcher with instant hot-loop promotion); with
     ``record_hook`` a recording memory hook is installed, which routes
-    compiled execution through the instrumented variant.
+    compiled execution through the instrumented variant.  With
+    ``record_log`` an access log is attached and a recording window stays
+    open, which routes compiled execution through the recording variant;
+    the returned log then holds its entries in the hook's event form.
     """
     machine = Machine()
     machine.memory.load_words(process.initial_data())
@@ -54,6 +62,9 @@ def run_with_path(process, mode: str = "fast", record_hook: bool = False):
         def hook(hctx, ins, addr, is_write, lanes):
             log.append((ins.address, addr, bool(is_write), lanes))
         interp.mem_hook = hook
+    if record_log:
+        interp.access_log = AccessLog()
+        interp.recording = True
     cache = {}
     if mode == "superblock":
         from repro.dbm.tracecache import run_loop
@@ -67,7 +78,7 @@ def run_with_path(process, mode: str = "fast", record_hook: bool = False):
             return block
 
         run_loop(interp, ctx, ctx.pc, lookup)
-        return ctx, machine, log
+        return ctx, machine, log or _log_events(interp)
     pc = ctx.pc
     steps = 0
     while pc is not None:
@@ -77,7 +88,16 @@ def run_with_path(process, mode: str = "fast", record_hook: bool = False):
         pc = interp.execute_block(ctx, block)
         steps += 1
         assert steps < 3_000_000
-    return ctx, machine, log
+    return ctx, machine, log or _log_events(interp)
+
+
+def _log_events(interp):
+    """An access log's entries as (pc, address, is_write, lanes) events."""
+    if interp.access_log is None:
+        return []
+    return [(pc, addr, is_write, lanes)
+            for (_kind, pc, is_write, lanes), addr
+            in interp.access_log.entries]
 
 
 def _bits(value):
@@ -113,12 +133,24 @@ def assert_equivalent(build_process):
         build_process(), "reference", record_hook=True)
     inst_ctx, inst_machine, inst_log = run_with_path(
         build_process(), "fast", record_hook=True)
+    rref_ctx, rref_machine, rref_log = run_with_path(
+        build_process(), "reference", record_log=True)
+    rec_ctx, rec_machine, rec_log = run_with_path(
+        build_process(), "superblock", record_log=True)
+    block_ctx, block_machine, block_log = run_with_path(
+        build_process(), "fast", record_log=True)
     reference = _state(ref_ctx, ref_machine)
     assert _state(fast_ctx, fast_machine) == reference
     assert _state(sb_ctx, sb_machine) == reference
     assert _state(href_ctx, href_machine) == reference
     assert _state(inst_ctx, inst_machine) == reference
     assert inst_log == href_log
+    assert _state(rref_ctx, rref_machine) == reference
+    assert _state(rec_ctx, rec_machine) == reference
+    assert _state(block_ctx, block_machine) == reference
+    assert rref_log == href_log
+    assert rec_log == href_log
+    assert block_log == href_log
 
 
 # ---------------------------------------------------------------------------
@@ -488,14 +520,15 @@ def test_syscall_and_halt_ops():
 def test_sweep_covers_every_opcode():
     """The sweep + structural tests above exercise the whole ISA.
 
-    RTCALL is excluded: it is DBM-inserted only and covered by the
-    runtime/profiling suites (and by test_interp_edge without a runtime).
+    RTCALL and RECORD are excluded: they are DBM-inserted only and
+    covered by the runtime/profiling suites (RTCALL also by
+    test_interp_edge without a runtime, RECORD by test_access_log).
     """
     covered = set(_INT_ALU) | set(_FP_ALU) | set(_PACKED_ALU)
     covered |= {O.PUSH, O.POP, O.JMP, O.JE, O.JNE, O.JL, O.JLE, O.JG,
                 O.JGE, O.JMPI, O.CALL, O.CALLI, O.RET, O.SYSCALL, O.NOP,
                 O.HLT, O.PREFETCH}
-    missing = set(O) - covered - {O.RTCALL}
+    missing = set(O) - covered - PSEUDO_OPCODES
     assert not missing, sorted(op.name for op in missing)
 
 

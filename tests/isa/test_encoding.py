@@ -16,6 +16,7 @@ from repro.isa import (
 )
 from repro.isa.decoder import DecodingError
 from repro.isa.encoder import EncodingError, instruction_length
+from repro.isa.instructions import PSEUDO_OPCODES
 from repro.isa.operands import Label
 from repro.isa.registers import NUM_REGS, R
 
@@ -104,7 +105,8 @@ _mems = st.builds(
     disp=st.integers(min_value=-(2**31), max_value=2**31 - 1),
 )
 _operands = st.one_of(_regs, _imms, _mems)
-_opcodes = st.sampled_from([op for op in Opcode if op is not Opcode.RTCALL])
+_opcodes = st.sampled_from([op for op in Opcode
+                            if op not in PSEUDO_OPCODES])
 
 
 @given(op=_opcodes, operands=st.lists(_operands, max_size=3),
