@@ -4,17 +4,17 @@ Runs two hot loops — a straight-line DOALL body (``xs[i] = xs[i] * 0.5 +
 ys[i]``, which -O3 vectorises) and a *branchy* body (``if (xs[i] > t) ...
 else ...``, the shape the superblock tier targets) — under:
 
-* ``reference``         — per-instruction reference dispatch,
-* ``seed_closures``     — the legacy per-instruction closure lists
-                          (the pre-trace-cache JIT, kept in repro.dbm.jit),
-* ``linked_trace``      — the trace-cache tier (block linking + self-loop
-                          traces) with superblock formation disabled,
-* ``superblock``        — the full tier stack: hot multi-block loops are
-                          stitched into guarded superblocks,
-* ``hooked_reference``  — reference dispatch with a memory hook installed
-                          (the old cost of a profiling run),
-* ``instrumented``      — the compiled instrumented variant under the same
-                          hook (what profiling runs now use).
+* ``reference``           — per-instruction reference dispatch,
+* ``linked_trace``        — the trace-cache tier (block linking + self-loop
+                            traces) with superblock formation disabled,
+* ``superblock``          — the full tier stack: hot multi-block loops are
+                            stitched into guarded superblocks,
+* ``recording_reference`` — reference dispatch with an access log attached
+                            and a recording window open for the whole run
+                            (every Mem-operand access is logged),
+* ``recording``           — the compiled recording variant under the same
+                            live window (what external-call and oracle
+                            replay windows run).
 
 The machine this runs on is noisy across processes, so the ratio-critical
 JIT tiers are measured interleaved (round-robin within one process) with
@@ -26,8 +26,8 @@ via the telemetry BENCH exporter::
     PYTHONPATH=src python benchmarks/bench_interp_throughput.py [out.json]
 
 The pytest entry point runs a shortened loop and asserts the acceptance
-ratios: linked trace >= 3x over the seed closures, instrumented >= 1.5x
-over the hooked reference, and superblock >= 1.1x (straight-line) /
+ratios: linked trace >= 3x over the reference dispatch, recording >= 1.5x
+over the recording reference, and superblock >= 1.1x (straight-line) /
 >= 2x (branchy) over the linked-trace tier.
 """
 
@@ -37,6 +37,7 @@ import json
 import sys
 import time
 
+from repro.dbm.accesslog import AccessLog
 from repro.dbm.blocks import Block, discover_block
 from repro.dbm.interp import Interpreter
 from repro.dbm.machine import Machine, make_main_context
@@ -108,16 +109,6 @@ def _fresh(image):
     return process, machine, ctx, interp
 
 
-def _block_loop(process, ctx, interp, execute) -> None:
-    cache: dict[int, Block] = {}
-    pc = ctx.pc
-    while pc is not None:
-        block = cache.get(pc)
-        if block is None:
-            block = cache[pc] = discover_block(process, pc)
-        pc = execute(ctx, block)
-
-
 def _run_loop(process, ctx, interp) -> None:
     cache: dict[int, Block] = {}
 
@@ -131,48 +122,10 @@ def _run_loop(process, ctx, interp) -> None:
     core.get_recorder().absorb(interp.jit_stats.registry)
 
 
-def _counting_hook(counter):
-    def hook(ctx, ins, addr, is_write, lanes):
-        counter[0] += 1
-    return hook
-
-
 def run_reference(image):
     process, machine, ctx, interp = _fresh(image)
     interp.force_reference = True
-    _block_loop(process, ctx, interp, interp.execute_block)
-    return ctx, machine
-
-
-def run_hooked_reference(image):
-    process, machine, ctx, interp = _fresh(image)
-    interp.force_reference = True
-    interp.mem_hook = _counting_hook([0])
-    _block_loop(process, ctx, interp, interp.execute_block)
-    return ctx, machine
-
-
-def run_seed_closures(image):
-    """The seed's execute_block: per-instruction closure lists, no linking."""
-    from repro.dbm.jit import compile_block
-
-    process, machine, ctx, interp = _fresh(image)
-
-    def execute(ctx, block):
-        ctx.cycles += block.cost
-        ctx.instructions += len(block.instructions)
-        fast = block.fast
-        if fast is None:
-            fast = block.fast = compile_block(block, interp)
-        for fn in fast:
-            transfer = fn(ctx)
-            if transfer is not None:
-                if transfer == -1:
-                    return None
-                return transfer
-        return block.end
-
-    _block_loop(process, ctx, interp, execute)
+    _run_loop(process, ctx, interp)
     return ctx, machine
 
 
@@ -192,9 +145,22 @@ def run_superblock(image):
     return ctx, machine
 
 
-def run_instrumented(image):
+def _open_window(interp) -> None:
+    interp.access_log = AccessLog()
+    interp.recording = True
+
+
+def run_recording_reference(image):
     process, machine, ctx, interp = _fresh(image)
-    interp.mem_hook = _counting_hook([0])
+    interp.force_reference = True
+    _open_window(interp)
+    _run_loop(process, ctx, interp)
+    return ctx, machine
+
+
+def run_recording(image):
+    process, machine, ctx, interp = _fresh(image)
+    _open_window(interp)
     _run_loop(process, ctx, interp)
     return ctx, machine
 
@@ -203,11 +169,10 @@ def run_instrumented(image):
 # interleaved with each other; the slow baselines run once.
 MODES = (
     ("reference", run_reference, 1),
-    ("seed_closures", run_seed_closures, 1),
     ("linked_trace", run_linked_trace, 3),
     ("superblock", run_superblock, 3),
-    ("hooked_reference", run_hooked_reference, 1),
-    ("instrumented", run_instrumented, 2),
+    ("recording_reference", run_recording_reference, 1),
+    ("recording", run_recording, 2),
 )
 
 
@@ -248,14 +213,12 @@ def measure_workload(name: str, template: str, reps: int) -> dict:
         }
         rec.gauge(f"bench.{name}.{mode}.mips", round(ips / 1e6, 3))
     report["ratios"] = {
-        "linked_vs_seed_closures": _ratio(
-            report["modes"], "linked_trace", "seed_closures"),
         "linked_vs_reference": _ratio(
             report["modes"], "linked_trace", "reference"),
         "superblock_vs_linked_trace": _ratio(
             report["modes"], "superblock", "linked_trace"),
-        "instrumented_vs_hooked_reference": _ratio(
-            report["modes"], "instrumented", "hooked_reference"),
+        "recording_vs_recording_reference": _ratio(
+            report["modes"], "recording", "recording_reference"),
     }
     for key, value in report["ratios"].items():
         rec.gauge(f"bench.{name}.{key}", value)
@@ -273,8 +236,8 @@ def test_throughput_smoke():
     report = measure(reps=32)
     straight = report["workloads"]["straight"]["ratios"]
     branchy = report["workloads"]["branchy"]["ratios"]
-    assert straight["linked_vs_seed_closures"] >= 3.0, report
-    assert straight["instrumented_vs_hooked_reference"] >= 1.5, report
+    assert straight["linked_vs_reference"] >= 3.0, report
+    assert straight["recording_vs_recording_reference"] >= 1.5, report
     assert straight["superblock_vs_linked_trace"] >= 1.1, report
     assert branchy["superblock_vs_linked_trace"] >= 2.0, report
 

@@ -3,16 +3,17 @@
 Runs a DOALL-dominated program (repeated invocations of two
 parallelised array loops — a branchy multi-block body that the
 superblock tier stitches, and a straight store-dense body) under the
-full Janus system in both shadow-tracking modes:
+full Janus system with both dispatches:
 
-* ``hook``     — the legacy per-access callback: workers run the
-                 instrumented block tier, return to the dispatcher at
-                 every block boundary, and every memory access calls a
-                 Python closure that filters and inserts into sets,
-* ``compiled`` — the generated shadow runners: workers stay on the
-                 linked/superblock JIT tiers and every access in these
-                 kernels is summarised into per-chunk stride
-                 descriptors, so recording costs nothing per access.
+* ``reference`` — the per-instruction reference dispatch
+                  (``Interpreter.force_reference``): workers return to
+                  the dispatcher at every block boundary and every
+                  memory access is filtered and appended to the
+                  worker's shadow sink one by one,
+* ``compiled``  — the generated shadow runners: workers stay on the
+                  linked/superblock JIT tiers and every access in these
+                  kernels is summarised into per-chunk stride
+                  descriptors, so recording costs nothing per access.
 
 The two runs must produce identical outputs (the differential sweep in
 ``tests/dbm/test_shadow_diff.py`` additionally proves identical shadow
@@ -29,8 +30,8 @@ via the telemetry BENCH exporter::
     PYTHONPATH=src python benchmarks/bench_parallel_runtime.py [out.json]
 
 The pytest entry point runs a shortened loop and asserts the acceptance
-floor: compiled worker throughput >= 3x over hook, with superblocks
-forming inside the compiled-mode workers.
+floor: compiled worker throughput >= 24x over the reference dispatch,
+with superblocks forming inside the compiled-mode workers.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ import json
 import sys
 import time
 
+from repro.dbm.modifier import JanusDBM
+from repro.dbm.runtime import ParallelRuntime
+from repro.jbin.loader import load
 from repro.pipeline import Janus, JanusConfig, SelectionMode
 from repro.telemetry import core
 
@@ -98,7 +102,13 @@ int main() {{
 
 N_THREADS = 4
 
-MODES = ("hook", "compiled")
+MODES = ("reference", "compiled")
+# Compiled worker throughput floor over the reference dispatch: 84% of
+# the ratio six smoke runs (reps=3) measured on a 2-core Intel Xeon
+# (27.2x-32.7x, median 28.9x) — the proportion the earlier floor against
+# a per-access callback baseline kept to its measured ratio (3x against
+# 3.56x), so the check is no looser.
+FLOOR = 24.0
 ROUNDS = 2  # best-of-N, interleaved within one process
 
 
@@ -127,11 +137,15 @@ def measure(reps: int) -> tuple[dict, list[dict]]:
     dumps: list[dict] = []
     for _round in range(ROUNDS):
         for mode in MODES:
-            janus = Janus(image, JanusConfig(n_threads=N_THREADS,
-                                             shadow_mode=mode))
+            janus = Janus(image, JanusConfig(n_threads=N_THREADS))
             recorder = core.enable(label=f"bench_parallel_{mode}")
             start = time.perf_counter()
-            result = janus.run(SelectionMode.STATIC)
+            dbm = JanusDBM(load(image),
+                           schedule=janus.build_schedule(SelectionMode.STATIC),
+                           n_threads=N_THREADS)
+            dbm.interp.force_reference = mode == "reference"
+            ParallelRuntime(dbm)
+            result = dbm.run(max_instructions=janus.config.max_instructions)
             elapsed = time.perf_counter() - start
             dump = recorder.dump()
             core.disable()
@@ -148,8 +162,8 @@ def measure(reps: int) -> tuple[dict, list[dict]]:
             if mode not in best \
                     or worker_seconds < best[mode]["worker_seconds"]:
                 best[mode] = sample
-    hook, compiled = results["hook"], results["compiled"]
-    assert hook.outputs == compiled.outputs, "shadow modes diverged"
+    reference, compiled = results["reference"], results["compiled"]
+    assert reference.outputs == compiled.outputs, "dispatches diverged"
     report: dict = {"reps": reps, "n_threads": N_THREADS, "modes": {}}
     for mode in MODES:
         result = results[mode]
@@ -166,11 +180,11 @@ def measure(reps: int) -> tuple[dict, list[dict]]:
             "superblock_entries": result.stats["superblock_entries"],
         }
     ratio = round(report["modes"]["compiled"]["worker_ins_per_sec"]
-                  / report["modes"]["hook"]["worker_ins_per_sec"], 2)
-    end_to_end = round(report["modes"]["hook"]["seconds"]
+                  / report["modes"]["reference"]["worker_ins_per_sec"], 2)
+    end_to_end = round(report["modes"]["reference"]["seconds"]
                        / report["modes"]["compiled"]["seconds"], 2)
-    report["ratios"] = {"worker_compiled_vs_hook": ratio,
-                        "end_to_end_compiled_vs_hook": end_to_end}
+    report["ratios"] = {"worker_compiled_vs_reference": ratio,
+                        "end_to_end_compiled_vs_reference": end_to_end}
     return report, dumps
 
 
@@ -180,7 +194,7 @@ def test_parallel_smoke():
     compiled = report["modes"]["compiled"]
     assert compiled["parallel_invocations"] > 0, report
     assert compiled["superblock_entries"] > 0, report
-    assert report["ratios"]["worker_compiled_vs_hook"] >= 3.0, report
+    assert report["ratios"]["worker_compiled_vs_reference"] >= FLOOR, report
 
 
 def main(argv: list[str]) -> int:

@@ -9,8 +9,8 @@ inputs.  Run directly::
 
 The pytest entry point keeps CI cheap: one representative workload must
 verify with zero confirmed-unsound findings, and the oracle replay must
-stay within a sane multiple of plain interpretation (it adds a Python
-memory hook on every access, so the bound is loose).
+stay within a sane multiple of plain interpretation (its replay
+windows log every access, so the bound is loose).
 """
 
 import argparse
@@ -94,7 +94,7 @@ def test_verifier_sound_and_bounded():
     row = bench_workload("462.libquantum")
     assert row["confirmed_unsound"] == 0
     assert row["oracle_loops"] >= 1
-    # The oracle interposes a Python hook per memory access; anything
+    # The oracle's replay windows log every memory access; anything
     # beyond this multiple means the fast path regressed badly.
     assert row["oracle_overhead_x"] < 60
 

@@ -591,7 +591,6 @@ def _cmd_trace(args) -> int:
 
 
 _JIT_TIERS = (("fast", "jit_fast"),
-              ("instrumented", "jit_inst"),
               ("superblock", "jit_super"))
 
 

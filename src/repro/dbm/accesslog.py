@@ -1,10 +1,9 @@
 """The ordered per-run access log that profiling and the DOALL oracle read.
 
 Training and the DOALL oracle watch memory accesses without a Python
-call per access (a ``mem_hook`` callback or an RTCALL trap would pin the
-run to the instrumented block tier): the block runners of a run with an
-:class:`AccessLog` attached append ``(key, address)`` entries to one flat
-list, in program order, and the consumer
+call per access: the block runners of a run with an :class:`AccessLog`
+attached append ``(key, address)`` entries to one flat list, in program
+order (the reference dispatch appends the same entries), and the consumer
 (:class:`repro.profiling.shadow.IterationShadowChecker`) drains it at its
 own RTCALLs.  Two kinds of entry exist:
 
@@ -15,10 +14,9 @@ own RTCALLs.  Two kinds of entry exist:
   profiled run stays on the fast tiers.
 * ``(ACCESS, pc, is_write, lanes)`` — an application access recorded
   while ``Interpreter.recording`` is set (an external-call window or an
-  oracle replay window).  Exactly the accesses that reach ``mem_hook``
-  are recorded: every Mem operand read or write (one entry per packed
-  access, at its base address), never the stack words PUSH/POP/CALL/RET
-  move.
+  oracle replay window): every Mem-operand read or write (one entry per
+  packed access, at its base address), never the stack words
+  PUSH/POP/CALL/RET move.
 
 ``address`` is the effective address; a consumer expands ``lanes`` into
 the words ``address + 8*k``.  Between two drains neither the consumer's

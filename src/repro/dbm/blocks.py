@@ -24,22 +24,22 @@ class Block:
     instructions: list[Instruction]
     end: int  # fall-through address (address after the last instruction)
     cost: int = 0
-    # Lazily compiled closure form (legacy unlinked JIT); never compared.
-    fast: list | None = field(default=None, repr=False, compare=False)
-    # Trace-cache tier runners (see repro.dbm.jit.compile_block_fn):
-    # the fast variant (no instrumentation; may link/trace), the
-    # recording variant (every hookable access appended to the run's
-    # access log while a recording window is live) and the instrumented
-    # variant (mem_hook/transaction threaded through).
+    # Trace-cache tier runners (see repro.dbm.jit.compile_block_fn),
+    # never compared: the fast variant (no open transaction or recording
+    # window; may link/trace) and the recording variant (every
+    # Mem-operand access appended to the run's access log while a
+    # recording window is live).
     jit_fast: object = field(default=None, repr=False, compare=False)
     jit_rec: object = field(default=None, repr=False, compare=False)
-    jit_inst: object = field(default=None, repr=False, compare=False)
     # Shadow variant: fast-tier codegen with the parallel runtime's
     # shadow-memory filter inlined and raw events appended to the
-    # worker's ShadowSink (repro.dbm.shadow).  Compiled per worker
-    # thread (filter bounds and sink are compile-time constants), so
-    # these slots live in the per-thread cache's blocks only.
+    # worker's ShadowSink (repro.dbm.shadow); jit_tx holds the dynamic
+    # shadow form run when the block is entered with a transaction open.
+    # Compiled per worker thread (filter bounds and sink are
+    # compile-time constants), so these slots live in the per-thread
+    # cache's blocks only.
     jit_shadow: object = field(default=None, repr=False, compare=False)
+    jit_tx: object = field(default=None, repr=False, compare=False)
     # Superblock tier runner (repro.dbm.superblock): the whole hot loop
     # body stitched into one compiled function with side-exit guards.
     # Only ever entered from the dispatcher's fast path.

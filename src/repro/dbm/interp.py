@@ -4,7 +4,7 @@ The interpreter executes translated :class:`~repro.dbm.blocks.Block` objects
 against a :class:`~repro.dbm.machine.ThreadContext`.  It is deliberately a
 plain big-dispatch interpreter: semantics live in one place, and both the
 native executor and the DBM (with modified blocks, pseudo ``RTCALL``
-instructions, transactional memory redirection and profiling hooks) run
+instructions, transactional memory redirection and access recording) run
 through the same code path, so "native" and "parallelised" executions can
 never diverge semantically except through an actual bug in a transformation
 — which is exactly what the correctness oracle tests for.
@@ -14,10 +14,18 @@ current thread's own stack region is redirected through the transaction's
 ``read``/``write`` (paper section II-E2: heap and out-of-frame stack accesses
 use Janus' STM).
 
-Recording mode: with an :class:`~repro.dbm.accesslog.AccessLog` attached
+Recording: with an :class:`~repro.dbm.accesslog.AccessLog` attached
 (``access_log``), ``RECORD`` sites append to it, and while ``recording`` is
-set every access that would reach ``mem_hook`` is appended too — the same
-entries the compiled runners append.
+set every Mem-operand access is appended too (never the stack words
+PUSH/POP/CALL/RET move) — the same entries the compiled recording runners
+append.  With a :class:`~repro.dbm.shadow.ShadowSink` installed
+(``shadow_sink``, a parallel worker) every Mem-operand access outside an
+open transaction whose base address passes the sink's own-stack/TLS
+filter is appended to it, one event per packed access — the same events
+the compiled shadow runners record, except that this dispatch records
+statically summarised sites raw (the runtime records no stride
+descriptors under ``force_reference``).  This per-instruction dispatch is
+therefore the oracle for both recording paths.
 """
 
 from __future__ import annotations
@@ -30,9 +38,7 @@ from repro.isa.registers import NUM_GPR, RET_REG, STACK_REG, XMM_BASE
 from repro.jbin import layout, syscalls
 from repro.dbm.accesslog import ACCESS
 from repro.dbm.blocks import Block
-# Module-level import (not per-call in execute_block): jit never imports
-# interp at module scope, so this cannot cycle.
-from repro.dbm.jit import JITStats, TRACE_BUDGET, compile_block_fn
+from repro.dbm.jit import JITStats, TRACE_BUDGET
 from repro.dbm.superblock import SUPERBLOCK_THRESHOLD, SuperblockStats
 from repro.dbm.machine import HALT_ADDRESS, Machine, ThreadContext
 from repro.dbm.memory import f64_to_i64, i64_to_f64, s64
@@ -64,20 +70,18 @@ class Interpreter:
         self.process = process
         # Hook invoked for RTCALL pseudo-instructions: f(ctx, hid, arg) -> pc|None
         self.rtcall_handler = None
-        # Optional memory-profiling hook: f(ctx, ins, addr, is_write, lanes)
-        self.mem_hook = None
         # The run's access log (repro.dbm.accesslog), attached before the
         # run by profiling and the oracle; ``recording`` (toggled only by
-        # their RTCALL handlers) adds every hookable access to it.
+        # their RTCALL handlers) adds every Mem-operand access to it.
         self.access_log = None
         self.recording = False
         # Active software transaction for the currently executing thread.
         self.active_tx = None
-        # Compiled shadow tracking (repro.dbm.shadow): when a ShadowSink
-        # is installed the dispatcher selects the shadow JIT variants
-        # instead of falling back to the instrumented tier.  Sites in
-        # shadow_summarised are statically proven affine and covered by
-        # per-chunk stride descriptors — the shadow runners skip them.
+        # Shadow tracking (repro.dbm.shadow): a parallel worker installs
+        # its ShadowSink here and the dispatcher selects the shadow JIT
+        # variants.  Sites in shadow_summarised are statically proven
+        # affine and covered by per-chunk stride descriptors — the shadow
+        # runners skip them.
         self.shadow_sink = None
         self.shadow_summarised = frozenset()
         # Force the reference per-instruction dispatch (differential tests).
@@ -110,28 +114,29 @@ class Interpreter:
             addr += ctx.gregs[m.index] * m.scale
         return addr
 
-    def _mem_read(self, ctx: ThreadContext, ins, m: Mem, lanes: int = 1) -> int:
+    def _mem_read(self, ctx: ThreadContext, ins, m: Mem) -> int:
         addr = self.ea(ctx, m)
-        if self.mem_hook is not None:
-            self.mem_hook(ctx, ins, addr, False, lanes)
         if self.recording:
-            self._record(ins, addr, False, lanes)
+            self._record(ins, addr, False, 1)
         tx = self.active_tx
-        if tx is not None and not self._is_own_stack(ctx, addr):
-            return tx.read(addr)
+        if tx is not None:
+            if not self._is_own_stack(ctx, addr):
+                return tx.read(addr)
+        elif self.shadow_sink is not None:
+            self.shadow_sink.record(addr, False)
         return self.machine.memory.read(addr)
 
-    def _mem_write(self, ctx: ThreadContext, ins, m: Mem, value: int,
-                   lanes: int = 1) -> None:
+    def _mem_write(self, ctx: ThreadContext, ins, m: Mem, value: int) -> None:
         addr = self.ea(ctx, m)
-        if self.mem_hook is not None:
-            self.mem_hook(ctx, ins, addr, True, lanes)
         if self.recording:
-            self._record(ins, addr, True, lanes)
+            self._record(ins, addr, True, 1)
         tx = self.active_tx
-        if tx is not None and not self._is_own_stack(ctx, addr):
-            tx.write(addr, value)
-            return
+        if tx is not None:
+            if not self._is_own_stack(ctx, addr):
+                tx.write(addr, value)
+                return
+        elif self.shadow_sink is not None:
+            self.shadow_sink.record(addr, True)
         self.machine.memory.write(addr, value)
 
     def _record(self, ins, addr: int, is_write: bool, lanes: int) -> None:
@@ -193,53 +198,17 @@ class Interpreter:
 
     # -- block execution -------------------------------------------------------
 
-    def execute_block(self, ctx: ThreadContext, block: Block) -> int | None:
-        """Execute one block; return the next pc, or ``None`` when halted.
-
-        Cycle cost is charged up-front from the block's static cost; the
-        handful of dynamic-cost cases (syscalls, RTCALL runtime work) charge
-        their own extras inside their handlers.
-
-        Single-block compatibility entry point: the dispatch loops live in
-        :mod:`repro.dbm.tracecache` and chain compiled blocks directly; this
-        wrapper compiles without a lookup (so it never links) and maps the
-        runner protocol back to pc-or-None.  Instrumented runs (memory hook
-        or open transaction) use the instrumented compiled variant, a live
-        recording window the recording variant; setting
-        ``force_reference`` pins execution to the per-instruction reference
-        dispatch.
-        """
-        if self.force_reference:
-            return self.execute_block_reference(ctx, block)
-        if self.mem_hook is None and self.active_tx is None:
-            if self.recording:
-                run = block.jit_rec
-                if run is None:
-                    run = block.jit_rec = compile_block_fn(block, self,
-                                                           record=True)
-            else:
-                run = block.jit_fast
-                if run is None:
-                    run = block.jit_fast = compile_block_fn(block, self)
-        else:
-            run = block.jit_inst
-            if run is None:
-                run = block.jit_inst = compile_block_fn(
-                    block, self, instrumented=True)
-        transfer = run(ctx)
-        if transfer.__class__ is Block:
-            return transfer.start
-        if transfer == -1:
-            return None
-        return transfer
-
     def execute_block_reference(self, ctx: ThreadContext,
                                 block: Block) -> int | None:
         """Execute one block through the reference per-instruction dispatch.
 
-        This is the semantic ground truth the compiled tiers are pinned
-        against (tests/dbm/test_jit.py) and the path taken under
-        ``force_reference``.
+        Return the next pc, or ``None`` when halted.  Cycle cost is
+        charged up-front from the block's static cost; the handful of
+        dynamic-cost cases (syscalls, RTCALL runtime work) charge their
+        own extras inside their handlers.  This is the semantic ground
+        truth the compiled tiers are pinned against (tests/dbm/test_jit.py,
+        tests/dbm/test_shadow_diff.py) and the path the dispatcher takes
+        under ``force_reference``.
         """
         ctx.cycles += block.cost
         ctx.entry_instructions = ctx.instructions
@@ -285,8 +254,7 @@ class Interpreter:
         elif op is Opcode.ADD:
             dst, src = ops
             tsrc = type(src)
-            if type(dst) is Reg and tsrc is not Mem \
-                    and self.mem_hook is None:
+            if type(dst) is Reg and tsrc is not Mem:
                 rhs = ctx.gregs[src.id] if tsrc is Reg else src.value
                 result = ctx.gregs[dst.id] + rhs
                 if result > 9223372036854775807 \
@@ -511,10 +479,10 @@ class Interpreter:
             values = ctx.fregs[sbase:sbase + lanes]
         else:
             addr = self.ea(ctx, src)
-            if self.mem_hook is not None:
-                self.mem_hook(ctx, ins, addr, False, lanes)
             if self.recording:
                 self._record(ins, addr, False, lanes)
+            if self.active_tx is None and self.shadow_sink is not None:
+                self.shadow_sink.record(addr, False, lanes)
             values = [i64_to_f64(self._mem_read_at(ctx, addr + 8 * k))
                       for k in range(lanes)]
         if op in (Opcode.MOVAPD, Opcode.VMOVAPD):
@@ -539,10 +507,10 @@ class Interpreter:
             ctx.fregs[dbase:dbase + lanes] = results
         else:
             addr = self.ea(ctx, dst)
-            if self.mem_hook is not None:
-                self.mem_hook(ctx, ins, addr, True, lanes)
             if self.recording:
                 self._record(ins, addr, True, lanes)
+            if self.active_tx is None and self.shadow_sink is not None:
+                self.shadow_sink.record(addr, True, lanes)
             for k, value in enumerate(results):
                 self._mem_write_at(ctx, addr + 8 * k, f64_to_i64(value))
 

@@ -9,11 +9,11 @@ time, and the generated source is ``exec``-compiled so steady-state
 execution is straight-line Python bytecode with no per-instruction
 dispatch.
 
-Four variants exist per block:
+Three variants exist per block:
 
-* the **fast** variant assumes no instrumentation (no ``mem_hook``, no open
-  transaction, no live recording window) and reads/writes machine memory
-  directly; it may *link*: a terminator resolves its successor's compiled
+* the **fast** variant assumes no open transaction and no live recording
+  window and reads/writes machine memory directly; it may *link*: a
+  terminator resolves its successor's compiled
   :class:`~repro.dbm.blocks.Block` once through the dispatcher's ``lookup``
   and caches it, so the dispatch loop skips the code-cache lookup.  A
   self-looping block (a DOALL loop body) is promoted to a *trace*: the
@@ -26,17 +26,13 @@ Four variants exist per block:
 * the **recording** variant (``record=True``; selected while
   ``interp.recording`` is set, i.e. an external-call window or an oracle
   replay window is live) is the fast variant plus an inline log append at
-  every access the instrumented variant would pass to ``mem_hook``.  It
-  links but never traces, so instruction limits stay exact per block
-  while accesses are being recorded.  In a run with an access log
-  attached, a block containing an RTCALL compiles — in both its fast and
-  its recording slot — to a *dynamic* form that re-reads
-  ``interp.recording`` after every RTCALL: the RTCALL may open or close a
-  window, and the accesses after it in the same block must follow.
-* the **instrumented** variant threads ``mem_hook`` and the active
-  transaction through every memory access *dynamically* (checked per
-  access, exactly like the reference ``_exec``), so STM worker runs and
-  hook-mode shadow tracking also execute compiled code.
+  every Mem-operand access.  It links but never traces, so instruction
+  limits stay exact per block while accesses are being recorded.  In a
+  run with an access log attached, a block containing an RTCALL compiles
+  — in both its fast and its recording slot — to a *dynamic* form that
+  re-reads ``interp.recording`` after every RTCALL: the RTCALL may open or
+  close a window, and the accesses after it in the same block must
+  follow.
 * the **shadow** variant (``shadow=True``; selected by the dispatcher when
   ``interp.shadow_sink`` is installed) keeps the fast variant's direct
   memory access and linking/tracing, and additionally records shadow
@@ -47,22 +43,23 @@ Four variants exist per block:
   proven affine (``interp.shadow_summarised``) are skipped entirely; the
   runtime covers them with per-chunk stride descriptors.  Blocks
   containing RTCALL/SYSCALL compile a *dynamic* shadow form that
-  re-checks the open transaction per access (such a block can close the
-  STM window mid-block); the dispatcher keys on ``__shadow_dynamic__``.
+  re-checks the open transaction per access (such a block can open or
+  close the STM window mid-block); a block entered with a transaction
+  open runs the same dynamic form (``tx=True``, the ``jit_tx`` slot),
+  which routes every access through the transaction and records nothing
+  while it stays open.
 
 Indirect terminators (``ret``/``jmpi``/``calli``) keep a one-entry inline
 cache mapping the last raw target to its compiled block — DynamoRIO's
 indirect-branch lookup cache.
 
-Semantics are defined by :mod:`repro.dbm.interp`; the differential sweep in
-``tests/dbm/test_jit.py`` pins every opcode template against the reference
-interpreter.  Opcodes without a template (none today) fall back to the
+Semantics are defined by :mod:`repro.dbm.interp`, whose per-instruction
+dispatch also records access logs and shadow events: the differential
+sweeps in ``tests/dbm/test_jit.py`` (opcode templates, access logs) and
+``tests/dbm/test_shadow_diff.py`` (shadow views) pin every variant
+against it.  Opcodes without a template (none today) fall back to the
 reference ``_exec`` per instruction and are counted in
 ``JITStats.fallback_instructions``.
-
-The legacy closure-list compiler (``compile_block``) is retained at the
-bottom of this module as the benchmark baseline for the unlinked JIT
-(``benchmarks/bench_interp_throughput.py``).
 """
 
 from __future__ import annotations
@@ -117,77 +114,24 @@ class JITStats(RegistryView):
     """
 
     _NAMESPACE = "jit"
-    _FIELDS = ("blocks_translated", "instrumented_blocks",
-               "links_installed", "trace_entries", "trace_exits",
-               "trace_budget_bailouts", "fallback_instructions")
+    _FIELDS = ("blocks_translated", "links_installed", "trace_entries",
+               "trace_exits", "trace_budget_bailouts",
+               "fallback_instructions")
 
 
 def _identity(value: int) -> int:
     return value
 
 
-def _instrumented_helpers(interp) -> dict:
-    """Per-interpreter memory helpers that re-check hook/tx on every access.
-
-    The hook and transaction are read *at call time* (not bound at compile
-    time) because workers open and close transactions mid-block.
-    """
-    memory_read = interp.machine.memory.read
-    memory_write = interp.machine.memory.write
-    stack_size = layout.THREAD_STACK_SIZE
-
-    def _hr(ctx, addr, ins):
-        hook = interp.mem_hook
-        if hook is not None:
-            hook(ctx, ins, addr, False, 1)
-        tx = interp.active_tx
-        if tx is not None and not (
-                ctx.stack_top - stack_size < addr <= ctx.stack_top):
-            return tx.read(addr)
-        return memory_read(addr)
-
-    def _hw(ctx, addr, ins, value):
-        hook = interp.mem_hook
-        if hook is not None:
-            hook(ctx, ins, addr, True, 1)
-        tx = interp.active_tx
-        if tx is not None and not (
-                ctx.stack_top - stack_size < addr <= ctx.stack_top):
-            tx.write(addr, value)
-            return
-        memory_write(addr, value)
-
-    def _rat(ctx, addr):
-        tx = interp.active_tx
-        if tx is not None and not (
-                ctx.stack_top - stack_size < addr <= ctx.stack_top):
-            return tx.read(addr)
-        return memory_read(addr)
-
-    def _wat(ctx, addr, value):
-        tx = interp.active_tx
-        if tx is not None and not (
-                ctx.stack_top - stack_size < addr <= ctx.stack_top):
-            tx.write(addr, value)
-            return
-        memory_write(addr, value)
-
-    def _ph(ctx, addr, ins, is_write, lanes):
-        hook = interp.mem_hook
-        if hook is not None:
-            hook(ctx, ins, addr, is_write, lanes)
-
-    return {"_hr": _hr, "_hw": _hw, "_rat": _rat, "_wat": _wat, "_ph": _ph}
-
-
 def _shadow_helpers(interp, sink) -> dict:
-    """Memory helpers for *dynamic* shadow blocks (contain RTCALL/SYSCALL).
+    """Memory helpers for *dynamic* shadow blocks.
 
-    Such a block can open or close a transaction mid-block, so the tx
-    state is re-checked per access.  The hook-mode recording contract is
-    reproduced exactly: accesses under an open transaction are invisible
-    to the shadow, and the worker's own stack/TLS regions are filtered on
-    the base address.
+    A block containing RTCALL/SYSCALL can open or close a transaction
+    mid-block, and a block entered with one open runs inside it, so the
+    tx state is re-checked per access.  The shadow recording contract
+    (:mod:`repro.dbm.shadow`): accesses under an open transaction are
+    routed through it and invisible to the shadow, and the worker's own
+    stack/TLS regions are filtered on the base address.
     """
     memory_read = interp.machine.memory.read
     memory_write = interp.machine.memory.write
@@ -225,8 +169,7 @@ def _shadow_helpers(interp, sink) -> dict:
 
     def _sp(ctx, addr, lanes, is_write):
         # Packed probe: one base-filtered event covering all lanes (the
-        # hook records one line event at the base plus per-lane words;
-        # the view expands the lanes at query time).
+        # view expands the lanes at query time).
         if interp.active_tx is None and (
                 addr <= stack_lo or addr > stack_hi) and (
                 addr < tls_lo or addr >= tls_hi):
@@ -253,47 +196,45 @@ def _shadow_helpers(interp, sink) -> dict:
     return {"_sr": _sr, "_sw": _sw, "_sp": _sp, "_rat": _rat, "_wat": _wat}
 
 
-def compile_block_fn(block, interp, lookup=None, instrumented=False,
-                     shadow=False, record=False):
+def compile_block_fn(block, interp, lookup, shadow=False, record=False,
+                     tx=False):
     """Compile ``block`` into a single runner function ``run(ctx)``.
 
     The runner charges the block's static cost, executes the block, and
     returns one of:
 
-    * a :class:`~repro.dbm.blocks.Block` — the linked successor (only when
-      ``lookup`` was provided);
+    * a :class:`~repro.dbm.blocks.Block` — the linked successor;
     * an ``int`` program counter — an unlinked transfer;
     * ``-1`` — the program halted (``ctx.halted``/``exit_code`` are set).
 
     ``lookup(pc, ctx) -> Block`` is the dispatcher's code-cache lookup; it
     must be stable for the lifetime of the block (links are installed
-    once).  With ``lookup=None`` the runner never links and never builds
-    traces.
+    once).  ``tx=True`` builds the dynamic shadow form for a block
+    entered with a transaction open.
     """
     from repro.dbm.interp import JXRuntimeError
 
-    compiler = _BlockCompiler(block, interp, lookup, instrumented,
-                              JXRuntimeError, shadow=shadow, record=record)
+    compiler = _BlockCompiler(block, interp, lookup, JXRuntimeError,
+                              shadow=shadow or tx, record=record, tx=tx)
     fn = compiler.build()
+    # Window (or transaction) state is re-read inside: one runner serves
+    # both slots.
     if compiler.rec_mode == "dynamic":
-        # Window state is re-read inside: one runner serves both slots.
         block.jit_fast = block.jit_rec = fn
-    stats = interp.jit_stats
-    stats.blocks_translated += 1
-    if instrumented:
-        stats.instrumented_blocks += 1
+    if compiler.tx_mid_block:
+        block.jit_shadow = block.jit_tx = fn
+    interp.jit_stats.blocks_translated += 1
     return fn
 
 
 class _BlockCompiler:
     """Generates the Python source of one block runner and exec-compiles it."""
 
-    def __init__(self, block, interp, lookup, instrumented, error_type,
-                 shadow=False, record=False):
+    def __init__(self, block, interp, lookup, error_type, shadow=False,
+                 record=False, tx=False):
         self.block = block
         self.interp = interp
         self.lookup = lookup
-        self.instrumented = instrumented
         self.shadow = shadow
         self.stats = interp.jit_stats
         process = interp.process
@@ -312,23 +253,26 @@ class _BlockCompiler:
         }
         if shadow:
             # A block with RTCALL/SYSCALL can open or close a transaction
-            # mid-block: its shadow form re-checks the tx per access.  A
-            # block without either is provably tx-free for its whole run
-            # (the dispatcher only selects the static form when no tx is
-            # open at entry) and records through inlined filter constants.
+            # mid-block, and a block entered with one open (``tx``) runs
+            # inside it: both compile the *dynamic* shadow form, which
+            # re-checks the tx per access.  Any other block is provably
+            # tx-free for its whole run (the dispatcher only selects the
+            # static form when no tx is open at entry) and records
+            # through inlined filter constants.
             sink = interp.shadow_sink
             self.sink = sink
             self.summarised = interp.shadow_summarised
-            self.shadow_dynamic = any(
+            self.tx_mid_block = any(
                 ins.opcode in (Opcode.SYSCALL, Opcode.RTCALL)
                 for ins in block.instructions)
+            self.shadow_dynamic = tx or self.tx_mid_block
             self._slo, self._shi = sink.stack_lo, sink.stack_hi
             self._tlo, self._thi = sink.tls_lo, sink.tls_hi
             # Most heap addresses sit below both excluded regions: one
             # compare short-circuits the full four-compare filter.
             self._low = min(sink.stack_lo + 1, sink.tls_lo)
         else:
-            self.shadow_dynamic = False
+            self.tx_mid_block = self.shadow_dynamic = False
         self.n_temps = 0
         # Access recording into the run's access log (None: record
         # nothing; "static": every access, the whole block runs inside
@@ -344,26 +288,23 @@ class _BlockCompiler:
                 self.rec_mode = "dynamic"
             elif record:
                 self.rec_mode = "static"
-            if instrumented or shadow:
-                self.rec_mode = None  # these tiers never run a window
+            if shadow:
+                self.rec_mode = None  # the shadow tier never runs a window
         # Stack-word accesses (PUSH/POP/CALL/RET spill slots) are never
         # shadow-recorded (they always hit the worker's own stack) but
         # still need tx redirection when a transaction can be open.
-        self.stack_guarded = instrumented or self.shadow_dynamic
-        if instrumented:
-            self.ns.update(_instrumented_helpers(interp))
-        else:
-            memory = interp.machine.memory
-            self.ns["_mr"] = memory.read
-            self.ns["_mw"] = memory.write
-            if shadow:
-                if self.shadow_dynamic:
-                    self.ns.update(_shadow_helpers(interp, sink))
-                else:
-                    self.ns["_re"] = sink.reads.append
-                    self.ns["_we"] = sink.writes.append
-                    self.ns["_pre"] = sink.packed_reads.append
-                    self.ns["_pwe"] = sink.packed_writes.append
+        self.stack_guarded = self.shadow_dynamic
+        memory = interp.machine.memory
+        self.ns["_mr"] = memory.read
+        self.ns["_mw"] = memory.write
+        if shadow:
+            if self.shadow_dynamic:
+                self.ns.update(_shadow_helpers(interp, sink))
+            else:
+                self.ns["_re"] = sink.reads.append
+                self.ns["_we"] = sink.writes.append
+                self.ns["_pre"] = sink.packed_reads.append
+                self.ns["_pwe"] = sink.packed_writes.append
 
         def _rt(ctx, hid, arg, _interp=interp, _error=error_type):
             handler = _interp.rtcall_handler
@@ -496,8 +437,6 @@ class _BlockCompiler:
             return self.greg(op.id)
         if t is Imm:
             return repr(op.value)
-        if self.instrumented:
-            return f"_hr(ctx, {self.ea(op)}, {self.ins_name(k, ins)})"
         if self.shadow:
             return self.shadow_read_expr(op, ins)
         if self.rec_mode:
@@ -507,9 +446,6 @@ class _BlockCompiler:
     def istore(self, op, k: int, ins: Instruction, value: str) -> None:
         if type(op) is Reg:
             self.emit(f"{self.greg(op.id)} = {value}")
-        elif self.instrumented:
-            self.emit(f"_hw(ctx, {self.ea(op)}, "
-                      f"{self.ins_name(k, ins)}, {value})")
         elif self.shadow:
             self.shadow_write(op, ins, value)
         elif self.rec_mode:
@@ -520,8 +456,6 @@ class _BlockCompiler:
     def fread(self, op, k: int, ins: Instruction) -> str:
         if type(op) is Reg:
             return f"x[{(op.id - XMM_BASE) * 4}]"
-        if self.instrumented:
-            return f"_i2f(_hr(ctx, {self.ea(op)}, {self.ins_name(k, ins)}))"
         if self.shadow:
             return f"_i2f({self.shadow_read_expr(op, ins)})"
         if self.rec_mode:
@@ -531,9 +465,6 @@ class _BlockCompiler:
     def fstore(self, op, k: int, ins: Instruction, value: str) -> None:
         if type(op) is Reg:
             self.emit(f"x[{(op.id - XMM_BASE) * 4}] = {value}")
-        elif self.instrumented:
-            self.emit(f"_hw(ctx, {self.ea(op)}, "
-                      f"{self.ins_name(k, ins)}, _f2i({value}))")
         elif self.shadow:
             self.shadow_write(op, ins, f"_f2i({value})")
         elif self.rec_mode:
@@ -562,27 +493,21 @@ class _BlockCompiler:
         """Allocate a link slot resolving to ``pc``; returns the slot index.
 
         The first execution through the slot calls ``_lk<i>`` which installs
-        either the looked-up compiled Block (linked) or the raw pc
-        (unlinked); later executions read the slot directly.
+        the looked-up compiled Block; later executions read the slot
+        directly.
         """
         index = self.n_slots
         self.n_slots += 1
         links = self.links
         links.append(None)
-        lookup = self.lookup
-        if lookup is None:
-            def _lk(ctx, _pc=pc, _links=links, _index=index):
-                _links[_index] = _pc
-                return _pc
-        else:
-            stats = self.stats
 
-            def _lk(ctx, _pc=pc, _links=links, _index=index,
-                    _lookup=lookup, _stats=stats):
-                blk = _lookup(_pc, ctx)
-                _links[_index] = blk
-                _stats.links_installed += 1
-                return blk
+        def _lk(ctx, _pc=pc, _links=links, _index=index,
+                _lookup=self.lookup, _stats=self.stats):
+            blk = _lookup(_pc, ctx)
+            _links[_index] = blk
+            _stats.links_installed += 1
+            return blk
+
         self.ns[f"_lk{index}"] = _lk
         return index
 
@@ -605,12 +530,7 @@ class _BlockCompiler:
 
         def _ik(t, ctx, _cache=cache, _lookup=lookup, _stats=stats,
                 _resolve=resolve):
-            pc = _resolve(t)
-            if _lookup is None:
-                _cache[0] = t
-                _cache[1] = pc
-                return pc
-            blk = _lookup(pc, ctx)
+            blk = _lookup(_resolve(t), ctx)
             _cache[0] = t
             _cache[1] = blk
             _stats.links_installed += 1
@@ -857,13 +777,7 @@ class _BlockCompiler:
                 self.emit(f"s{lane} = x[{sbase + lane}]")
         else:
             self.emit(f"a = {self.ea(src)}")
-            if self.instrumented:
-                name = self.ins_name(k, ins)
-                self.emit(f"_ph(ctx, a, {name}, False, {lanes})")
-                for lane in range(lanes):
-                    offset = f" + {8 * lane}" if lane else ""
-                    self.emit(f"s{lane} = _i2f(_rat(ctx, a{offset}))")
-            elif self.shadow:
+            if self.shadow:
                 summarised = self.addr_of(ins) in self.summarised
                 if self.shadow_dynamic:
                     if not summarised:
@@ -908,14 +822,7 @@ class _BlockCompiler:
                 self.emit(f"x[{dbase + lane}] = {results[lane]}")
         else:
             self.emit(f"a2 = {self.ea(dst)}")
-            if self.instrumented:
-                name = self.ins_name(k, ins)
-                self.emit(f"_ph(ctx, a2, {name}, True, {lanes})")
-                for lane in range(lanes):
-                    offset = f" + {8 * lane}" if lane else ""
-                    self.emit(
-                        f"_wat(ctx, a2{offset}, _f2i({results[lane]}))")
-            elif self.shadow:
+            if self.shadow:
                 summarised = self.addr_of(ins) in self.summarised
                 if self.shadow_dynamic:
                     if not summarised:
@@ -1028,18 +935,16 @@ class _BlockCompiler:
     def traceable(self, term: Instruction) -> bool:
         """A self-looping block may spin inside its own compiled function.
 
-        Requires the fast or shadow variant with a dispatcher lookup
-        (links legal at all), and no SYSCALL/RTCALL in the block: those
-        can install hooks, open transactions or recording windows, or
-        halt, which must re-enter the dispatcher's per-block legality
-        check.  (A shadow trace needs no extra back-edge check: with no
-        RTCALL inside, neither the sink nor the transaction state can
-        change mid-trace.)  The recording variant never traces: while
-        accesses are recorded, an instruction limit must stop the run at
-        exactly the block boundary the reference interpreter stops at.
+        Requires no SYSCALL/RTCALL in the block: those can open or close
+        transactions or recording windows, or halt, which must re-enter
+        the dispatcher's per-block legality check.  (A shadow trace needs
+        no extra back-edge check: with no RTCALL inside, neither the sink
+        nor the transaction state can change mid-trace.)  The recording
+        variant never traces: while accesses are recorded, an instruction
+        limit must stop the run at exactly the block boundary the
+        reference interpreter stops at.
         """
-        if self.lookup is None or self.instrumented \
-                or self.rec_mode == "static":
+        if self.rec_mode == "static":
             return False
         for ins in self.block.instructions:
             if ins.opcode in (Opcode.SYSCALL, Opcode.RTCALL):
@@ -1086,9 +991,7 @@ class _BlockCompiler:
         if self.n_slots:
             self.ns["_L"] = self.links
         source = "\n".join(head + self.lines) + "\n"
-        if self.instrumented:
-            variant = "inst"
-        elif self.shadow:
+        if self.shadow:
             variant = "shadow"
         elif self.rec_mode == "static":
             variant = "rec"
@@ -1098,223 +1001,5 @@ class _BlockCompiler:
         exec(code, self.ns)
         fn = self.ns[fname]
         fn.__jit_source__ = source
-        if self.shadow:
-            fn.__shadow_dynamic__ = self.shadow_dynamic
         return fn
 
-
-# ---------------------------------------------------------------------------
-# Legacy closure-list compiler (seed unlinked JIT).
-#
-# Retained as the benchmark baseline: bench_interp_throughput.py measures the
-# linked trace tier above against this per-instruction closure form.
-# ---------------------------------------------------------------------------
-
-_COND = {
-    "e": lambda f: f == 0,
-    "ne": lambda f: f != 0,
-    "l": lambda f: f < 0,
-    "le": lambda f: f <= 0,
-    "g": lambda f: f > 0,
-    "ge": lambda f: f >= 0,
-}
-
-
-def _sign(value) -> int:
-    return 1 if value > 0 else (-1 if value < 0 else 0)
-
-
-def _ea_fn(mem: Mem):
-    """Specialised effective-address computation."""
-    base, index, scale, disp = mem.base, mem.index, mem.scale, mem.disp
-    if base is None and index is None:
-        return lambda gregs: disp
-    if index is None:
-        return lambda gregs: gregs[base] + disp
-    if base is None:
-        return lambda gregs: gregs[index] * scale + disp
-    return lambda gregs: gregs[base] + gregs[index] * scale + disp
-
-
-def _int_read_fn(op, memory):
-    """value(ctx) for an integer-valued operand."""
-    if type(op) is Reg:
-        rid = op.id
-        return lambda ctx: ctx.gregs[rid]
-    if type(op) is Imm:
-        value = op.value
-        return lambda ctx: value
-    ea = _ea_fn(op)
-    read = memory.read
-    return lambda ctx: read(ea(ctx.gregs))
-
-
-def _int_write_fn(op, memory):
-    """store(ctx, value) for an integer destination."""
-    if type(op) is Reg:
-        rid = op.id
-        def store(ctx, value, _rid=rid):
-            ctx.gregs[_rid] = value
-        return store
-    ea = _ea_fn(op)
-    write = memory.write
-    return lambda ctx, value: write(ea(ctx.gregs), value)
-
-
-def _f64_read_fn(op, memory):
-    if type(op) is Reg:
-        lane = (op.id - XMM_BASE) * 4
-        return lambda ctx: ctx.fregs[lane]
-    ea = _ea_fn(op)
-    read = memory.read
-    return lambda ctx: i64_to_f64(read(ea(ctx.gregs)))
-
-
-def _f64_write_fn(op, memory):
-    if type(op) is Reg:
-        lane = (op.id - XMM_BASE) * 4
-        def store(ctx, value, _lane=lane):
-            ctx.fregs[_lane] = value
-        return store
-    ea = _ea_fn(op)
-    write = memory.write
-    return lambda ctx, value: write(ea(ctx.gregs), f64_to_i64(value))
-
-
-def compile_block(block, interp) -> list:
-    """Compile a block's instructions into closures bound to ``interp``.
-
-    Each closure takes the thread context and returns ``None`` to continue,
-    a program counter to transfer to, or -1 to halt.
-    """
-    memory = interp.machine.memory
-    compiled = []
-    for ins in block.instructions:
-        fn = _compile_instruction(ins, interp, memory)
-        compiled.append(fn)
-    return compiled
-
-
-def _compile_instruction(ins: Instruction, interp, memory):  # noqa: C901
-    op = ins.opcode
-    ops = ins.operands
-
-    if op is Opcode.MOV:
-        src = _int_read_fn(ops[1], memory)
-        dst = _int_write_fn(ops[0], memory)
-        def mov(ctx, src=src, dst=dst):
-            dst(ctx, src(ctx))
-        return mov
-
-    if op in (Opcode.ADD, Opcode.SUB):
-        negate = op is Opcode.SUB
-        src = _int_read_fn(ops[1], memory)
-        cur = _int_read_fn(ops[0], memory)
-        dst = _int_write_fn(ops[0], memory)
-        def addsub(ctx, src=src, cur=cur, dst=dst, negate=negate):
-            result = cur(ctx) - src(ctx) if negate else cur(ctx) + src(ctx)
-            if result > _I64_MAX or result < _I64_MIN:
-                result = s64(result)
-            dst(ctx, result)
-            ctx.flags = 1 if result > 0 else (-1 if result < 0 else 0)
-        return addsub
-
-    if op is Opcode.CMP:
-        lhs = _int_read_fn(ops[0], memory)
-        rhs = _int_read_fn(ops[1], memory)
-        def cmp(ctx, lhs=lhs, rhs=rhs):
-            diff = lhs(ctx) - rhs(ctx)
-            ctx.flags = 1 if diff > 0 else (-1 if diff < 0 else 0)
-        return cmp
-
-    if ins.is_cond_branch:
-        check = _COND[CONDITION_OF[op]]
-        target = interp.process.resolve_target(ops[0].value) \
-            if interp.process else ops[0].value
-        def jcc(ctx, check=check, target=target):
-            if check(ctx.flags):
-                return target
-            return None
-        return jcc
-
-    if op is Opcode.JMP:
-        target = interp.process.resolve_target(ops[0].value) \
-            if interp.process else ops[0].value
-        return lambda ctx, target=target: target
-
-    if op is Opcode.INC or op is Opcode.DEC:
-        delta = 1 if op is Opcode.INC else -1
-        cur = _int_read_fn(ops[0], memory)
-        dst = _int_write_fn(ops[0], memory)
-        def incdec(ctx, cur=cur, dst=dst, delta=delta):
-            result = cur(ctx) + delta
-            if result > _I64_MAX or result < _I64_MIN:
-                result = s64(result)
-            dst(ctx, result)
-            ctx.flags = 1 if result > 0 else (-1 if result < 0 else 0)
-        return incdec
-
-    if op is Opcode.IMUL:
-        src = _int_read_fn(ops[1], memory)
-        cur = _int_read_fn(ops[0], memory)
-        dst = _int_write_fn(ops[0], memory)
-        def imul(ctx, src=src, cur=cur, dst=dst):
-            result = cur(ctx) * src(ctx)
-            if result > _I64_MAX or result < _I64_MIN:
-                result = s64(result)
-            dst(ctx, result)
-            ctx.flags = 1 if result > 0 else (-1 if result < 0 else 0)
-        return imul
-
-    if op is Opcode.LEA:
-        ea = _ea_fn(ops[1])
-        rid = ops[0].id
-        def lea(ctx, ea=ea, rid=rid):
-            ctx.gregs[rid] = s64(ea(ctx.gregs))
-        return lea
-
-    if op is Opcode.MOVSD:
-        src = _f64_read_fn(ops[1], memory)
-        dst = _f64_write_fn(ops[0], memory)
-        def movsd(ctx, src=src, dst=dst):
-            dst(ctx, src(ctx))
-        return movsd
-
-    if op in (Opcode.ADDSD, Opcode.SUBSD, Opcode.MULSD):
-        src = _f64_read_fn(ops[1], memory)
-        cur = _f64_read_fn(ops[0], memory)
-        dst = _f64_write_fn(ops[0], memory)
-        if op is Opcode.ADDSD:
-            return lambda ctx, s=src, c=cur, d=dst: d(ctx, c(ctx) + s(ctx))
-        if op is Opcode.SUBSD:
-            return lambda ctx, s=src, c=cur, d=dst: d(ctx, c(ctx) - s(ctx))
-        return lambda ctx, s=src, c=cur, d=dst: d(ctx, c(ctx) * s(ctx))
-
-    if op is Opcode.CALL:
-        target = interp.process.resolve_target(ops[0].value) \
-            if interp.process else ops[0].value
-        return_address = ins.address + ins.size
-        write = memory.write
-        def call(ctx, target=target, return_address=return_address,
-                 write=write):
-            sp = ctx.gregs[STACK_REG] - 8
-            ctx.gregs[STACK_REG] = sp
-            write(sp, return_address)
-            return target
-        return call
-
-    if op is Opcode.RET:
-        read = memory.read
-        def ret(ctx, read=read):
-            sp = ctx.gregs[STACK_REG]
-            target = read(sp)
-            ctx.gregs[STACK_REG] = sp + 8
-            if target == HALT_ADDRESS:
-                ctx.halted = True
-                return -1
-            return target
-        return ret
-
-    # Anything else: fall back to the reference interpreter.
-    exec_ref = interp._exec
-    return lambda ctx, exec_ref=exec_ref, ins=ins: exec_ref(ctx, ins)

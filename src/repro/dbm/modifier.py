@@ -62,8 +62,7 @@ class JanusDBM:
                  strict: bool = True,
                  scheduling: str = "chunk",
                  rr_block: int = 8,
-                 trace_budget: int | None = None,
-                 shadow_mode: str = "compiled") -> None:
+                 trace_budget: int | None = None) -> None:
         self.process = process
         self.schedule = schedule
         self.rule_index = schedule.build_index() if schedule else {}
@@ -75,13 +74,6 @@ class JanusDBM:
         # blocks handed out cyclically.
         self.scheduling = scheduling
         self.rr_block = rr_block
-        # Shadow-access tracking tier for parallel workers: "compiled"
-        # records through generated shadow runners + stride descriptors
-        # (workers stay on the fast/superblock JIT tiers); "hook" is the
-        # legacy per-access callback (reference semantics).
-        if shadow_mode not in ("compiled", "hook"):
-            raise ValueError(f"unknown shadow_mode: {shadow_mode!r}")
-        self.shadow_mode = shadow_mode
         self.machine = Machine()
         self.machine.memory.load_words(process.initial_data())
         self.machine.inputs = list(process.inputs)

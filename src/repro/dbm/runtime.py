@@ -34,7 +34,6 @@ thread's clock along with the modelled overheads (DESIGN.md section 5).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.analysis.induction import (
@@ -77,8 +76,7 @@ TLS_BOUND = 1
 
 
 def run_parallel(process, schedule, n_threads: int = 8, cost_model=None,
-                 strict: bool = True, max_instructions: int | None = None,
-                 shadow_mode: str = "compiled"):
+                 strict: bool = True, max_instructions: int | None = None):
     """Execute a process under Janus with the parallelisation schedule.
 
     This is the paper's full system: DBM + rewrite schedule + thread pool +
@@ -89,8 +87,7 @@ def run_parallel(process, schedule, n_threads: int = 8, cost_model=None,
     from repro.dbm.modifier import JanusDBM
 
     dbm = JanusDBM(process, schedule=schedule, cost_model=cost_model,
-                   n_threads=n_threads, strict=strict,
-                   shadow_mode=shadow_mode)
+                   n_threads=n_threads, strict=strict)
     ParallelRuntime(dbm)
     limit = max_instructions if max_instructions is not None \
         else DEFAULT_INSTRUCTION_LIMIT
@@ -99,8 +96,6 @@ def run_parallel(process, schedule, n_threads: int = 8, cost_model=None,
 # Refuse to parallelise invocations with fewer iterations than this:
 # thread dispatch would dominate (the runtime's only greedy heuristic).
 MIN_PARALLEL_ITERATIONS = 2
-
-_CACHE_LINE_SHIFT = 6  # 64-byte lines for the false-sharing model
 
 
 class RuntimeError_(Exception):
@@ -129,30 +124,18 @@ class WorkerState:
     # chunk under the default policy, several under round-robin.
     chunks: list
     meta: LoopMeta
-    # Shadow access sets for violation detection (word addresses; hook
-    # mode only — compiled mode records through ``sink``/``descriptors``).
-    reads: set[int] = field(default_factory=set)
-    writes: set[int] = field(default_factory=set)
-    tx_covered: set[int] = field(default_factory=set)
-    # write counts per cache line for the false-sharing model.
-    line_writes: Counter = field(default_factory=Counter)
-    # (n_reads, n_writes, had_conflict_candidate) per finished transaction.
-    tx_log: list = field(default_factory=list)
-    # Compiled shadow mode: the persistent per-thread event sink and the
-    # stride descriptors recorded for this invocation's chunks.
-    sink: ShadowSink | None = None
+    # The persistent per-thread shadow event sink and the stride
+    # descriptors recorded for this invocation's chunks.
+    sink: ShadowSink
     descriptors: list = field(default_factory=list)
-    # Query interface built after the run, consumed by detection.
+    # Word addresses a finished transaction read or wrote (the STM
+    # validated those; detection ignores them).
+    tx_covered: set[int] = field(default_factory=set)
+    # (read set, write set) per finished transaction.
+    tx_log: list = field(default_factory=list)
+    # Query interface built by the runtime after the run, consumed by
+    # detection.
     view: ShadowView | None = None
-
-    def shadow_view(self) -> ShadowView:
-        """The detection-phase view; hook-mode workers build it lazily
-        from their exact sets (compiled-mode views are constructed by
-        the runtime, which supplies the sink and metric registry)."""
-        if self.view is None:
-            self.view = ShadowView.from_sets(
-                self.thread_id, self.reads, self.writes, self.line_writes)
-        return self.view
 
 
 class ParallelRuntime:
@@ -168,17 +151,15 @@ class ParallelRuntime:
         self.pending_checks: list[int] = []
         self.active_workers: list[WorkerState] = []
         self._current_worker: WorkerState | None = None
-        # Compiled shadow tier: persistent per-thread event sinks (the
+        # Shadow tracking: persistent per-thread event sinks (the
         # generated runners bind their list-append methods at compile
         # time, so one sink serves every invocation on that thread) and
         # the affine access sites summarisable per loop.  The flat set of
         # all summarised addresses parameterises shadow codegen via
         # ``interp.shadow_summarised``.
-        self.compiled_shadow = \
-            getattr(dbm, "shadow_mode", "hook") == "compiled"
         self._sinks: dict[int, ShadowSink] = {}
         self._affine_by_loop: dict[int, list] = {}
-        if self.compiled_shadow and dbm.schedule is not None:
+        if dbm.schedule is not None:
             summarised: set[int] = set()
             for rec in dbm.schedule.pool:
                 if rec and rec[0] == "loop":
@@ -394,9 +375,12 @@ class ParallelRuntime:
             iv_bases[repr(var)] = self._get_var(ctx, memory, rsp0, var)
         # Affine base addresses are loop-invariant: evaluate each
         # summarised site's base once per invocation against the entry
-        # context; chunk setup then derives descriptors in O(1).
+        # context; chunk setup then derives descriptors in O(1).  The
+        # reference dispatch records every site raw: no descriptors.
         affine_bases = []
-        for desc in self._affine_by_loop.get(meta.loop_id, ()):
+        affine = () if self.dbm.interp.force_reference \
+            else self._affine_by_loop.get(meta.loop_id, ())
+        for desc in affine:
             affine_bases.append((desc, evaluate_runtime_poly(
                 desc.base_form, read_var, memory.read)))
         for worker in workers:
@@ -404,10 +388,8 @@ class ParallelRuntime:
                              affine_bases)
 
         for worker in workers:
-            if worker.sink is not None:
-                worker.view = ShadowView.from_sink(
-                    worker.thread_id, worker.sink, worker.descriptors,
-                    self.dbm.registry)
+            worker.view = ShadowView(worker.thread_id, worker.sink,
+                                     worker.descriptors, self.dbm.registry)
         self._charge_stm_late_conflicts(workers)
         self._detect_violations(workers)
         self._charge_false_sharing(workers)
@@ -527,20 +509,16 @@ class ParallelRuntime:
                     memory.write(slot_addr, 0)  # identity (0 == 0.0 bits)
                 else:
                     memory.write(slot_addr, memory.read(addr))
-            worker = WorkerState(
-                thread_id=thread_id, ctx=wctx, chunks=blocks, meta=meta)
-            if self.compiled_shadow:
-                sink = self._sinks.get(thread_id)
-                if sink is None:
-                    sink = ShadowSink(
-                        thread_id=thread_id,
-                        tls_lo=wctx.tls_base,
-                        tls_hi=wctx.tls_base + layout.TLS_THREAD_SIZE,
-                        stack_lo=wctx.stack_top - layout.THREAD_STACK_SIZE,
-                        stack_hi=wctx.stack_top)
-                    self._sinks[thread_id] = sink
-                worker.sink = sink
-            workers.append(worker)
+            sink = self._sinks.get(thread_id)
+            if sink is None:
+                sink = self._sinks[thread_id] = ShadowSink(
+                    thread_id=thread_id,
+                    tls_lo=wctx.tls_base,
+                    tls_hi=wctx.tls_base + layout.TLS_THREAD_SIZE,
+                    stack_lo=wctx.stack_top - layout.THREAD_STACK_SIZE,
+                    stack_hi=wctx.stack_top)
+            workers.append(WorkerState(thread_id=thread_id, ctx=wctx,
+                                       chunks=blocks, meta=meta, sink=sink))
         return workers
 
     def _prepare_chunk(self, worker: WorkerState, meta: LoopMeta,
@@ -586,14 +564,10 @@ class ParallelRuntime:
                     affine_bases: list) -> None:
         interp = self.dbm.interp
         self._current_worker = worker
-        previous_hook = interp.mem_hook
-        if worker.sink is not None:
-            # Compiled mode: no hook — the dispatcher sees the sink and
-            # keeps the worker on the shadow JIT/superblock tiers.
-            worker.sink.clear()
-            interp.shadow_sink = worker.sink
-        else:
-            interp.mem_hook = self._make_shadow_hook(worker)
+        # The dispatcher sees the sink and keeps the worker on the shadow
+        # JIT/superblock tiers (or the reference dispatch records into it).
+        worker.sink.clear()
+        interp.shadow_sink = worker.sink
         with get_recorder().span("runtime.worker", cat="runtime",
                                  loop=meta.loop_id,
                                  thread=worker.thread_id,
@@ -602,7 +576,7 @@ class ParallelRuntime:
                 for start, end in worker.chunks:
                     self._prepare_chunk(worker, meta, init, iv_bases,
                                         start, end)
-                    if worker.sink is not None and affine_bases:
+                    if affine_bases:
                         self._record_descriptors(worker, meta, init,
                                                  affine_bases, start, end)
                     try:
@@ -618,15 +592,13 @@ class ParallelRuntime:
             finally:
                 span.set(cycles=worker.ctx.cycles,
                          instructions=worker.ctx.instructions)
-                interp.mem_hook = previous_hook
                 interp.shadow_sink = None
                 self._current_worker = None
                 if interp.active_tx is not None:
                     # A transaction left open (e.g. worker error): drop it.
                     interp.active_tx = None
-        if worker.sink is not None:
-            self.dbm.registry.inc("runtime.shadow.events",
-                                  worker.sink.event_count())
+        self.dbm.registry.inc("runtime.shadow.events",
+                              worker.sink.event_count())
 
     def _record_descriptors(self, worker: WorkerState, meta: LoopMeta,
                             init: int, affine_bases: list, start: int,
@@ -650,60 +622,20 @@ class ParallelRuntime:
             own_tls = lo < sink.tls_hi and hi >= sink.tls_lo
             if own_stack or own_tls:
                 registry.inc("runtime.shadow.descriptor_fallbacks")
-                if desc.lanes == 1:
-                    events = sink.writes if desc.is_write else sink.reads
-                    addr = first
-                    for _ in range(trips):
-                        if sink.passes_filter(addr):
-                            events.append(addr)
-                        addr += stride
-                else:
-                    packed = (sink.packed_writes if desc.is_write
-                              else sink.packed_reads)
-                    addr = first
-                    for _ in range(trips):
-                        if sink.passes_filter(addr):
-                            packed.append((addr, desc.lanes))
-                        addr += stride
+                addr = first
+                for _ in range(trips):
+                    sink.record(addr, desc.is_write, desc.lanes)
+                    addr += stride
             else:
                 worker.descriptors.append(d)
                 registry.inc("runtime.shadow.summarised")
-
-    def _make_shadow_hook(self, worker: WorkerState):
-        interp = self.dbm.interp
-        tls_lo = worker.ctx.tls_base
-        tls_hi = tls_lo + layout.TLS_THREAD_SIZE
-        stack_hi = worker.ctx.stack_top
-        stack_lo = stack_hi - layout.THREAD_STACK_SIZE
-        reads = worker.reads
-        writes = worker.writes
-        line_writes = worker.line_writes
-
-        def hook(ctx, ins, addr, is_write, lanes):
-            if tls_lo <= addr < tls_hi or stack_lo < addr <= stack_hi:
-                return
-            if interp.active_tx is not None:
-                return  # transactional accesses validate separately
-            if is_write:
-                # One coherence event per store instruction (a packed store
-                # is a single event: that is exactly why vectorisation
-                # relieves false sharing, paper section III-F).
-                line = addr >> _CACHE_LINE_SHIFT
-                line_writes[line] += 1
-                for k in range(lanes):
-                    writes.add(addr + WORD * k)
-            else:
-                for k in range(lanes):
-                    reads.add(addr + WORD * k)
-
-        return hook
 
     def _charge_stm_late_conflicts(self, workers: list[WorkerState]) -> None:
         """Model aborts against younger threads' writes (section II-E3).
 
         Younger threads' non-transactional writes are queried through
-        their :class:`ShadowView` (cheap membership, no expansion in
-        compiled mode); transactional write sets are exact either way.
+        their :class:`ShadowView` (cheap membership, no descriptor
+        expansion); transactional write sets are exact.
         """
         cost = self.dbm.cost
         for i, worker in enumerate(workers):
@@ -715,11 +647,11 @@ class ParallelRuntime:
                 for _tx_reads, tx_writes in other.tx_log:
                     later_tx_writes |= tx_writes
             if not later_tx_writes \
-                    and not any(o.shadow_view().has_writes() for o in later):
+                    and not any(o.view.has_writes() for o in later):
                 continue
             for tx_reads, tx_writes in worker.tx_log:
                 if any(addr in later_tx_writes
-                       or any(o.shadow_view().writes_contain(addr) for o in later)
+                       or any(o.view.writes_contain(addr) for o in later)
                        for addr in tx_reads):
                     self.stm.stats.aborts += 1
                     recorder = get_recorder()
@@ -741,15 +673,15 @@ class ParallelRuntime:
         The interval summaries act as a conservative prefilter: a pair
         whose write/read extents cannot intersect is dismissed without
         expanding any descriptor.  Positives are confirmed on the exact
-        sets, so the verdict (and the reported address) is identical to
-        the hook path's.
+        sets, so the verdict (and the reported address) is what exact
+        per-access recording would give.
         """
         for i, a in enumerate(workers):
             for b in workers[i + 1:]:
-                if not views_may_conflict(a.shadow_view(), b.shadow_view()):
+                if not views_may_conflict(a.view, b.view):
                     continue
-                a_writes, a_reads = a.shadow_view().writes(), a.shadow_view().reads()
-                b_writes, b_reads = b.shadow_view().writes(), b.shadow_view().reads()
+                a_writes, a_reads = a.view.writes(), a.view.reads()
+                b_writes, b_reads = b.view.writes(), b.view.reads()
                 conflict = ((a_writes & (b_reads | b_writes))
                             | (a_reads & b_writes))
                 conflict -= a.tx_covered
@@ -767,7 +699,7 @@ class ParallelRuntime:
         if len(workers) < 2:
             return
         cost = self.dbm.cost
-        line_counts = {w.thread_id: w.shadow_view().line_counts()
+        line_counts = {w.thread_id: w.view.line_counts()
                        for w in workers}
         touched: dict[int, int] = {}
         for counts in line_counts.values():

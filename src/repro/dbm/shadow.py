@@ -1,33 +1,38 @@
-"""Compiled shadow-memory artifacts for the parallel runtime.
+"""Shadow-memory artifacts for the parallel runtime.
 
-The hook-based shadow tracker (``ParallelRuntime._make_shadow_hook``)
-calls a Python closure on every memory access and inserts every touched
-word into a Python set — which also disqualifies the fast/superblock JIT
-tiers (the dispatcher's legality predicate requires ``mem_hook is None``).
-This module is the compiled replacement, three representations deep:
+Each parallel worker records the memory accesses of its chunk so the
+runtime can detect cross-thread conflicts and charge false sharing.  The
+records are three representations deep:
 
-* :class:`ShadowSink` — flat per-worker event lists that generated shadow
-  runners (``repro.dbm.jit`` / ``repro.dbm.superblock``) append raw
-  addresses to.  The worker's own stack/TLS filter is inlined into the
-  generated code as compile-time constants; the sink just stores.
+* :class:`ShadowSink` — flat per-worker event lists.  The generated
+  shadow runners (``repro.dbm.jit`` / ``repro.dbm.superblock``) append raw
+  addresses to them with the worker's own stack/TLS filter inlined as
+  compile-time constants; the reference dispatch
+  (``Interpreter.force_reference``) appends the same events through
+  :meth:`ShadowSink.record`.
 * :class:`StrideDescriptor` — one ``(first, stride, trips, lanes)`` record
   summarising every execution of a statically-proven affine access site
   for one chunk.  The compiled runners skip these sites entirely; the
   runtime materialises the descriptor from loop metadata
-  (``LoopMeta.affine_accesses``) at chunk setup, in O(1).
+  (``LoopMeta.affine_accesses``) at chunk setup, in O(1).  Under
+  ``force_reference`` the runtime records no descriptors and the
+  reference records those sites raw, so the differential test pins the
+  descriptor math against exact per-access recording.
 * :class:`ShadowView` — the query interface conflict detection runs on.
-  Hook-mode views wrap the exact sets (byte-identical legacy behaviour);
-  compiled-mode views answer interval/membership/line-count queries from
-  the raw events plus descriptors, and only *lazily expand* descriptors
-  into exact address sets when another worker's interval summary actually
-  overlaps (``runtime.shadow.lazy_expansions``).
+  It answers interval/membership/line-count queries from the raw events
+  plus descriptors, and only *lazily expands* descriptors into exact
+  address sets when another worker's interval summary actually overlaps
+  (``runtime.shadow.lazy_expansions``).
 
-The shadow-set semantics being reproduced exactly (DESIGN.md section 9):
-an access whose *base* address falls inside the worker's own stack or TLS
-region is invisible; a packed access is one event at its base address,
-expanded to ``lanes`` word addresses regardless of where the upper lanes
-land; a store contributes one cache-line event at its base per executed
-instruction.
+The recorded semantics (DESIGN.md section 9): every Mem-operand access
+is recorded, never the stack words PUSH/POP/CALL/RET move; an access
+whose *base* address falls inside the worker's own stack or TLS region
+is invisible, and so is every access made while a transaction is open
+(the STM validates those); a packed access is one event at its base
+address, expanded to ``lanes`` word addresses regardless of where the
+upper lanes land; a store contributes one cache-line event at its base
+per executed instruction (a packed store is a single event, which is why
+vectorisation relieves false sharing, paper section III-F).
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from __future__ import annotations
 from collections import Counter
 
 WORD = 8
-_LINE_SHIFT = 6  # 64-byte cache lines (matches dbm.runtime)
+_LINE_SHIFT = 6  # 64-byte lines for the false-sharing model
 
 
 class ShadowSink:
@@ -67,6 +72,16 @@ class ShadowSink:
         """The recording predicate the generated runners inline."""
         return (addr <= self.stack_lo or addr > self.stack_hi) \
             and (addr < self.tls_lo or addr >= self.tls_hi)
+
+    def record(self, addr: int, is_write: bool, lanes: int = 1) -> None:
+        """Append one access at base ``addr`` if it passes the filter."""
+        if self.passes_filter(addr):
+            if lanes == 1:
+                (self.writes if is_write else self.reads).append(addr)
+            elif is_write:
+                self.packed_writes.append((addr, lanes))
+            else:
+                self.packed_reads.append((addr, lanes))
 
     def clear(self) -> None:
         del self.reads[:]
@@ -134,7 +149,7 @@ class StrideDescriptor:
 
         Closed-form per line for small strides (the common unit-stride
         array walk costs O(touched lines), ~8x fewer Python iterations
-        than the hook's per-store dict update); per-``k`` for strides of
+        than one counter update per store); per-``k`` for strides of
         a cache line or more (each event lands on a distinct line).
         """
         first, stride, trips = self.first, self.stride, self.trips
@@ -193,52 +208,31 @@ def _intervals_overlap(a: list[tuple[int, int]],
 
 
 class ShadowView:
-    """One worker's shadow accesses behind a mode-independent query API.
+    """One worker's shadow accesses behind the detection query API.
 
     Conflict detection (``ParallelRuntime._detect_violations`` and
-    friends) runs entirely against this interface, so hook mode and
-    compiled mode share one detection code path and provably produce
-    identical verdicts: the interval summaries are a conservative
-    prefilter (never a false negative), and every positive is confirmed
-    on the exact sets.
+    friends) runs entirely against this interface: the interval
+    summaries are a conservative prefilter (never a false negative), and
+    every positive is confirmed on the exact sets.
     """
 
-    def __init__(self, thread_id: int, *, read_set=None, write_set=None,
-                 line_counter=None, sink: ShadowSink | None = None,
-                 descriptors=(), registry=None) -> None:
+    def __init__(self, thread_id: int, sink: ShadowSink, descriptors=(),
+                 registry=None) -> None:
         self.thread_id = thread_id
         self.sink = sink
         self.descriptors = list(descriptors)
         self._registry = registry
-        self._reads = read_set
-        self._writes = write_set
-        self._lines = line_counter
+        self._reads: set[int] | None = None
+        self._writes: set[int] | None = None
+        self._lines: Counter | None = None
         self._raw_writes: set[int] | None = None
-        self._exact = sink is None
 
-    @classmethod
-    def from_sets(cls, thread_id: int, reads: set, writes: set,
-                  line_counter) -> "ShadowView":
-        """Hook-mode view: the exact sets, no summaries."""
-        return cls(thread_id, read_set=reads, write_set=writes,
-                   line_counter=Counter(line_counter))
+    # -- interval summaries ----------------------------------------------
 
-    @classmethod
-    def from_sink(cls, thread_id: int, sink: ShadowSink, descriptors,
-                  registry=None) -> "ShadowView":
-        return cls(thread_id, sink=sink, descriptors=descriptors,
-                   registry=registry)
-
-    # -- interval summaries (compiled mode only; None = no summary) ------
-
-    def read_intervals(self) -> list[tuple[int, int]] | None:
-        if self._exact:
-            return None
+    def read_intervals(self) -> list[tuple[int, int]]:
         return self._intervals(False)
 
-    def write_intervals(self) -> list[tuple[int, int]] | None:
-        if self._exact:
-            return None
+    def write_intervals(self) -> list[tuple[int, int]]:
         return self._intervals(True)
 
     def _intervals(self, is_write: bool) -> list[tuple[int, int]]:
@@ -284,8 +278,6 @@ class ShadowView:
     # -- cheap membership (no full expansion) ---------------------------
 
     def has_writes(self) -> bool:
-        if self._exact:
-            return bool(self._writes)
         sink = self.sink
         return bool(sink.writes or sink.packed_writes
                     or any(d.is_write for d in self.descriptors))
@@ -323,12 +315,8 @@ def views_may_conflict(a: ShadowView, b: ShadowView) -> bool:
     """Conservative prefilter for the pairwise conflict formula.
 
     True whenever ``(a.W vs b.R|b.W) or (a.R vs b.W)`` *could* intersect.
-    Hook-mode views carry no summaries and always answer True (the legacy
-    exact path runs unconditionally, as before this tier existed).
     """
     aw, ar = a.write_intervals(), a.read_intervals()
     bw, br = b.write_intervals(), b.read_intervals()
-    if aw is None or bw is None:
-        return True
     return (_intervals_overlap(aw, bw) or _intervals_overlap(aw, br)
             or _intervals_overlap(ar, bw))

@@ -27,10 +27,9 @@ top — DynamoRIO's trace building, PyPy's bridges, in miniature:
   blocks actually entered — folded to constants per exit site) before
   returning to the block tier.  Superblocks are fast-path-only: the
   legality predicate the dispatcher uses for the fast block variant (no
-  memory hook, no open transaction; a recording window only opens at an
-  RTCALL, which no superblock contains) is re-checked at every loop back
-  edge, and a violation deopts to the block tier at a clean block
-  boundary.
+  open transaction; a recording window only opens at an RTCALL, which no
+  superblock contains) is re-checked at every loop back edge, and a
+  violation deopts to the block tier at a clean block boundary.
 
 Exit kinds and their contracts (DESIGN.md section 5):
 
@@ -42,9 +41,10 @@ Exit kinds and their contracts (DESIGN.md section 5):
     spilled and the head block itself is returned so the dispatcher can
     re-check instruction limits.
 ``deopts``
-    the legality predicate failed at a back edge (a hook was installed or
-    a transaction opened mid-superblock); identical contract to a
-    bailout — the dispatcher re-dispatches the head on the correct tier.
+    the legality predicate failed at a back edge (a transaction opened
+    mid-superblock, or a shadow superblock's sink was swapped or
+    removed); identical contract to a bailout — the dispatcher
+    re-dispatches the head on the correct tier.
 
 Raising instructions (division by zero, negative sqrt) spill all promoted
 state *before* raising, so a ``JXRuntimeError`` observes the same
@@ -349,8 +349,7 @@ class _SuperblockCompiler(_BlockCompiler):
 
     def __init__(self, segments, interp, lookup, error_type, shadow=False):
         head = segments[0][0]
-        super().__init__(head, interp, lookup, False, error_type,
-                         shadow=shadow)
+        super().__init__(head, interp, lookup, error_type, shadow=shadow)
         self.segments = segments
         self.ns["_sb"] = interp.sb_stats
         self.ns["_in"] = interp
@@ -880,7 +879,7 @@ class _SuperblockCompiler(_BlockCompiler):
         self.emit("_sb.bailouts += 1")
         self.emit("return _self")
         self.indent -= 1
-        legality = "_in.mem_hook is not None or _in.active_tx is not None"
+        legality = "_in.active_tx is not None"
         if self.shadow:
             # The sink the events land in was bound at compile time: a
             # swapped (or removed) sink must deopt to the dispatcher,

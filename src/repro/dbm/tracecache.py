@@ -7,31 +7,31 @@ successor block itself* (a link), in which case the loop re-enters compiled
 code immediately — no code-cache lookup.
 
 Fast-path legality is re-checked at every block boundary: the fast variant
-runs only while no memory hook is installed, no transaction is open and —
-in a run with an access log attached (:mod:`repro.dbm.accesslog`: training
-and the DOALL oracle) — no recording window is live.  A live window
-selects the *recording* variant, which appends every hookable access to
-the log and links but never traces; a hook or an open transaction selects
-the instrumented variant (it re-checks the hook/transaction *per access*,
-exactly like the reference interpreter).  Windows open and close only in
-RTCALL handlers, and in a run with a log every RTCALL block compiles to a
-form that re-reads the window state after each RTCALL, so the accesses
-after a window-opening RTCALL in the same block are recorded too.
-Outside the windows, profiling runs execute exactly like plain runs —
-traces, superblocks and inline ``RECORD`` sites included; loop coverage
-is attributed from ``ctx.instructions`` by the bracket RTCALLs, not here.
+runs only while no transaction is open and — in a run with an access log
+attached (:mod:`repro.dbm.accesslog`: training and the DOALL oracle) — no
+recording window is live.  A live window selects the *recording* variant,
+which appends every Mem-operand access to the log and links but never
+traces.  Windows open and close only in RTCALL handlers, and in a run with
+a log every RTCALL block compiles to a form that re-reads the window state
+after each RTCALL, so the accesses after a window-opening RTCALL in the
+same block are recorded too.  Outside the windows, profiling runs execute
+exactly like plain runs — traces, superblocks and inline ``RECORD`` sites
+included; loop coverage is attributed from ``ctx.instructions`` by the
+bracket RTCALLs, not here.
 
 When a :class:`~repro.dbm.shadow.ShadowSink` is installed (parallel
-workers in compiled shadow mode) the fast tier is replaced wholesale by
-the *shadow* tier — ``jit_super_shadow``/``jit_shadow`` runners that link,
-trace and form superblocks exactly like the fast tier while recording
-filtered raw events into the sink.  A block entered with an open
-transaction runs its shadow runner only if that runner is *dynamic*
-(``__shadow_dynamic__``: the block contains an RTCALL that may close the
-transaction, and post-close accesses must still be recorded); static
-blocks under an open transaction fall back to the instrumented runner,
-which with no hook installed records nothing — the hook path's exact
-behaviour under a transaction.
+workers) the fast tier is replaced wholesale by the *shadow* tier —
+``jit_super_shadow``/``jit_shadow`` runners that link, trace and form
+superblocks exactly like the fast tier while recording filtered raw
+events into the sink.  A block entered with a transaction open (only
+parallel workers open one) runs its *dynamic* shadow form from the
+``jit_tx`` slot: every access goes through the transaction, nothing is
+recorded while it stays open, and accesses after a TX_FINISH in the same
+block are recorded again.
+
+Under ``interp.force_reference`` every block runs through the reference
+per-instruction dispatch instead, which feeds the same access log and
+shadow sink: it is the oracle the compiled tiers are tested against.
 
 On top of the block tier, the dispatcher drives **superblock promotion**
 (:mod:`repro.dbm.superblock`): while on the fast path it records each
@@ -92,8 +92,7 @@ def run_loop(interp, ctx, pc: int, lookup,
                 return
             block = lookup(nxt, ctx)
             continue
-        fast = interp.mem_hook is None and interp.active_tx is None \
-            and (plain or not interp.recording)
+        fast = interp.active_tx is None and (plain or not interp.recording)
         sink = interp.shadow_sink
         if fast:
             if sink is None:
@@ -110,33 +109,19 @@ def run_loop(interp, ctx, pc: int, lookup,
                     if run is None:
                         run = block.jit_shadow = compile_block_fn(
                             block, interp, lookup, shadow=True)
-        else:
-            run = None
-            if interp.mem_hook is None:
-                if interp.active_tx is None:
-                    # A recording window is live.
-                    run = block.jit_rec
-                    if run is None:
-                        run = block.jit_rec = compile_block_fn(
-                            block, interp, lookup, record=True)
-                elif sink is not None:
-                    # Transaction open at entry.  A dynamic shadow runner
-                    # redirects pre-close accesses through the tx and
-                    # records the post-TX_FINISH tail; a static block
-                    # cannot close the transaction, so the instrumented
-                    # runner below (hook is None) records nothing — the
-                    # hook path's behaviour.
-                    run = block.jit_shadow
-                    if run is None:
-                        run = block.jit_shadow = compile_block_fn(
-                            block, interp, lookup, shadow=True)
-                    if not run.__shadow_dynamic__:
-                        run = None
+        elif interp.active_tx is None:
+            # A recording window is live.
+            run = block.jit_rec
             if run is None:
-                run = block.jit_inst
-                if run is None:
-                    run = block.jit_inst = compile_block_fn(
-                        block, interp, lookup, instrumented=True)
+                run = block.jit_rec = compile_block_fn(
+                    block, interp, lookup, record=True)
+        else:
+            # A transaction is open at entry (a parallel worker, so a sink
+            # is installed).
+            run = block.jit_tx
+            if run is None:
+                run = block.jit_tx = compile_block_fn(
+                    block, interp, lookup, tx=True)
         nxt = run(ctx)
         if max_instructions is not None \
                 and ctx.instructions > max_instructions:

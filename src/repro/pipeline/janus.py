@@ -56,10 +56,6 @@ class JanusConfig:
     # "round_robin" with rr_block-sized blocks (paper II-E alternative).
     scheduling: str = "chunk"
     rr_block: int = 8
-    # Worker shadow-access tracking: "compiled" (generated shadow runners
-    # plus stride descriptors; workers keep the fast/superblock JIT
-    # tiers) or "hook" (legacy per-access callback, reference semantics).
-    shadow_mode: str = "compiled"
     max_instructions: int = 500_000_000
     # Iterations a self-loop trace or superblock may spin inside compiled
     # code before bailing back to the dispatcher (bounds how late an
@@ -253,7 +249,6 @@ class Janus:
                        n_threads=threads, strict=self.config.strict,
                        scheduling=self.config.scheduling,
                        rr_block=self.config.rr_block,
-                       trace_budget=self.config.trace_budget,
-                       shadow_mode=self.config.shadow_mode)
+                       trace_budget=self.config.trace_budget)
         ParallelRuntime(dbm)
         return dbm.run(max_instructions=limit)

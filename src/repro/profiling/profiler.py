@@ -12,14 +12,14 @@ is instrumented per block or per access:
   ``prof_event_cycles`` per site;
 * an **external-call window** sets ``Interpreter.recording``, which
   switches the dispatcher to the recording runner variant: every
-  Mem-operand access (what a ``mem_hook`` would see) goes into the same
-  log.
+  Mem-operand access (never the stack words PUSH/POP/CALL/RET move) goes
+  into the same log.
 
 The shared :class:`~repro.profiling.shadow.IterationShadowChecker` drains
 the log in program order at every bracket and window RTCALL, so the
 profiles come out exactly as if every access had been checked on the
-spot — which is what the reference interpreter (``force_reference``)
-still does, one entry at a time.
+spot.  The reference interpreter (``force_reference``) appends the same
+entries one instruction at a time.
 """
 
 from __future__ import annotations

@@ -90,7 +90,7 @@ def claimed_doall_loops(analysis) -> list:
 
 
 class _Tracked:
-    """Static facts about one claimed loop, precomputed for the hook."""
+    """Static facts about one claimed loop, precomputed for the checker."""
 
     __slots__ = ("loop_id", "category", "static_claim", "exempt_pcs",
                  "profiled_pcs", "checked_pcs")
@@ -201,8 +201,9 @@ class DOALLOracle(IterationShadowChecker):
 
     While at least one claimed loop is inside its first
     ``max_iterations`` iterations, the oracle keeps a recording window
-    open: every access ``mem_hook`` would see lands in the access log and
-    is checked at the next drain.  Outside it the replay runs on the fast
+    open: every Mem-operand access (never the stack words
+    PUSH/POP/CALL/RET move) lands in the access log and is checked at the
+    next drain.  Outside it the replay runs on the fast
     tiers.  PROF_MEM sites of the dependence-stage schedule are ignored
     (no charge, no entry): the window watches every access anyway.
     """

@@ -127,6 +127,7 @@ class TestLimitsAndErrors:
         from repro.dbm.blocks import Block
         from repro.dbm.interp import Interpreter
         from repro.dbm.machine import Machine, make_main_context
+        from repro.dbm.tracecache import run_loop
         from repro.isa.instructions import Instruction, Opcode
 
         machine = Machine()
@@ -137,4 +138,4 @@ class TestLimitsAndErrors:
                                                 (Imm(1), Imm(0)))],
                       end=0x400002)
         with pytest.raises(JXRuntimeError):
-            interp.execute_block(ctx, block)
+            run_loop(interp, ctx, block.start, lambda pc, _ctx: block)

@@ -4,12 +4,11 @@ The trace-cache JIT (repro.dbm.jit) re-implements every opcode's semantics
 as generated Python; any divergence from the reference ``_exec`` dispatch
 would corrupt execution silently.  These tests run identical programs
 through the reference path (``force_reference``), the fast compiled
-variant, the instrumented compiled variant (with a recording memory
-hook, compared against the reference under the same hook) and the
-recording variant (with an access log attached and a recording window
-open for the whole run) and require bit-identical outcomes: registers,
-flags, memory, outputs, cycle and instruction counts — and identical hook
-event streams and access logs.
+variant, the superblock tier and the recording variant (with an access
+log attached and a recording window open for the whole run, compared
+against the reference dispatch under the same window) and require
+bit-identical outcomes: registers, flags, memory, outputs, cycle and
+instruction counts — and identical access logs.
 
 ``test_opcode_sweep`` is the pin for full template coverage: it sweeps all
 opcodes with randomized operand kinds (register / immediate / memory with
@@ -37,19 +36,19 @@ from repro.jbin.loader import load
 from repro.jcc import CompileOptions, compile_source
 
 
-def run_with_path(process, mode: str = "fast", record_hook: bool = False,
-                  record_log: bool = False):
+def run_with_path(process, mode: str = "fast", record_log: bool = False):
     """Execute a process through one of the execution tiers.
 
-    ``mode`` is ``"fast"`` (compiled, no instrumentation), ``"reference"``
-    (per-instruction reference dispatch) or ``"superblock"`` (the full
-    trace-cache dispatcher with instant hot-loop promotion); with
-    ``record_hook`` a recording memory hook is installed, which routes
-    compiled execution through the instrumented variant.  With
-    ``record_log`` an access log is attached and a recording window stays
-    open, which routes compiled execution through the recording variant;
-    the returned log then holds its entries in the hook's event form.
+    ``mode`` is ``"fast"`` (the linked/trace block tier, superblocks
+    off), ``"reference"`` (per-instruction reference dispatch) or
+    ``"superblock"`` (the full trace-cache dispatcher with instant
+    hot-loop promotion).  With ``record_log`` an access log is attached
+    and a recording window stays open, which routes compiled execution
+    through the recording variant; the returned log then holds its
+    entries as (pc, address, is_write, lanes) events.
     """
+    from repro.dbm.tracecache import run_loop
+
     machine = Machine()
     machine.memory.load_words(process.initial_data())
     machine.inputs = list(process.inputs)
@@ -57,38 +56,23 @@ def run_with_path(process, mode: str = "fast", record_hook: bool = False,
     interp = Interpreter(machine, process)
     if mode == "reference":
         interp.force_reference = True
-    log = []
-    if record_hook:
-        def hook(hctx, ins, addr, is_write, lanes):
-            log.append((ins.address, addr, bool(is_write), lanes))
-        interp.mem_hook = hook
+    elif mode == "fast":
+        interp.superblocks_enabled = False
+    else:
+        interp.superblock_threshold = 1
     if record_log:
         interp.access_log = AccessLog()
         interp.recording = True
     cache = {}
-    if mode == "superblock":
-        from repro.dbm.tracecache import run_loop
 
-        interp.superblock_threshold = 1
-
-        def lookup(pc, _ctx):
-            block = cache.get(pc)
-            if block is None:
-                block = cache[pc] = discover_block(process, pc)
-            return block
-
-        run_loop(interp, ctx, ctx.pc, lookup)
-        return ctx, machine, log or _log_events(interp)
-    pc = ctx.pc
-    steps = 0
-    while pc is not None:
+    def lookup(pc, _ctx):
         block = cache.get(pc)
         if block is None:
             block = cache[pc] = discover_block(process, pc)
-        pc = interp.execute_block(ctx, block)
-        steps += 1
-        assert steps < 3_000_000
-    return ctx, machine, log or _log_events(interp)
+        return block
+
+    run_loop(interp, ctx, ctx.pc, lookup, max_instructions=10_000_000)
+    return ctx, machine, _log_events(interp)
 
 
 def _log_events(interp):
@@ -129,10 +113,6 @@ def assert_equivalent(build_process):
     ref_ctx, ref_machine, _ = run_with_path(build_process(), "reference")
     fast_ctx, fast_machine, _ = run_with_path(build_process(), "fast")
     sb_ctx, sb_machine, _ = run_with_path(build_process(), "superblock")
-    href_ctx, href_machine, href_log = run_with_path(
-        build_process(), "reference", record_hook=True)
-    inst_ctx, inst_machine, inst_log = run_with_path(
-        build_process(), "fast", record_hook=True)
     rref_ctx, rref_machine, rref_log = run_with_path(
         build_process(), "reference", record_log=True)
     rec_ctx, rec_machine, rec_log = run_with_path(
@@ -142,15 +122,11 @@ def assert_equivalent(build_process):
     reference = _state(ref_ctx, ref_machine)
     assert _state(fast_ctx, fast_machine) == reference
     assert _state(sb_ctx, sb_machine) == reference
-    assert _state(href_ctx, href_machine) == reference
-    assert _state(inst_ctx, inst_machine) == reference
-    assert inst_log == href_log
     assert _state(rref_ctx, rref_machine) == reference
     assert _state(rec_ctx, rec_machine) == reference
     assert _state(block_ctx, block_machine) == reference
-    assert rref_log == href_log
-    assert rec_log == href_log
-    assert block_log == href_log
+    assert rec_log == rref_log
+    assert block_log == rref_log
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +534,6 @@ def test_linking_and_trace_stats():
     assert stats["trace_entries"] > 0
     assert stats["trace_exits"] > 0
     assert stats["fallback_instructions"] == 0
-    assert stats["instrumented_blocks"] == 0
 
 
 def test_trace_budget_preserves_instruction_limit():

@@ -1,11 +1,14 @@
-"""Differential sweep: the compiled shadow tier vs the legacy hook path.
+"""Differential sweep: the compiled shadow tier vs the reference dispatch.
 
-The compiled tier (PR 8) replaces per-access shadow callbacks with
-generated shadow runners, stride-descriptor summarisation and deferred
-chunk-end detection.  Its contract is *observational equivalence*: for
-every parallelised workload and both scheduling policies, the shadow
-sets, line counters, conflict verdicts, outputs, final memory and every
-runtime counter outside the JIT tier must be identical to hook mode.
+Parallel workers record their memory accesses for conflict detection and
+the false-sharing model (:mod:`repro.dbm.shadow`).  The compiled tier
+records through generated shadow runners and stride descriptors; the
+reference per-instruction dispatch (``force_reference``) records every
+access raw into the same sink, with no descriptors.  The contract is
+*observational equivalence*: for every parallelised workload and both
+scheduling policies, the shadow sets, line counters, conflict verdicts,
+outputs, final memory and every counter outside the JIT tier and
+``runtime.shadow.*`` must be identical.
 """
 
 from collections import Counter
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dbm.executor import run_native
-from repro.dbm.jit import JITStats
+from repro.dbm.modifier import JanusDBM
 from repro.dbm.runtime import ParallelRuntime, WorkerState
 from repro.dbm.shadow import (
     ShadowSink,
@@ -22,16 +25,14 @@ from repro.dbm.shadow import (
     StrideDescriptor,
     views_may_conflict,
 )
-from repro.dbm.superblock import SuperblockStats
 from repro.jbin.loader import load
 from repro.pipeline import Janus, JanusConfig, SelectionMode
 from repro.workloads import FIG7_BENCHMARKS, compile_workload, get_workload
 
-# JIT-tier counters legitimately differ between modes (the whole point
-# is that workers compile different runner variants); everything else —
-# the runtime.*, stm.* and check counters — must match exactly.
-TIER_KEYS = set(JITStats._FIELDS) \
-    | {f"superblock_{name}" for name in SuperblockStats._FIELDS}
+# Counters that legitimately differ between the two dispatches: the JIT
+# tier's (the reference compiles nothing) and the shadow recorder's own
+# (the reference records summarised sites raw instead of as descriptors).
+VARYING_PREFIXES = ("jit.", "runtime.shadow.")
 
 WORD = 8
 
@@ -43,7 +44,7 @@ def _capture_detect(captures):
     def wrapper(self, workers):
         snap = []
         for worker in workers:
-            view = worker.shadow_view()
+            view = worker.view
             snap.append((worker.thread_id,
                          sorted(view.reads()),
                          sorted(view.writes()),
@@ -54,20 +55,19 @@ def _capture_detect(captures):
     return original, wrapper
 
 
-def run_mode(image, workload, training, shadow_mode, scheduling):
-    config = JanusConfig(n_threads=4, shadow_mode=shadow_mode,
-                         scheduling=scheduling)
-    janus = Janus(image, config)
+def run_dispatch(image, workload, schedule, scheduling, reference):
+    dbm = JanusDBM(load(image, inputs=list(workload.train_inputs)),
+                   schedule=schedule, n_threads=4, scheduling=scheduling)
+    dbm.interp.force_reference = reference
+    ParallelRuntime(dbm)
     captures: list = []
     original, wrapper = _capture_detect(captures)
     ParallelRuntime._detect_violations = wrapper
     try:
-        result = janus.run(SelectionMode.JANUS,
-                           inputs=list(workload.train_inputs),
-                           training=training)
+        result = dbm.run(max_instructions=500_000_000)
     finally:
         ParallelRuntime._detect_violations = original
-    return result, captures
+    return result, captures, dbm.registry.as_dict()
 
 
 @pytest.fixture(scope="module")
@@ -80,29 +80,38 @@ def trained():
             image = compile_workload(name)
             janus = Janus(image, JanusConfig(n_threads=4))
             training = janus.train(train_inputs=list(workload.train_inputs))
-            cache[name] = (workload, image, training)
+            schedule = janus.build_schedule(SelectionMode.JANUS, training)
+            cache[name] = (workload, image, schedule)
         return cache[name]
 
     return get
 
 
+def _stable(counters):
+    return {key: value for key, value in counters.items()
+            if not key.startswith(VARYING_PREFIXES)}
+
+
 @pytest.mark.parametrize("scheduling", ["chunk", "round_robin"])
 @pytest.mark.parametrize("name", FIG7_BENCHMARKS)
 def test_compiled_matches_hook(trained, name, scheduling):
-    workload, image, training = trained(name)
-    hook, hook_caps = run_mode(image, workload, training, "hook", scheduling)
-    comp, comp_caps = run_mode(image, workload, training, "compiled",
-                               scheduling)
-    assert comp.outputs == hook.outputs
-    assert comp.exit_code == hook.exit_code
-    assert comp.data_snapshot() == hook.data_snapshot()
-    # Identical shadow sets, per invocation, per worker.
-    assert comp_caps == hook_caps
-    assert hook_caps, f"{name} never entered parallel detection"
-    # Identical counters outside the JIT tier.
-    hook_stats = {k: v for k, v in hook.stats.items() if k not in TIER_KEYS}
-    comp_stats = {k: v for k, v in comp.stats.items() if k not in TIER_KEYS}
-    assert comp_stats == hook_stats
+    """Compiled shadow recording matches the reference dispatch's."""
+    workload, image, schedule = trained(name)
+    ref, ref_caps, ref_counters = run_dispatch(image, workload, schedule,
+                                               scheduling, reference=True)
+    comp, comp_caps, comp_counters = run_dispatch(image, workload, schedule,
+                                                  scheduling, reference=False)
+    assert comp.outputs == ref.outputs
+    assert comp.exit_code == ref.exit_code
+    assert comp.data_snapshot() == ref.data_snapshot()
+    # Identical shadow sets, per invocation, per worker — and the
+    # reference really recorded them access by access.
+    assert comp_caps == ref_caps
+    assert ref_caps, f"{name} never entered parallel detection"
+    assert ref_counters.get("runtime.shadow.events", 0) > 0
+    assert ref_counters.get("runtime.shadow.summarised", 0) == 0
+    # Identical counters outside the JIT tier and the shadow recorder.
+    assert _stable(comp_counters) == _stable(ref_counters)
     # Outputs also match a native run (the oracle's base truth).
     native = run_native(load(image, inputs=list(workload.train_inputs)))
     assert comp.exit_code == native.exit_code
@@ -110,8 +119,6 @@ def test_compiled_matches_hook(trained, name, scheduling):
 
 def test_workers_reach_superblock_tier():
     """Acceptance: compiled-mode workers execute on the superblock tier."""
-    from repro.dbm.modifier import JanusDBM
-
     name = "462.libquantum"
     workload = get_workload(name)
     image = compile_workload(name)
@@ -119,7 +126,7 @@ def test_workers_reach_superblock_tier():
     training = janus.train(train_inputs=list(workload.train_inputs))
     schedule = janus.build_schedule(SelectionMode.JANUS, training)
     dbm = JanusDBM(load(image, inputs=list(workload.train_inputs)),
-                   schedule=schedule, n_threads=4, shadow_mode="compiled")
+                   schedule=schedule, n_threads=4)
     ParallelRuntime(dbm)
     result = dbm.run(max_instructions=500_000_000)
     assert result.stats["loop_invocations_parallel"] > 0
@@ -129,51 +136,44 @@ def test_workers_reach_superblock_tier():
 
 
 def test_detection_verdicts_match_across_representations():
-    """A synthetic conflict raises identically from sets and from sinks."""
+    """A synthetic conflict raises identically from raw events and from
+    stride descriptors."""
     from repro.dbm.machine import ThreadContext
-    from repro.dbm.modifier import JanusDBM
     from repro.dbm.rtcalls import DependenceViolationError
     from repro.jcc import CompileOptions, compile_source
     from repro.rewrite.metadata import LoopMeta
 
     image = compile_source("int main() { print_int(1); return 0; }",
                            CompileOptions(opt_level=2))
-    dbm = JanusDBM(load(image))
-    runtime = ParallelRuntime(dbm)
+    runtime = ParallelRuntime(JanusDBM(load(image)))
     meta = LoopMeta(loop_id=0, header_addr=0, preheader_addr=0,
                     exit_target=0, iterator_var=("stack", 0), step=1,
                     cond="l", test_offset=0, test_position="top",
                     bound_form=("imm", 0), cmp_address=0, iv_operand_index=0,
                     static_trips=-1, delta_header=0)
 
-    def hook_worker(thread_id, reads, writes):
-        return WorkerState(thread_id=thread_id,
-                           ctx=ThreadContext(thread_id=thread_id),
-                           chunks=[(0, 1)], meta=meta,
-                           reads=set(reads), writes=set(writes))
-
-    def sink_worker(thread_id, reads, descriptors):
+    def worker(thread_id, reads=(), writes=(), descriptors=()):
         sink = ShadowSink(thread_id=thread_id, tls_lo=1 << 40,
                           tls_hi=(1 << 40) + 64, stack_lo=1 << 41,
                           stack_hi=(1 << 41) + 64)
         sink.reads.extend(reads)
-        worker = WorkerState(thread_id=thread_id,
-                             ctx=ThreadContext(thread_id=thread_id),
-                             chunks=[(0, 1)], meta=meta, sink=sink,
-                             descriptors=list(descriptors))
-        worker.view = ShadowView.from_sink(thread_id, sink,
-                                           list(descriptors))
-        return worker
+        sink.writes.extend(writes)
+        state = WorkerState(thread_id=thread_id,
+                            ctx=ThreadContext(thread_id=thread_id),
+                            chunks=[(0, 1)], meta=meta, sink=sink,
+                            descriptors=list(descriptors))
+        state.view = ShadowView(thread_id, sink, descriptors)
+        return state
 
     # Thread 1 writes [0x1000, 0x1040); thread 2 reads 0x1020: conflict.
-    hook_pair = [hook_worker(1, [], [0x1000 + WORD * k for k in range(8)]),
-                 hook_worker(2, [0x1020], [])]
-    sink_pair = [sink_worker(1, [], [StrideDescriptor(0x1000, 8, 8, 1,
-                                                      True)]),
-                 sink_worker(2, [0x1020], [])]
+    raw_pair = [worker(1, writes=[0x1000 + WORD * k for k in range(8)]),
+                worker(2, reads=[0x1020])]
+    descriptor_pair = [
+        worker(1, descriptors=[StrideDescriptor(0x1000, 8, 8, 1, True)]),
+        worker(2, reads=[0x1020])]
 
     messages = []
-    for pair in (hook_pair, sink_pair):
+    for pair in (raw_pair, descriptor_pair):
         with pytest.raises(DependenceViolationError) as err:
             runtime._detect_violations(pair)
         messages.append(str(err.value))
@@ -211,7 +211,7 @@ def build_view(thread_id, contents):
     sink.reads.extend(reads)
     sink.writes.extend(writes)
     sink.packed_writes.extend(packed_writes)
-    return ShadowView.from_sink(thread_id, sink, list(descriptors))
+    return ShadowView(thread_id, sink, descriptors)
 
 
 def brute_sets(contents):

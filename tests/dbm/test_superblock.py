@@ -30,6 +30,7 @@ from repro.jbin.asm import Assembler
 from repro.jbin.loader import load
 from repro.jcc import CompileOptions, compile_source
 from repro.pipeline import JanusConfig
+from repro.stm.transaction import Transaction
 
 BRANCHY = """
 double xs[256];
@@ -173,7 +174,7 @@ def test_budget_is_baked_into_generated_code():
 
 
 # ---------------------------------------------------------------------------
-# Exit kind 3: legality deopt (mid-run hook installation)
+# Exit kind 3: legality deopt (a transaction opened mid-run)
 # ---------------------------------------------------------------------------
 
 def _two_block_loop_image():
@@ -198,15 +199,15 @@ def _two_block_loop_image():
     return a.assemble(entry="_start")
 
 
-def test_hook_installation_deopts():
-    """Installing a hook after warm-up deopts at the first back edge.
+def test_open_transaction_deopts():
+    """A transaction opened after warm-up deopts at the first back edge.
 
-    The dispatcher would never enter a superblock with a hook installed
-    (the fast path is illegal), but a hook can appear *while* a superblock
-    spins — modelled here by installing one between entries and invoking
-    the warm runner directly.  The superblock must complete exactly one
+    The dispatcher would never enter a superblock with a transaction open
+    (the fast path is illegal), but one can appear *while* a superblock
+    spins — modelled here by opening one between entries and invoking the
+    warm runner directly.  The superblock must complete exactly one
     iteration, spill everything and return the head block for the
-    dispatcher to re-dispatch on the instrumented tier.
+    dispatcher to re-dispatch on the transactional tier.
     """
     image = _two_block_loop_image()
     ctx, _machine, interp, cache = _run(image, threshold=4)
@@ -225,8 +226,8 @@ def test_hook_installation_deopts():
         target_ctx.cycles = 0
         target_ctx.instructions = 0
 
-    # The mid-run hook: any non-None hook makes the fast path illegal.
-    interp.mem_hook = lambda *args: None
+    # The mid-run transaction: any open one makes the fast path illegal.
+    interp.active_tx = Transaction(memory=interp.machine.memory)
     prime(ctx)
     entries = interp.sb_stats.entries
     returned = head.jit_super(ctx)
@@ -234,6 +235,9 @@ def test_hook_installation_deopts():
     assert returned is head
     assert interp.sb_stats.deopts == 1
     assert interp.sb_stats.entries == entries + 1
+    # The loop body touches registers only: the transaction saw nothing.
+    assert not interp.active_tx.read_log
+    assert not interp.active_tx.write_buffer
 
     # Reference twin: one loop iteration from the same register state.
     process = load(image)

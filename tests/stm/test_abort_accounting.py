@@ -138,12 +138,20 @@ class TestLateConflictCharges:
         return dbm, ParallelRuntime(dbm)
 
     def _worker(self, thread_id, tx_log, writes=frozenset()):
+        """A finished worker whose shadow recorded ``writes`` raw."""
         from repro.dbm.runtime import WorkerState
+        from repro.dbm.shadow import ShadowSink, ShadowView
 
-        return WorkerState(thread_id=thread_id,
-                           ctx=ThreadContext(thread_id=thread_id),
-                           chunks=[], meta=None,
-                           writes=set(writes), tx_log=list(tx_log))
+        sink = ShadowSink(thread_id=thread_id, tls_lo=1 << 40,
+                          tls_hi=(1 << 40) + 64, stack_lo=1 << 41,
+                          stack_hi=(1 << 41) + 64)
+        sink.writes.extend(sorted(writes))
+        worker = WorkerState(thread_id=thread_id,
+                             ctx=ThreadContext(thread_id=thread_id),
+                             chunks=[], meta=None, sink=sink,
+                             tx_log=list(tx_log))
+        worker.view = ShadowView(thread_id, sink)
+        return worker
 
     def test_late_conflict_aborts_and_charges_worker(self):
         dbm, runtime = self._runtime()

@@ -43,7 +43,7 @@ LEGACY_DBM_KEYS = [
 ]
 
 LEGACY_JIT_KEYS = [
-    "blocks_translated", "instrumented_blocks", "links_installed",
+    "blocks_translated", "links_installed",
     "trace_entries", "trace_exits", "trace_budget_bailouts",
     "fallback_instructions",
 ]
