@@ -30,23 +30,17 @@ from repro.jbin.loader import load
 from repro.jcc import CompileOptions, compile_source
 from repro.pipeline import Janus, JanusConfig, SelectionMode
 from repro.rewrite.schedule import RewriteSchedule
-from repro.util import DigestCache, cached_image_digest
+from repro.util import atomic_write_bytes, image_digest
 
 
-def _load_binary(path: str, digest_cache: str | None) -> tuple:
-    """(image, raw bytes, content digest) for one binary argument.
+def _load_binary(path: str) -> tuple:
+    """(image, content digest) for one binary argument.
 
-    The digest is the registry/service keying identity
-    (:func:`repro.util.image_digest`); ``--digest-cache`` persists it so
-    repeat invocations over the same binary never recompute it, and the
-    CLI, the eval cache and the daemon all share one keying path.
+    The digest is :func:`repro.util.image_digest`, the identity the eval
+    cache keys by.
     """
-    raw = open(path, "rb").read()
-    cache = DigestCache(digest_cache) if digest_cache else None
-    image = JELF.deserialize(raw)
-    digest = cached_image_digest(raw, cache=cache,
-                                 deserialize=lambda _: image)
-    return image, raw, digest
+    image = JELF.deserialize(open(path, "rb").read())
+    return image, image_digest(image)
 
 
 def _cmd_compile(args) -> int:
@@ -55,15 +49,14 @@ def _cmd_compile(args) -> int:
                              personality=args.personality,
                              mavx=args.mavx, parallel=args.parallel)
     image = compile_source(source, options)
-    with open(args.output, "wb") as handle:
-        handle.write(image.serialize())
+    atomic_write_bytes(args.output, image.serialize())
     print(f"wrote {args.output}: {len(image.text.data)} bytes of code, "
           f"{len(image.imports)} imports [{options.comment}]")
     return 0
 
 
 def _cmd_analyze(args) -> int:
-    image, _raw, digest = _load_binary(args.binary, args.digest_cache)
+    image, digest = _load_binary(args.binary)
     analysis = analyze_image(image, jobs=args.jobs)
     print(f"{args.binary}: {len(analysis.functions)} functions, "
           f"{len(analysis.loops)} loops [sha256:{digest[:16]}]")
@@ -111,15 +104,14 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
-    image, _raw, digest = _load_binary(args.binary, args.digest_cache)
+    image, digest = _load_binary(args.binary)
     janus = Janus(image, JanusConfig(n_threads=args.threads))
     training = None
     if not args.no_train:
         training = janus.train(train_inputs=args.train_input)
     mode = SelectionMode(args.mode)
     schedule = janus.build_schedule(mode, training)
-    with open(args.output, "wb") as handle:
-        handle.write(schedule.serialize())
+    atomic_write_bytes(args.output, schedule.serialize())
     selected = janus.select_loops(mode, training)
     print(f"wrote {args.output}: {len(schedule)} rules, "
           f"{schedule.size_bytes} bytes, loops {selected} "
@@ -182,7 +174,7 @@ def _cmd_figures(args) -> int:
 
     cache_dir = None if args.no_cache else args.cache_dir
     harness = EvalHarness(cache_dir=cache_dir, jobs=args.jobs,
-                          telemetry=args.telemetry, service=args.service)
+                          telemetry=args.telemetry)
     benchmarks = None
     if args.benchmarks:
         benchmarks = [name.strip()
@@ -328,243 +320,6 @@ def _cmd_racecheck(args) -> int:
             handle.write("\n")
         print(f"wrote {args.output}", file=sys.stderr)
     return exit_code(reports)
-
-
-def _cmd_modediff(args) -> int:
-    """Differential check: vector/prefetch runs must match scalar exactly.
-
-    For every bundled workload this runs the scalar DBM reference, then the
-    same binary under each requested rewrite mode, and compares the
-    observable results (program output bytes and exit code).  Any
-    divergence is a soundness bug in that rewrite family; exit 1.
-    """
-    from repro.rewrite import (
-        generate_prefetch_schedule,
-        generate_vector_schedule,
-    )
-    from repro.workloads import all_benchmarks, compile_workload, get_workload
-
-    modes = args.modes or ["vector", "prefetch"]
-    names = args.workloads or all_benchmarks()
-    rows = []
-    failures = 0
-    print(f"{'workload':18s} {'mode':9s} {'verdict':9s} {'rules':>5s} "
-          f"{'ref cycles':>12s} {'mode cycles':>12s} {'ratio':>6s}")
-    for name in names:
-        workload = get_workload(name)
-        image = compile_workload(name)
-        inputs = list(workload.train_inputs)
-        analysis = analyze_image(image)
-        ref = run_under_dbm(load(image, inputs=inputs),
-                            max_instructions=args.max_instructions)
-        for mode in modes:
-            if mode == "vector":
-                schedule = generate_vector_schedule(analysis)
-            else:
-                schedule = generate_prefetch_schedule(analysis)
-            result = run_under_dbm(load(image, inputs=inputs),
-                                   schedule=schedule,
-                                   max_instructions=args.max_instructions)
-            same = (result.output_text == ref.output_text
-                    and result.exit_code == ref.exit_code)
-            if not same:
-                failures += 1
-            ratio = ref.cycles / result.cycles if result.cycles else 0.0
-            verdict = "ok" if same else "DIVERGED"
-            print(f"{name:18s} {mode:9s} {verdict:9s} "
-                  f"{len(schedule):5d} {ref.cycles:12d} "
-                  f"{result.cycles:12d} {ratio:6.3f}")
-            rows.append({
-                "workload": name,
-                "mode": mode,
-                "identical": same,
-                "rules": len(schedule),
-                "ref_cycles": ref.cycles,
-                "mode_cycles": result.cycles,
-                "ratio": ratio,
-            })
-    if args.output:
-        payload = {"rows": rows, "failures": failures}
-        with open(args.output, "w") as handle:
-            json.dump(payload, handle, indent=1)
-            handle.write("\n")
-        print(f"wrote {args.output}", file=sys.stderr)
-    if failures:
-        print(f"{failures} diverging run(s)", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def _cmd_serve(args) -> int:
-    """Run the analysis daemon until a shutdown request arrives."""
-    import asyncio
-
-    from repro.service.daemon import AnalysisDaemon, DaemonConfig
-
-    config = DaemonConfig(
-        socket_path=args.socket, registry_root=args.registry,
-        jobs=args.jobs, max_queue=args.max_queue,
-        request_timeout=args.timeout, max_bytes=args.max_bytes,
-        max_entries=args.max_entries, lint=not args.no_lint)
-    daemon = AnalysisDaemon(config)
-    print(f"serving on {args.socket} "
-          f"(registry {args.registry}, jobs={args.jobs}, "
-          f"max_queue={args.max_queue}, timeout={args.timeout}s)",
-          flush=True)
-    try:
-        asyncio.run(daemon.serve_forever())
-    except KeyboardInterrupt:
-        pass
-    stats = daemon.stats()
-    print(f"daemon stopped: {stats['counters'].get('service.requests', 0)} "
-          f"requests served", flush=True)
-    return 0
-
-
-def _submit_targets(args) -> list:
-    """(label, image bytes, train inputs) for every submit target.
-
-    A target is either a path to a ``.jelf`` binary or a suite workload
-    name (compiled locally, exactly as the one-shot CLI would).
-    """
-    from repro.workloads import SUITE, compile_workload
-
-    targets = []
-    for target in args.target:
-        if os.path.exists(target):
-            label = os.path.splitext(os.path.basename(target))[0]
-            targets.append((label, open(target, "rb").read(),
-                            list(args.train_input)))
-        elif target in SUITE:
-            train = (list(args.train_input) or
-                     list(SUITE[target].train_inputs))
-            raw = compile_workload(target).serialize()
-            if args.emit_binary:
-                os.makedirs(args.emit_binary, exist_ok=True)
-                path = os.path.join(args.emit_binary, target + ".jelf")
-                with open(path, "wb") as handle:
-                    handle.write(raw)
-            targets.append((target, raw, train))
-        else:
-            raise FileNotFoundError(
-                f"{target}: neither a file nor a suite workload")
-    return targets
-
-
-def _cmd_submit(args) -> int:
-    """Client side of the daemon: submit work, query stats, shut down."""
-    import time
-
-    from repro.service.client import ServiceClient, ServiceError
-
-    try:
-        client = ServiceClient(args.socket, timeout=args.timeout)
-    except OSError as exc:
-        print(f"cannot reach daemon at {args.socket}: {exc}",
-              file=sys.stderr)
-        return 2
-    with client:
-        if args.ping:
-            reply = client.ping()
-            print(f"pong from pid {reply['pid']}")
-            return 0
-        if args.shutdown:
-            client.shutdown()
-            print("daemon shutting down")
-            return 0
-        if args.stats:
-            reply = client.stats()
-            payload = {key: reply[key] for key in
-                       ("pid", "counters", "gauges", "computed",
-                        "inflight", "registry") if key in reply}
-            if args.output:
-                with open(args.output, "w") as handle:
-                    json.dump(payload, handle, indent=1, sort_keys=True)
-                    handle.write("\n")
-                print(f"wrote {args.output}", file=sys.stderr)
-            registry = payload.get("registry", {})
-            counters = payload.get("counters", {})
-            print(f"registry: {registry.get('entries', 0)} entries, "
-                  f"{registry.get('total_bytes', 0)} bytes, "
-                  f"hits={counters.get('service.registry.hits', 0)} "
-                  f"misses={counters.get('service.registry.misses', 0)} "
-                  f"merges="
-                  f"{counters.get('service.single_flight_merges', 0)}")
-            return 0
-        try:
-            targets = _submit_targets(args)
-        except (FileNotFoundError, OSError) as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        if not targets:
-            print("nothing to submit", file=sys.stderr)
-            return 2
-        failures = 0
-        print(f"{'target':18s} {'op':9s} {'digest':14s} {'cached':>6s} "
-              f"{'ms':>9s} result")
-        for label, raw, train_inputs in targets:
-            start = time.perf_counter()
-            try:
-                if args.op == "analyze":
-                    reply = client.analyze(raw)
-                    note = (f"{reply['functions']} functions, "
-                            f"{reply['loops']} loops")
-                elif args.op == "run":
-                    reply = client.run(
-                        raw, mode=args.mode, inputs=args.input,
-                        threads=args.threads, train_inputs=train_inputs,
-                        no_train=args.no_train)
-                    note = (f"exit {reply['exit_code']}, "
-                            f"{reply['cycles']} cycles")
-                else:
-                    reply = client.schedule(
-                        raw, mode=args.mode, threads=args.threads,
-                        train_inputs=train_inputs,
-                        no_train=args.no_train)
-                    note = (f"{reply['rules']} rules, "
-                            f"loops {reply['selected_loops']}"
-                            + ("" if reply["admitted"]
-                               else " [lint-rejected]"))
-                    if args.out_dir:
-                        os.makedirs(args.out_dir, exist_ok=True)
-                        path = os.path.join(args.out_dir, label + ".jrs")
-                        with open(path, "wb") as handle:
-                            handle.write(reply["schedule_bytes"])
-            except ServiceError as exc:
-                failures += 1
-                print(f"{label:18s} {args.op:9s} {'-':14s} {'-':>6s} "
-                      f"{'-':>9s} {exc.code}: {exc.message}")
-                continue
-            elapsed_ms = (time.perf_counter() - start) * 1000.0
-            cached = "warm" if reply.get("cached") else "cold"
-            print(f"{label:18s} {args.op:9s} {reply['digest'][:12]:14s} "
-                  f"{cached:>6s} {elapsed_ms:9.1f} {note}")
-    return 1 if failures else 0
-
-
-def _cmd_registry(args) -> int:
-    """Offline registry maintenance: stats, gc, verify."""
-    from repro.service.registry import ScheduleRegistry
-
-    registry = ScheduleRegistry(args.registry)
-    if args.action == "stats":
-        report = registry.stats()
-    elif args.action == "gc":
-        report = registry.gc(max_bytes=args.max_bytes,
-                             max_entries=args.max_entries)
-    else:
-        report = registry.verify()
-    if args.output:
-        with open(args.output, "w") as handle:
-            json.dump(report, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.output}", file=sys.stderr)
-    for key, value in sorted(report.items()):
-        if key == "counters":
-            continue
-        print(f"{key:20s} {value}")
-    if args.action == "verify" and report["quarantined"]:
-        return 1
-    return 0
 
 
 def _cmd_trace(args) -> int:
@@ -747,10 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also report the named rewrite family's "
                         "per-loop legality (vector) or hint plan "
                         "(prefetch)")
-    a.add_argument("--digest-cache",
-                   help="directory persisting image content digests "
-                        "across invocations (shared keying path with "
-                        "the service registry)")
     a.set_defaults(func=_cmd_analyze)
 
     s = sub.add_parser("schedule",
@@ -762,9 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--threads", type=int, default=8)
     s.add_argument("--train-input", type=int, action="append", default=[])
     s.add_argument("--no-train", action="store_true")
-    s.add_argument("--digest-cache",
-                   help="directory persisting image content digests "
-                        "across invocations")
     s.set_defaults(func=_cmd_schedule)
 
     r = sub.add_parser("run", help="execute a binary")
@@ -809,10 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--trace-out", default="trace.json",
                    help="Chrome trace path for --telemetry "
                         "(default: trace.json)")
-    f.add_argument("--service",
-                   help="socket of a running analysis daemon; schedule "
-                        "generation routes through its registry "
-                        "(figure output is identical either way)")
     f.set_defaults(func=_cmd_figures)
 
     v = sub.add_parser("verify",
@@ -851,100 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the deterministic findings JSON to this "
                          "file")
     rc.set_defaults(func=_cmd_racecheck)
-
-    md = sub.add_parser("modediff",
-                        help="check that vector/prefetch rewrite modes "
-                             "produce byte-identical observable results "
-                             "to the scalar DBM reference (exit 1 on "
-                             "divergence)")
-    md.add_argument("workloads", nargs="*",
-                    help="suite workload names (default: all)")
-    md.add_argument("--modes", action="append", default=[],
-                    choices=("vector", "prefetch"),
-                    help="rewrite families to compare (default: both)")
-    md.add_argument("-o", "--output",
-                    help="write the per-run comparison JSON to this file")
-    md.add_argument("--max-instructions", type=int,
-                    default=DEFAULT_INSTRUCTION_LIMIT,
-                    help="instruction cap per run")
-    md.set_defaults(func=_cmd_modediff)
-
-    sv = sub.add_parser("serve",
-                        help="run the analysis daemon: a schedule "
-                             "registry served over a local socket "
-                             "(JSON-lines protocol)")
-    sv.add_argument("--socket", default=".repro-service.sock",
-                    help="unix socket path to listen on")
-    sv.add_argument("--registry", default=".repro-registry",
-                    help="schedule registry directory")
-    sv.add_argument("--jobs", type=int, default=max(1, (os.cpu_count()
-                                                        or 2) // 2),
-                    help="worker processes for analysis jobs "
-                         "(0 = in-process threads)")
-    sv.add_argument("--max-queue", type=int, default=32,
-                    help="in-flight computation bound; beyond this new "
-                         "keys get a typed BUSY reply")
-    sv.add_argument("--timeout", type=float, default=300.0,
-                    help="per-request computation timeout in seconds")
-    sv.add_argument("--max-bytes", type=int, default=None,
-                    help="registry size budget (LRU eviction)")
-    sv.add_argument("--max-entries", type=int, default=None,
-                    help="registry entry-count budget (LRU eviction)")
-    sv.add_argument("--no-lint", action="store_true",
-                    help="skip the schedule linter gate on registry "
-                         "admission")
-    sv.set_defaults(func=_cmd_serve)
-
-    sb = sub.add_parser("submit",
-                        help="submit work to a running daemon (or ping/"
-                             "stats/shutdown it)")
-    sb.add_argument("target", nargs="*",
-                    help="suite workload names or .jelf binary paths")
-    sb.add_argument("--socket", default=".repro-service.sock")
-    sb.add_argument("--op", default="schedule",
-                    choices=("schedule", "analyze", "run"))
-    sb.add_argument("--mode", default="janus",
-                    choices=("static", "static_profile", "janus",
-                             "native", "dbm_only"),
-                    help="selection mode (native/dbm_only: run op only)")
-    sb.add_argument("--threads", type=int, default=8)
-    sb.add_argument("--train-input", type=int, action="append",
-                    default=[],
-                    help="training inputs (default: the workload's own)")
-    sb.add_argument("--no-train", action="store_true")
-    sb.add_argument("--input", type=int, action="append", default=[],
-                    help="program inputs for --op run")
-    sb.add_argument("--out-dir",
-                    help="write returned schedules here as "
-                         "<target>.jrs")
-    sb.add_argument("--emit-binary",
-                    help="also write compiled workload binaries here as "
-                         "<target>.jelf (for differential checks "
-                         "against the one-shot CLI)")
-    sb.add_argument("--timeout", type=float, default=600.0,
-                    help="client-side socket timeout in seconds")
-    sb.add_argument("--ping", action="store_true",
-                    help="liveness check only")
-    sb.add_argument("--stats", action="store_true",
-                    help="fetch the daemon's service.* counters/gauges")
-    sb.add_argument("--shutdown", action="store_true",
-                    help="ask the daemon to stop")
-    sb.add_argument("-o", "--output",
-                    help="write the --stats JSON payload to this file")
-    sb.set_defaults(func=_cmd_submit)
-
-    rg = sub.add_parser("registry",
-                        help="offline schedule-registry maintenance")
-    rg.add_argument("action", choices=("stats", "gc", "verify"))
-    rg.add_argument("--registry", default=".repro-registry",
-                    help="schedule registry directory")
-    rg.add_argument("--max-bytes", type=int, default=None,
-                    help="gc: evict LRU entries beyond this many bytes")
-    rg.add_argument("--max-entries", type=int, default=None,
-                    help="gc: evict LRU entries beyond this count")
-    rg.add_argument("-o", "--output",
-                    help="write the report JSON to this file")
-    rg.set_defaults(func=_cmd_registry)
 
     t = sub.add_parser("trace",
                        help="run one suite workload under telemetry and "

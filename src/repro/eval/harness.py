@@ -78,13 +78,6 @@ class EvalHarness:
     # dump directory through the fan-out so worker spans can be merged
     # into one trace (see repro.telemetry.aggregate).
     telemetry: bool = False
-    # Socket path of a running analysis daemon (repro serve).  When set,
-    # schedule generation for STATIC/STATIC_PROFILE/JANUS runs routes
-    # through the daemon's content-addressed registry (warm schedules
-    # skip local training entirely); any service failure falls back to
-    # the local pipeline.  Results are identical either way because
-    # schedule bytes are deterministic.
-    service: str | None = None
     _natives: dict = field(default_factory=dict)
     _janus: dict = field(default_factory=dict)
     _trainings: dict = field(default_factory=dict)
@@ -163,11 +156,12 @@ class EvalHarness:
         side = None
         if self.cache_dir is not None:
             side = self._digest_path(name, options)
-            digest = self._read_digest(side)
+            # A truncated or corrupt sidecar reads as None: recompute.
+            digest = read_digest_file(side)
         if digest is None:
             digest = image_digest(self.image(name, options))
             if side is not None:
-                self._write_digest(side, digest)
+                write_digest_file(side, digest)
         self._digests[key] = digest
         return digest
 
@@ -185,17 +179,6 @@ class EvalHarness:
                         repr(_options_key(options)), source))
         fname = hashlib.sha256(tag.encode()).hexdigest()[:32]
         return os.path.join(self.cache_dir, "digest-" + fname + ".txt")
-
-    @staticmethod
-    def _read_digest(path: str) -> str | None:
-        # Truncated or corrupt side-caches read as None: recompute.
-        return read_digest_file(path)
-
-    @staticmethod
-    def _write_digest(path: str, digest: str) -> None:
-        # Atomic (unique temp + os.replace): concurrent daemon/fan-out
-        # workers racing on one sidecar can never interleave a torn file.
-        write_digest_file(path, digest)
 
     def _cache_entry(self, kind: str, name: str, options: CompileOptions,
                      mode: str = "", threads: int = 0) -> tuple[str, str]:
@@ -275,13 +258,8 @@ class EvalHarness:
                 return result
         workload = get_workload(name)
         janus = self.janus_for(name, options)
-        schedule = None
-        if self.service is not None and mode not in (
-                SelectionMode.NATIVE, SelectionMode.DBM_ONLY):
-            schedule = self._service_schedule(name, mode, options)
         training = None
-        if schedule is None and mode in (SelectionMode.STATIC_PROFILE,
-                                         SelectionMode.JANUS):
+        if mode in (SelectionMode.STATIC_PROFILE, SelectionMode.JANUS):
             training = self.training(name, options)
         with get_recorder().span("exec.run", cat="exec",
                                  lane=lane_label("run", name, mode.name,
@@ -289,8 +267,7 @@ class EvalHarness:
                                  benchmark=name, mode=mode.name,
                                  threads=threads) as span:
             result = janus.run(mode, inputs=list(workload.ref_inputs),
-                               training=training, n_threads=threads,
-                               schedule=schedule)
+                               training=training, n_threads=threads)
             span.set(cycles=result.cycles,
                      instructions=result.instructions)
         self._runs[key] = result
@@ -333,25 +310,6 @@ class EvalHarness:
         if entry is not None:
             self._disk_put(*entry, profile)
         return profile
-
-    def _service_schedule(self, name: str, mode: SelectionMode,
-                          options: CompileOptions):
-        """Fetch this run's schedule from the daemon; None falls back.
-
-        The request mirrors exactly what the local pipeline would do:
-        STATIC builds without training, the profile-guided modes train
-        on the workload's training inputs (the daemon reruns those
-        deterministic passes on a cold key; a warm key skips them).
-        """
-        from repro.service.client import fetch_schedule
-
-        no_train = mode is SelectionMode.STATIC
-        workload = get_workload(name)
-        train_inputs = () if no_train else tuple(workload.train_inputs)
-        return fetch_schedule(self.service, self.image(name, options),
-                              mode.value, threads=self.n_threads,
-                              train_inputs=train_inputs,
-                              no_train=no_train)
 
     def speedup(self, name: str, mode: SelectionMode,
                 options: CompileOptions | None = None,

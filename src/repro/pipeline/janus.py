@@ -229,9 +229,9 @@ class Janus:
         """Execute the binary in one of the Fig. 7 configurations.
 
         ``schedule`` short-circuits stage 4 with a precomputed rewrite
-        schedule (e.g. one fetched from a running analysis daemon's
-        registry); schedule generation is deterministic, so a served
-        schedule produces the same execution as a locally-built one.
+        schedule (e.g. one read back from a ``.jrs`` file); schedule
+        generation is deterministic, so it produces the same execution
+        as a locally-built one.
         """
         process = load(self.image, inputs=inputs)
         threads = n_threads if n_threads is not None \

@@ -90,14 +90,15 @@ def merge(dumps: list[dict]) -> dict:
     """Merge recorder dumps into one structure the exporters consume.
 
     Counters sum across processes; gauges keep the last value seen (in
-    dump order); span/instant events stay attributed to their source
-    process.  Dumps that recorded nothing (no events *and* no counters)
-    are dropped so idle pool workers do not add empty lanes.
+    dump order), whatever else the dump holds; span/instant events stay
+    attributed to their source process.  A dump with no events *and* no
+    counters adds no process, so idle pool workers do not add empty lanes.
     """
     processes = []
     counters: dict[str, int] = {}
     gauges: dict[str, float] = {}
     for dump in dumps:
+        gauges.update(dump.get("gauges", {}))
         if not dump.get("events") and not dump.get("counters"):
             continue
         processes.append({
@@ -108,7 +109,6 @@ def merge(dumps: list[dict]) -> dict:
         })
         for key, value in dump.get("counters", {}).items():
             counters[key] = counters.get(key, 0) + value
-        gauges.update(dump.get("gauges", {}))
     processes.sort(key=lambda p: p["pid"])
     return {"processes": processes, "counters": counters, "gauges": gauges}
 

@@ -4,20 +4,18 @@ Two disciplines live here because more than one subsystem depends on
 them being *exactly* the same:
 
 * **Atomic writes** — every persistent artefact (the eval cache's pickle
-  entries and digest sidecars, the schedule registry's entries, telemetry
-  worker dumps) is written to a uniquely-named temp file in the target
-  directory and renamed into place with ``os.replace``.  The temp name
+  entries and digest sidecars, the binaries and schedules the CLI writes)
+  is written to a uniquely-named temp file in the target directory and
+  renamed into place with ``os.replace``.  The temp name
   carries the writer's pid and a uuid so concurrent workers producing
   the same artefact can never rename each other's half-written file into
   place; the rename makes readers see either the old bytes or the new
   bytes, never a torn file.
 
 * **Image digests** — the content identity of a compiled binary is
-  ``sha256(image.serialize())``.  The eval cache, the CLI entry points
-  and the schedule registry all key by this one function, so a schedule
-  computed by any of them is addressable by all of them.  A process-wide
-  memo (plus an optional on-disk :class:`DigestCache`) means repeated
-  invocations over the same bytes hash once.
+  ``sha256(image.serialize())``.  The eval cache keys by this one
+  function and the CLI entry points print it, so both name a binary the
+  same way.
 """
 
 from __future__ import annotations
@@ -84,62 +82,21 @@ def write_digest_file(path: str, digest: str) -> None:
     atomic_write_text(path, digest)
 
 
-# Raw-bytes sha256 -> image digest, shared by every entry point in this
-# process.  Because JELF serialisation round-trips exactly, the raw file
-# bytes identify the image; the memo still stores the canonical
-# serialize() digest so a non-canonical file cannot alias a cache key.
+# Raw-bytes sha256 -> image digest, shared by every caller in this process.
 _DIGEST_MEMO: dict[str, str] = {}
 
 
-class DigestCache:
-    """Optional persistent digest side-cache (a directory of sidecars).
+def cached_image_digest(raw: bytes) -> str:
+    """Image digest for serialised binary bytes, memoised per process.
 
-    Maps an arbitrary string *tag* (e.g. the sha256 of a binary's file
-    bytes, or the eval harness's workload-source tag) to an image
-    digest.  Misses are recomputed by the caller; entries are one 64-hex
-    line each, written atomically, validated on read.
+    JELF serialisation round-trips exactly, so the raw bytes identify the
+    image; the memo still stores the canonical ``serialize()`` digest so a
+    non-canonical file cannot alias it.  ``perfbench`` set-up calls this.
     """
-
-    def __init__(self, root: str) -> None:
-        self.root = root
-
-    def _path(self, tag: str) -> str:
-        return os.path.join(self.root,
-                            "digest-" + sha256_hex(tag.encode())[:32] + ".txt")
-
-    def get(self, tag: str) -> str | None:
-        return read_digest_file(self._path(tag))
-
-    def put(self, tag: str, digest: str) -> None:
-        write_digest_file(self._path(tag), digest)
-
-
-def cached_image_digest(raw: bytes, cache: DigestCache | None = None,
-                        deserialize=None) -> str:
-    """Image digest for serialised binary bytes, memoised.
-
-    ``deserialize`` maps raw bytes to an image (defaults to
-    ``JELF.deserialize``); it only runs on a cold miss.  The in-process
-    memo answers repeat lookups for free; ``cache`` persists answers
-    across invocations so the CLI and the service share one keying path
-    even without the eval harness's cache directory.
-    """
-    tag = "imgdigest|" + sha256_hex(raw)
+    tag = sha256_hex(raw)
     digest = _DIGEST_MEMO.get(tag)
-    if digest is not None:
-        # A memo hit still backfills the persistent cache so later
-        # *processes* (not just later calls) share the answer.
-        if cache is not None and cache.get(tag) is None:
-            cache.put(tag, digest)
-        return digest
-    if cache is not None:
-        digest = cache.get(tag)
     if digest is None:
-        if deserialize is None:
-            from repro.jbin.image import JELF
-            deserialize = JELF.deserialize
-        digest = image_digest(deserialize(raw))
-        if cache is not None:
-            cache.put(tag, digest)
-    _DIGEST_MEMO[tag] = digest
+        from repro.jbin.image import JELF
+
+        digest = _DIGEST_MEMO[tag] = image_digest(JELF.deserialize(raw))
     return digest

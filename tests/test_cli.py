@@ -215,3 +215,36 @@ def test_racecheck_command(capsys, tmp_path):
     proven = [p for p in report["pairs"]
               if p["verdict"] == "proven_disjoint"]
     assert all(p["chain"] for p in proven)
+
+
+def _fail(*_args, **_kwargs):
+    raise RuntimeError("serialisation failed")
+
+
+@pytest.mark.parametrize("command", ["compile", "schedule"])
+def test_failed_serialisation_leaves_no_output(workspace, tmp_path,
+                                                monkeypatch, capsys, command):
+    """A ``serialize()`` error neither creates nor truncates ``-o``."""
+    from repro.jbin.image import JELF
+    from repro.rewrite.schedule import RewriteSchedule
+
+    binary = tmp_path / "app.jelf"
+    assert main(["compile", str(workspace / "app.jc"), "-o",
+                 str(binary)]) == 0
+    capsys.readouterr()
+    if command == "compile":
+        argv = ["compile", str(workspace / "app.jc")]
+        monkeypatch.setattr(JELF, "serialize", _fail)
+    else:
+        argv = ["schedule", str(binary), "--no-train"]
+        monkeypatch.setattr(RewriteSchedule, "serialize", _fail)
+    output = tmp_path / "out" / "artifact"
+    output.parent.mkdir()
+    with pytest.raises(RuntimeError):
+        main(argv + ["-o", str(output)])
+    assert not output.exists()
+    output.write_bytes(b"previous artifact")
+    with pytest.raises(RuntimeError):
+        main(argv + ["-o", str(output)])
+    assert output.read_bytes() == b"previous artifact"
+    assert [path.name for path in output.parent.iterdir()] == ["artifact"]
