@@ -10,9 +10,10 @@ and returns a :class:`BinaryAnalysis` holding per-function artefacts and a
 flat, stably numbered list of :class:`LoopAnalysisResult` — the input to
 both the profiling and the parallelisation rewrite-schedule generators.
 
-Everything after CFG recovery and function summarisation is independent
-per function, so with ``jobs > 1`` the per-function pipeline fans out
-over a process pool; results are identical to a serial run because the
+Each function's front end (dominators, stack, SSA, loops) is built once
+and feeds both the function summaries and classification.  Loop
+classification is independent per function, so with ``jobs > 1`` it fans
+out over a process pool; results are identical to a serial run because the
 flat loop numbering is assigned in a deterministic merge (stable sort on
 header address, functions visited in entry-address order) after all
 functions complete.
@@ -77,36 +78,45 @@ class BinaryAnalysis:
         return histogram
 
 
-def _analyze_function(cfg: FunctionCFG,
+def analyse_front_end(cfg: FunctionCFG) -> FunctionAnalysis:
+    """Dominators, stack deltas, SSA and loops of one function.
+
+    Built once per function and shared by the function summaries and the
+    per-function classification.  Telemetry: one span per phase (a no-op
+    under the default NullRecorder).
+    """
+    rec = get_recorder()
+    with rec.span("analysis.dominators", cat="analysis", entry=cfg.entry):
+        dom = compute_dominators(cfg)
+    with rec.span("analysis.ssa", cat="analysis", entry=cfg.entry):
+        deltas = track_stack(cfg)
+        ssa = build_ssa(cfg, dom, deltas) if deltas is not None else None
+    with rec.span("analysis.loops", cat="analysis", entry=cfg.entry):
+        loops = find_loops(cfg, dom)
+    return FunctionAnalysis(cfg=cfg, dom=dom, ssa=ssa, loops=loops)
+
+
+def _analyze_function(fa: FunctionAnalysis,
                       summaries: dict[int, FunctionSummary],
                       known_liveins: dict | None = None,
                       engine: bool = True
                       ) -> tuple[FunctionAnalysis, list[LoopAnalysisResult]]:
-    """Everything per-function: dominators, stack, SSA, loops, classify.
+    """Classify every loop of one function over its front end.
 
     Loop ids are still unassigned here (``classify_loop`` never reads
     them); the caller numbers loops in the deterministic global merge.
-    Telemetry: each phase is a child span of ``analysis.function`` (a
-    no-op under the default NullRecorder — in particular inside the
-    ``jobs > 1`` pool workers, where only the parent records).
+    Telemetry: ``analysis.classify`` is a child span of
+    ``analysis.function`` (a no-op under the default NullRecorder — in
+    particular inside the ``jobs > 1`` pool workers, where only the parent
+    records).
     """
     rec = get_recorder()
     with rec.span("analysis.function", cat="analysis",
-                  entry=cfg.entry) as span:
-        with rec.span("analysis.dominators", cat="analysis"):
-            dom = compute_dominators(cfg)
-        with rec.span("analysis.ssa", cat="analysis"):
-            deltas = track_stack(cfg)
-            ssa = None
-            if deltas is not None:
-                ssa = build_ssa(cfg, dom, deltas)
-        fa = FunctionAnalysis(cfg=cfg, dom=dom, ssa=ssa)
-        with rec.span("analysis.loops", cat="analysis"):
-            fa.loops = find_loops(cfg, dom)
+                  entry=fa.cfg.entry) as span:
         with rec.span("analysis.classify", cat="analysis"):
-            results = [classify_loop(loop, cfg, dom, ssa, summaries,
+            results = [classify_loop(loop, fa.cfg, fa.dom, fa.ssa, summaries,
                                      known_liveins=known_liveins,
-                                     engine=engine)
+                                     engine=engine, loops=fa.loops)
                        for loop in fa.loops]
         span.set(loops=len(fa.loops))
     return fa, results
@@ -127,22 +137,28 @@ class BinaryAnalyzer:
         self.interproc = interproc
 
     def run(self) -> BinaryAnalysis:
-        dis = disassemble(self.image)
-        cfgs = build_cfgs(dis)
-        summaries = summarise_functions(cfgs)
+        rec = get_recorder()
+        with rec.span("analysis.disasm", cat="analysis"):
+            dis = disassemble(self.image)
+        with rec.span("analysis.cfg", cat="analysis"):
+            cfgs = build_cfgs(dis)
+        fronts = {entry: analyse_front_end(cfg)
+                  for entry, cfg in cfgs.items()}
+        with rec.span("analysis.summaries", cat="analysis"):
+            summaries = summarise_functions(cfgs, fronts)
         liveins = (entry_livein_values(cfgs, self.image.entry)
                    if self.interproc else {})
 
         entries = list(cfgs)
         # The entry-state feed is only sound in the entry function itself.
-        tasks = [(cfgs[entry], summaries,
+        tasks = [(fronts[entry], summaries,
                   liveins if entry == self.image.entry else None,
                   self.interproc)
                  for entry in entries]
         if self.jobs > 1 and len(entries) > 1:
-            # Worker results carry their own copies of the CFG (mutated by
-            # stack tracking) and loops; use those copies throughout so
-            # every artefact in the returned analysis is self-consistent.
+            # Worker results carry their own copies of the front end and
+            # loops; use those copies throughout so every artefact in the
+            # returned analysis is self-consistent.
             with ProcessPoolExecutor(
                     max_workers=min(self.jobs, len(entries))) as pool:
                 analysed = list(pool.map(

@@ -24,7 +24,7 @@ paper's training stage.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.isa.instructions import Opcode
 from repro.analysis.alias import AliasAnalysis, analyse_aliases
@@ -138,13 +138,15 @@ def classify_loop(loop: Loop, cfg: FunctionCFG, dom: DominatorInfo,
                   ssa: SSAForm | None,
                   summaries: dict[int, FunctionSummary],
                   known_liveins: dict | None = None,
-                  engine: bool = True) -> LoopAnalysisResult:
+                  engine: bool = True,
+                  loops: list[Loop] | None = None) -> LoopAnalysisResult:
     """Full static classification of one loop.
 
     ``known_liveins`` feeds exact version-0 register values (the entry
     state) into induction solving and the value-range analysis; ``engine``
     gates the symbolic dependence engine and interprocedural call release
-    (off reproduces the purely local classification).
+    (off reproduces the purely local classification).  ``loops`` are all
+    loops of the function, when already found.
     """
     result = LoopAnalysisResult(loop=loop,
                                 category=LoopCategory.STATIC_DOALL)
@@ -209,7 +211,8 @@ def classify_loop(loop: Loop, cfg: FunctionCFG, dom: DominatorInfo,
         return result
 
     builder = ExprBuilder(ssa, loop)
-    ranges = _function_ranges(ssa, dom, known_liveins) if engine else None
+    ranges = (_function_ranges(ssa, dom, known_liveins, loops)
+              if engine else None)
     result.alias = analyse_aliases(ssa, loop, dom, induction, builder,
                                    ranges=ranges)
 
@@ -219,10 +222,11 @@ def classify_loop(loop: Loop, cfg: FunctionCFG, dom: DominatorInfo,
     # -- register-level loop-carried values -------------------------------------
     # SSA here is unpruned: a variable that is simply re-defined every
     # iteration gets a *dead* header phi.  Dead phis carry nothing across
-    # iterations; the variable is private.
+    # iterations; the variable is private.  The induction analysis is
+    # shared through the SSA memo, so the narrowed one is a copy.
     live_phis = [phi for phi in induction.other_phis
                  if _phi_is_live(ssa, phi)]
-    induction.other_phis = live_phis
+    result.induction = replace(induction, other_phis=live_phis)
     _classify_variables(result, ssa, loop, builder)
     for phi in live_phis:
         info = result.variables.get(phi.var)
@@ -287,15 +291,15 @@ def classify_loop(loop: Loop, cfg: FunctionCFG, dom: DominatorInfo,
 
 
 def _function_ranges(ssa: SSAForm, dom: DominatorInfo,
-                     known_liveins: dict | None) -> FunctionRanges:
-    """One FunctionRanges per SSA form, cached on the form itself (the
-    same idiom as ``_phi_is_live``'s liveness cache)."""
-    cached = getattr(ssa, "_function_ranges_cache", None)
-    if cached is not None:
-        return cached
-    ranges = FunctionRanges(ssa, dom, known_liveins=known_liveins)
-    ssa._function_ranges_cache = ranges
-    return ranges
+                     known_liveins: dict | None,
+                     loops: list[Loop] | None = None) -> FunctionRanges:
+    """One FunctionRanges per SSA form, memoised on the form: the first
+    caller's live-in feed stands, so later readers (racecheck) see the
+    ranges classification used."""
+    if ssa.function_ranges is None:
+        ssa.function_ranges = FunctionRanges(
+            ssa, dom, known_liveins=known_liveins, loops=loops)
+    return ssa.function_ranges
 
 
 def _try_release_call(result: LoopAnalysisResult, ssa: SSAForm,
@@ -477,14 +481,10 @@ def _instantiate_regions(ssa: SSAForm, loop: Loop, builder: ExprBuilder,
 
 
 def _fn_scope_builder(ssa: SSAForm, loop: Loop) -> ExprBuilder:
-    cache = getattr(ssa, "_fn_builder_cache", None)
-    if cache is None:
-        cache = {}
-        ssa._fn_builder_cache = cache
-    builder = cache.get(loop.header)
+    builder = ssa.fn_builders.get(loop.header)
     if builder is None:
         builder = ExprBuilder(ssa, loop, scope="function")
-        cache[loop.header] = builder
+        ssa.fn_builders[loop.header] = builder
     return builder
 
 
@@ -781,9 +781,8 @@ def _phi_is_live(ssa: SSAForm, phi: Phi) -> bool:
 
 
 def _live_phi_names(ssa: SSAForm) -> frozenset:
-    cached = getattr(ssa, "_live_phi_cache", None)
-    if cached is not None:
-        return cached
+    if ssa.live_phi_names is not None:
+        return ssa.live_phi_names
     used_versions = set()
     for fact in ssa.facts.values():
         for var, version in fact.uses.items():
@@ -805,9 +804,8 @@ def _live_phi_names(ssa: SSAForm) -> frozenset:
             if producer is not None \
                     and (producer.var, producer.dest) not in live:
                 worklist.append(producer)
-    result = frozenset(live)
-    ssa._live_phi_cache = result
-    return result
+    ssa.live_phi_names = frozenset(live)
+    return ssa.live_phi_names
 
 
 def _mark_incompatible(result: LoopAnalysisResult, reason: str) -> None:

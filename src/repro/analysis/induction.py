@@ -213,7 +213,22 @@ def analyse_induction(ssa: SSAForm, loop: Loop,
     ``known_liveins`` maps variables to exact version-0 values (e.g. the
     machine's boot register state in the entry function); they are
     substituted when solving for a static initial value and trip count.
+
+    The result is a pure function of its arguments, memoised on the SSA
+    form: every caller asking about the same loop shares one object and
+    must not mutate it.  A failing analysis is not memoised.
     """
+    key = (loop.header, frozenset(loop.body),
+           frozenset((known_liveins or {}).items()))
+    result = ssa.inductions.get(key)
+    if result is None:
+        result = _analyse_induction(ssa, loop, known_liveins)
+        ssa.inductions[key] = result
+    return result
+
+
+def _analyse_induction(ssa: SSAForm, loop: Loop,
+                       known_liveins: dict | None) -> InductionAnalysis:
     result = InductionAnalysis()
     builder = ExprBuilder(ssa, loop)
     header_phis = ssa.phis.get(loop.header, [])

@@ -14,6 +14,7 @@ induction-variable recognition, and variable classification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.isa.instructions import FLAGS_REG, Instruction, Opcode
 from repro.isa.registers import (
@@ -27,6 +28,11 @@ from repro.isa.registers import (
 from repro.analysis.cfg import FunctionCFG
 from repro.analysis.dominators import DominatorInfo
 from repro.analysis.stack import rsp_effect, slot_of
+
+if TYPE_CHECKING:
+    from repro.analysis.expr import ExprBuilder
+    from repro.analysis.induction import InductionAnalysis
+    from repro.analysis.vrange import FunctionRanges
 
 # Registers whose value does not survive a call in the JX ABI.
 CALLER_SAVED = tuple(
@@ -70,13 +76,36 @@ class SSAForm:
     # (var, version) -> ("entry",) | ("phi", block) | ("ins", block, index)
     def_sites: dict[SSAName, tuple] = field(default_factory=dict)
 
+    # Memos built on first use (DESIGN.md §5, "computed once").  Only the
+    # pure ones are shared; those holding ExprBuilders are classification's.
+    # block -> rsp delta before each instruction (and after the last).
+    _prefix_deltas: dict[int, list[int]] = field(
+        default_factory=dict, repr=False, compare=False)
+    # (header, body, known live-ins) -> InductionAnalysis
+    inductions: dict[tuple, InductionAnalysis] = field(
+        default_factory=dict, repr=False, compare=False)
+    # classification's value ranges, also read by racecheck
+    function_ranges: FunctionRanges | None = field(
+        default=None, repr=False, compare=False)
+    # loop header -> classification's function-scope ExprBuilder
+    fn_builders: dict[int, ExprBuilder] = field(
+        default_factory=dict, repr=False, compare=False)
+    # names of phis whose value reaches a real instruction use
+    live_phi_names: frozenset | None = field(
+        default=None, repr=False, compare=False)
+
     def delta_at(self, block: int, index: int) -> int:
         """rsp delta just before instruction ``index`` of ``block``."""
-        delta = self.rsp_deltas[block]
-        for ins in self.cfg.blocks[block].instructions[:index]:
-            effect = rsp_effect(ins)
-            delta += effect if effect is not None else 0
-        return delta
+        prefix = self._prefix_deltas.get(block)
+        if prefix is None:
+            delta = self.rsp_deltas[block]
+            prefix = [delta]
+            for ins in self.cfg.blocks[block].instructions:
+                effect = rsp_effect(ins)
+                delta += effect if effect is not None else 0
+                prefix.append(delta)
+            self._prefix_deltas[block] = prefix
+        return prefix[index]
 
     def use_at(self, block: int, index: int, var: Var) -> SSAName | None:
         fact = self.facts.get((block, index))
@@ -135,16 +164,13 @@ def build_ssa(cfg: FunctionCFG, dom: DominatorInfo,
     all_vars: set[Var] = set()
     for start in dom.rpo:
         block = cfg.blocks[start]
-        delta = rsp_deltas[start]
         for index, ins in enumerate(block.instructions):
-            uses, defs = instruction_vars(ins, delta)
+            uses, defs = instruction_vars(ins, ssa.delta_at(start, index))
             inst_vars[(start, index)] = (uses, defs)
             all_vars.update(uses)
             all_vars.update(defs)
             for var in defs:
                 def_blocks.setdefault(var, set()).add(start)
-            effect = rsp_effect(ins)
-            delta += effect if effect is not None else 0
 
     # Phi placement via iterated dominance frontiers.
     for var, blocks in def_blocks.items():

@@ -19,9 +19,16 @@ iterations and release it from STM scope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Mapping
 
 from repro.analysis.cfg import FunctionCFG
-from repro.analysis.stack import slot_of, rsp_effect, track_stack
+from repro.analysis.stack import slot_of
+
+if TYPE_CHECKING:
+    from repro.analysis.analyzer import FunctionAnalysis
+    from repro.analysis.loops import Loop
+    from repro.analysis.ssa import SSAForm
+    from repro.analysis.vrange import FunctionRanges
 
 
 @dataclass(frozen=True)
@@ -73,12 +80,20 @@ class FunctionSummary:
         return tuple(r for r in self.regions if r.is_write)
 
 
-def summarise_functions(cfgs: dict[int, FunctionCFG]
+def summarise_functions(cfgs: dict[int, FunctionCFG],
+                        fronts: Mapping[int, FunctionAnalysis] | None = None
                         ) -> dict[int, FunctionSummary]:
-    """Local summaries followed by transitive propagation to a fixpoint."""
-    summaries: dict[int, FunctionSummary] = {}
-    for entry, cfg in cfgs.items():
-        summaries[entry] = _local_summary(cfg)
+    """Local summaries followed by transitive propagation to a fixpoint.
+
+    ``fronts`` holds every function's front end (dominators, SSA, loops);
+    it is built here when not given.
+    """
+    if fronts is None:
+        from repro.analysis.analyzer import analyse_front_end
+
+        fronts = {entry: analyse_front_end(cfg)
+                  for entry, cfg in cfgs.items()}
+    summaries = {entry: _local_summary(fronts[entry]) for entry in cfgs}
 
     changed = True
     while changed:
@@ -104,29 +119,26 @@ def summarise_functions(cfgs: dict[int, FunctionCFG]
                         setattr(summary, attr, value)
                         changed = True
 
-    _summarise_regions(cfgs, summaries)
+    _summarise_regions(fronts, summaries)
     return summaries
 
 
-def _local_summary(cfg: FunctionCFG) -> FunctionSummary:
+def _local_summary(fa: FunctionAnalysis) -> FunctionSummary:
+    cfg, ssa = fa.cfg, fa.ssa
     summary = FunctionSummary(entry=cfg.entry)
     summary.has_syscall = cfg.has_syscall
     summary.has_indirect = cfg.has_indirect
     summary.external_calls = set(cfg.external_calls.values())
     summary.internal_calls = set(cfg.internal_calls.values())
-    deltas = track_stack(cfg)
-    if deltas is None:
+    if ssa is None:
         summary.irregular_stack = True
         summary.writes_memory = True
         return summary
     for start, block in cfg.blocks.items():
-        delta = deltas[start]
-        for ins in block.instructions:
+        for index, ins in enumerate(block.instructions):
             for mem in ins.mem_writes():
-                if slot_of(delta, mem) is None:
+                if slot_of(ssa.delta_at(start, index), mem) is None:
                     summary.writes_memory = True
-            effect = rsp_effect(ins)
-            delta += effect if effect is not None else 0
     return summary
 
 
@@ -136,14 +148,14 @@ def _local_summary(cfg: FunctionCFG) -> FunctionSummary:
 
 
 @dataclass
-class _FunctionArtefacts:
-    """Lazily computed per-function analysis state for region extraction."""
+class _RegionScope:
+    """Region extraction's own value ranges and expression builders over
+    one function's front end (never shared with classification: an
+    ExprBuilder's memo depends on query order)."""
 
-    cfg: FunctionCFG
-    ssa: object  # SSAForm | None
-    dom: object
-    loops: list
-    ranges: object  # FunctionRanges | None
+    ssa: SSAForm
+    loops: list[Loop]
+    ranges: FunctionRanges
 
     _builders: dict = field(default_factory=dict)
 
@@ -151,6 +163,7 @@ class _FunctionArtefacts:
         """Function-scope ExprBuilder for the innermost loop containing
         ``block`` (or a no-loop placeholder)."""
         from repro.analysis.expr import ExprBuilder
+        from repro.analysis.vrange import _NO_LOOP
 
         innermost = None
         for loop in self.loops:
@@ -164,35 +177,6 @@ class _FunctionArtefacts:
             builder = ExprBuilder(self.ssa, loop, scope="function")
             self._builders[key] = builder
         return builder
-
-
-class _NoLoop:
-    """Placeholder loop for straight-line code: matches no header."""
-
-    header = -1
-    body: frozenset = frozenset()
-
-
-_NO_LOOP = _NoLoop()
-
-
-def _artefacts(cfg: FunctionCFG) -> _FunctionArtefacts:
-    from repro.analysis.dominators import compute_dominators
-    from repro.analysis.loops import find_loops
-    from repro.analysis.ssa import build_ssa
-    from repro.analysis.vrange import FunctionRanges
-
-    dom = compute_dominators(cfg)
-    deltas = track_stack(cfg)
-    ssa = None
-    loops: list = []
-    ranges = None
-    if deltas is not None:
-        ssa = build_ssa(cfg, dom, deltas)
-        loops = find_loops(cfg, dom)
-        ranges = FunctionRanges(ssa, dom, loops=loops)
-    return _FunctionArtefacts(cfg=cfg, ssa=ssa, dom=dom, loops=loops,
-                              ranges=ranges)
 
 
 def reaching_name(ssa, block: int, index: int, var) -> tuple:
@@ -287,14 +271,13 @@ def _merge_regions(regions: list[Region]) -> tuple[Region, ...]:
                                        r.var or 0, r.scale, r.lo)))
 
 
-def _summarise_regions(cfgs: dict[int, FunctionCFG],
+def _summarise_regions(fronts: Mapping[int, FunctionAnalysis],
                        summaries: dict[int, FunctionSummary]) -> None:
     """Bottom-up (callee-first) region extraction and composition.
 
     Recursive cycles and anything the region model cannot express leave
     ``regions_exact`` False — the conservative STM treatment then stands.
     """
-    artefacts: dict[int, _FunctionArtefacts] = {}
     state: dict[int, str] = {}  # entry -> "visiting" | "done"
 
     def resolve(entry: int) -> None:
@@ -307,30 +290,26 @@ def _summarise_regions(cfgs: dict[int, FunctionCFG],
         for callee in sorted(summary.internal_calls):
             if callee in summaries:
                 resolve(callee)
-        _compute_regions(entry, cfgs, summaries, artefacts)
+        _compute_regions(fronts[entry], summaries)
         state[entry] = "done"
 
-    for entry in sorted(cfgs):
+    for entry in sorted(fronts):
         resolve(entry)
 
 
-def _compute_regions(entry: int, cfgs: dict[int, FunctionCFG],
-                     summaries: dict[int, FunctionSummary],
-                     artefacts: dict[int, _FunctionArtefacts]) -> None:
+def _compute_regions(fa: FunctionAnalysis,
+                     summaries: dict[int, FunctionSummary]) -> None:
     from repro.isa.instructions import Opcode
+    from repro.analysis.vrange import FunctionRanges
 
-    summary = summaries[entry]
-    cfg = cfgs[entry]
+    summary = summaries[fa.cfg.entry]
+    cfg, ssa = fa.cfg, fa.ssa
     if (summary.has_syscall or summary.has_indirect
-            or summary.irregular_stack or summary.external_calls):
+            or summary.irregular_stack or summary.external_calls
+            or ssa is None):
         return  # regions_exact stays False
-    art = artefacts.get(entry)
-    if art is None:
-        art = _artefacts(cfg)
-        artefacts[entry] = art
-    if art.ssa is None:
-        return
-    ssa = art.ssa
+    art = _RegionScope(ssa, fa.loops,
+                       FunctionRanges(ssa, fa.dom, loops=fa.loops))
     regions: list[Region] = []
     exact = True
 
@@ -370,7 +349,7 @@ def _compute_regions(entry: int, cfgs: dict[int, FunctionCFG],
     summary.regions_exact = exact
 
 
-def _map_callee_regions(ssa, art: _FunctionArtefacts, block: int, index: int,
+def _map_callee_regions(ssa, art: _RegionScope, block: int, index: int,
                         callee: FunctionSummary) -> list[Region] | None:
     """Express a callee's regions in the caller's live-in frame.
 
