@@ -30,7 +30,7 @@ from repro.jbin.loader import load
 from repro.jcc import CompileOptions, compile_source
 from repro.pipeline import Janus, JanusConfig, SelectionMode
 from repro.rewrite.schedule import RewriteSchedule
-from repro.util import atomic_write_bytes, image_digest
+from repro.util import atomic_write_bytes, atomic_write_text, image_digest
 
 
 def _load_binary(path: str) -> tuple:
@@ -154,9 +154,8 @@ def _cmd_run(args) -> int:
             "exit_code": result.exit_code,
             "stats": dict(sorted(result.stats.items())),
         }
-        with open(args.stats_json, "w") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=False)
-            handle.write("\n")
+        atomic_write_text(args.stats_json,
+                          json.dumps(payload, indent=1) + "\n")
     return result.exit_code
 
 
@@ -275,9 +274,7 @@ def _cmd_verify(args) -> int:
             "confirmed": sum(len(r.confirmed) for r in reports),
             "errors": sum(len(r.errors) for r in reports),
         }
-        with open(args.output, "w") as handle:
-            json.dump(payload, handle, indent=1)
-            handle.write("\n")
+        atomic_write_text(args.output, json.dumps(payload, indent=1) + "\n")
         print(f"wrote {args.output}", file=sys.stderr)
     return exit_code(reports)
 
@@ -315,9 +312,9 @@ def _cmd_racecheck(args) -> int:
             "unsound_static_loops": sum(
                 len(r.unsound_static_loops) for r in reports),
         }
-        with open(args.output, "w") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
-            handle.write("\n")
+        atomic_write_text(args.output,
+                          json.dumps(payload, indent=1, sort_keys=True)
+                          + "\n")
         print(f"wrote {args.output}", file=sys.stderr)
     return exit_code(reports)
 

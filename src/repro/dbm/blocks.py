@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from repro.isa.costs import instruction_cycles
 from repro.isa.decoder import decode_instruction
 from repro.isa.instructions import Instruction
+from repro.dbm.jit import translation_memo
 
 
 @dataclass
@@ -35,8 +36,9 @@ class Block:
     # shadow-memory filter inlined and raw events appended to the
     # worker's ShadowSink (repro.dbm.shadow); jit_tx holds the dynamic
     # shadow form run when the block is entered with a transaction open.
-    # Compiled per worker thread (filter bounds and sink are
-    # compile-time constants), so these slots live in the per-thread
+    # Built per worker thread (the filter bounds and the sink are bound
+    # in the runner's namespace; the source and its code object are
+    # shared across workers), so these slots live in the per-thread
     # cache's blocks only.
     jit_shadow: object = field(default=None, repr=False, compare=False)
     jit_tx: object = field(default=None, repr=False, compare=False)
@@ -74,19 +76,34 @@ def discover_block(process, pc: int, stop_addresses=frozenset()) -> Block:
 
     Decoding stops after the first control-transfer instruction, or *before*
     any address in ``stop_addresses`` (the DBM splits blocks at addresses
-    that carry rewrite rules targeting block entries).
+    that carry rewrite rules targeting block entries).  The decode is
+    memoised per image (:func:`~repro.dbm.jit.translation_memo`).
     """
     data, base = process.code_at(pc)
-    instructions: list[Instruction] = []
-    addr = pc
-    while True:
-        ins = decode_instruction(data, addr - base, addr)
-        instructions.append(ins)
-        addr += ins.size
-        if ins.is_control:
-            break
-        if addr in stop_addresses:
-            break
-        if addr - base >= len(data):
-            break
-    return Block(start=pc, instructions=instructions, end=addr)
+    memo = translation_memo(process)
+    # frozenset() of a frozenset is the same object: O(1) for the DBM,
+    # which passes one frozenset for the whole run.
+    key = ("decode", data, base, pc, frozenset(stop_addresses))
+    decoded = memo.get(key)
+    if decoded is None:
+        instructions: list[Instruction] = []
+        addr = pc
+        while True:
+            ins = decode_instruction(data, addr - base, addr)
+            instructions.append(ins)
+            addr += ins.size
+            if ins.is_control:
+                break
+            if addr in stop_addresses:
+                break
+            if addr - base >= len(data):
+                break
+        block = Block(start=pc, instructions=instructions, end=addr)
+        memo[key] = (tuple(instructions), addr, block.cost)
+        return block
+    # A fresh Block over a fresh list: translation edits and runner slots
+    # never reach the memo (the decoded instructions themselves are
+    # never mutated; a BlockEditor inserts new ones into its copy).
+    instructions, end, cost = decoded
+    return Block(start=pc, instructions=list(instructions), end=end,
+                 cost=cost)

@@ -37,9 +37,11 @@ Three variants exist per block:
   ``interp.shadow_sink`` is installed) keeps the fast variant's direct
   memory access and linking/tracing, and additionally records shadow
   events for the parallel runtime: the worker's stack/TLS filter bounds
-  are inlined as compile-time constants and passing addresses are
-  appended to the worker's :class:`~repro.dbm.shadow.ShadowSink` lists —
-  no closure call, no per-lane set insert.  Access sites statically
+  are bound in the runner's namespace (``_flo``, ``_slo``, ``_shi``,
+  ``_tlo``, ``_thi``, so every worker's runner has the same source) and
+  passing addresses are appended to the worker's
+  :class:`~repro.dbm.shadow.ShadowSink` lists — no closure call, no
+  per-lane set insert.  Access sites statically
   proven affine (``interp.shadow_summarised``) are skipped entirely; the
   runtime covers them with per-chunk stride descriptors.  Blocks
   containing RTCALL/SYSCALL compile a *dynamic* shadow form that
@@ -52,6 +54,15 @@ Three variants exist per block:
 Indirect terminators (``ret``/``jmpi``/``calli``) keep a one-entry inline
 cache mapping the last raw target to its compiled block — DynamoRIO's
 indirect-branch lookup cache.
+
+Translation is done once per image, as DynamoRIO translates a block once
+into its code cache: the pure stages — decoding a block, stripping a
+superblock's dead stores, ``compile()`` of the generated source — are
+content-keyed in :func:`translation_memo`, so every run of a binary and
+every parallel worker reuses them.  Source generation and the runner's
+namespace stay per translation: the namespace binds per-run objects
+(memory, sink, link slots), and the simulated translation charges and
+counters are unchanged by a memo hit.
 
 Semantics are defined by :mod:`repro.dbm.interp`, whose per-instruction
 dispatch also records access logs and shadow events: the differential
@@ -121,6 +132,31 @@ class JITStats(RegistryView):
 
 def _identity(value: int) -> int:
     return value
+
+
+# The image translated last and its memo (see ``translation_memo``).
+_MEMO_SLOT: list = [None, {}]
+
+
+def translation_memo(process) -> dict:
+    """The memo of pure translation products for ``process``'s image.
+
+    Entries are content-keyed and image-independent in meaning:
+    ``("decode", section bytes, section base, pc, stop addresses)`` ->
+    ``(instructions, end, cost)`` (:func:`~repro.dbm.blocks.discover_block`),
+    ``("code", source, filename)`` -> code object (block runners) and
+    ``("super", pre-strip source, filename)`` -> ``(stripped source, code
+    object)`` (:mod:`repro.dbm.superblock`).  Only the image translated
+    last keeps its memo: translating another image replaces it, which
+    bounds memory without a size limit.  A process-less interpreter gets
+    a throwaway dict.
+    """
+    if process is None:
+        return {}
+    image = process.image
+    if _MEMO_SLOT[0] is not image:
+        _MEMO_SLOT[:] = [image, {}]
+    return _MEMO_SLOT[1]
 
 
 def _shadow_helpers(interp, sink) -> dict:
@@ -240,6 +276,7 @@ class _BlockCompiler:
         process = interp.process
         self.resolve = (process.resolve_target if process is not None
                         else _identity)
+        self.memo = translation_memo(process)
         self.ns = {
             "_s64": s64,
             "_i2f": i64_to_f64,
@@ -258,7 +295,7 @@ class _BlockCompiler:
             # re-checks the tx per access.  Any other block is provably
             # tx-free for its whole run (the dispatcher only selects the
             # static form when no tx is open at entry) and records
-            # through inlined filter constants.
+            # through the inlined filter.
             sink = interp.shadow_sink
             self.sink = sink
             self.summarised = interp.shadow_summarised
@@ -266,11 +303,13 @@ class _BlockCompiler:
                 ins.opcode in (Opcode.SYSCALL, Opcode.RTCALL)
                 for ins in block.instructions)
             self.shadow_dynamic = tx or self.tx_mid_block
-            self._slo, self._shi = sink.stack_lo, sink.stack_hi
-            self._tlo, self._thi = sink.tls_lo, sink.tls_hi
-            # Most heap addresses sit below both excluded regions: one
-            # compare short-circuits the full four-compare filter.
-            self._low = min(sink.stack_lo + 1, sink.tls_lo)
+            # The filter bounds are names, not literals, so one source
+            # (and one memoised code object) serves every worker.  Most
+            # heap addresses sit below both excluded regions: one
+            # compare against ``_flo`` short-circuits the full filter.
+            self.ns["_flo"] = min(sink.stack_lo + 1, sink.tls_lo)
+            self.ns["_slo"], self.ns["_shi"] = sink.stack_lo, sink.stack_hi
+            self.ns["_tlo"], self.ns["_thi"] = sink.tls_lo, sink.tls_hi
         else:
             self.tx_mid_block = self.shadow_dynamic = False
         self.n_temps = 0
@@ -392,9 +431,8 @@ class _BlockCompiler:
 
     def record_cond(self, var: str) -> str:
         """The inlined filter: record iff outside own stack and TLS."""
-        return (f"{var} < {self._low} or (({var} <= {self._slo} or "
-                f"{var} > {self._shi}) and ({var} < {self._tlo} or "
-                f"{var} >= {self._thi}))")
+        return (f"{var} < _flo or (({var} <= _slo or {var} > _shi) "
+                f"and ({var} < _tlo or {var} >= _thi))")
 
     def emit_record(self, var: str, call: str) -> None:
         self.emit(f"if {self.record_cond(var)}: {call}")
@@ -997,7 +1035,11 @@ class _BlockCompiler:
             variant = "rec"
         else:
             variant = "fast"
-        code = compile(source, f"<jit {variant} {block.start:#x}>", "exec")
+        filename = f"<jit {variant} {block.start:#x}>"
+        key = ("code", source, filename)
+        code = self.memo.get(key)
+        if code is None:
+            code = self.memo[key] = compile(source, filename, "exec")
         exec(code, self.ns)
         fn = self.ns[fname]
         fn.__jit_source__ = source

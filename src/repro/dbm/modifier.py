@@ -66,6 +66,9 @@ class JanusDBM:
         self.process = process
         self.schedule = schedule
         self.rule_index = schedule.build_index() if schedule else {}
+        # Block-splitting addresses: one frozenset for the whole run, so
+        # the decode memo key (repro.dbm.blocks) costs nothing to build.
+        self.stop_addresses = frozenset(self.rule_index)
         self.cost = cost_model or DEFAULT_COST_MODEL.copy()
         self.n_threads = n_threads
         self.strict = strict
@@ -131,7 +134,7 @@ class JanusDBM:
 
     def _translate(self, pc: int, ctx: ThreadContext, worker) -> Block:
         block = discover_block(self.process, pc,
-                               stop_addresses=self.rule_index.keys())
+                               stop_addresses=self.stop_addresses)
         cycles = (self.cost.translate_cycles_per_block
                   + len(block) * self.cost.translate_cycles_per_instruction)
         ctx.cycles += cycles

@@ -6,8 +6,9 @@ records are three representations deep:
 
 * :class:`ShadowSink` — flat per-worker event lists.  The generated
   shadow runners (``repro.dbm.jit`` / ``repro.dbm.superblock``) append raw
-  addresses to them with the worker's own stack/TLS filter inlined as
-  compile-time constants; the reference dispatch
+  addresses to them behind an inlined filter on the worker's own
+  stack/TLS bounds, which the runner's namespace binds per worker (the
+  source is shared by all workers); the reference dispatch
   (``Interpreter.force_reference``) appends the same events through
   :meth:`ShadowSink.record`.
 * :class:`StrideDescriptor` — one ``(first, stride, trips, lanes)`` record

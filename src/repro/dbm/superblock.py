@@ -893,10 +893,17 @@ class _SuperblockCompiler(_BlockCompiler):
         self.indent -= 1
         if self.n_slots:
             self.ns["_L"] = self.links
-        source = "\n".join(_strip_dead_stores(head + self.lines)) + "\n"
         variant = "super shadow" if self.shadow else "super"
-        code = compile(source,
-                       f"<jit {variant} {head_block.start:#x}>", "exec")
+        filename = f"<jit {variant} {head_block.start:#x}>"
+        # Stripping and compiling are pure in the generated lines: a memo
+        # hit (another worker, another run of the image) skips both.
+        key = ("super", "\n".join(head + self.lines), filename)
+        hit = self.memo.get(key)
+        if hit is None:
+            source = "\n".join(_strip_dead_stores(head + self.lines)) + "\n"
+            hit = self.memo[key] = (source,
+                                    compile(source, filename, "exec"))
+        source, code = hit
         exec(code, self.ns)
         fn = self.ns[fname]
         fn.__jit_source__ = source

@@ -4,7 +4,8 @@ Two disciplines live here because more than one subsystem depends on
 them being *exactly* the same:
 
 * **Atomic writes** — every persistent artefact (the eval cache's pickle
-  entries and digest sidecars, the binaries and schedules the CLI writes)
+  entries and digest sidecars, the binaries, schedules and JSON reports
+  the CLI writes)
   is written to a uniquely-named temp file in the target directory and
   renamed into place with ``os.replace``.  The temp name
   carries the writer's pid and a uuid so concurrent workers producing

@@ -248,3 +248,72 @@ def test_failed_serialisation_leaves_no_output(workspace, tmp_path,
         main(argv + ["-o", str(output)])
     assert output.read_bytes() == b"previous artifact"
     assert [path.name for path in output.parent.iterdir()] == ["artifact"]
+
+
+class _Unserialisable:
+    """A falsy value JSON cannot encode (falsy: the ``[stats]`` summary
+    on stderr drops zero-like counters, so only the artifact sees it)."""
+
+    def __bool__(self) -> bool:
+        return False
+
+
+def _poison_run(monkeypatch):
+    import repro.cli
+    from repro.dbm.executor import run_native
+
+    def poisoned(process):
+        result = run_native(process)
+        result.stats["poison"] = _Unserialisable()
+        return result
+
+    monkeypatch.setattr(repro.cli, "run_native", poisoned)
+
+
+def _poison_verify(monkeypatch):
+    import repro.verify
+    from repro.verify.findings import VerifyReport
+
+    monkeypatch.setattr(
+        repro.verify, "verify_workload",
+        lambda name, **_kwargs: VerifyReport(
+            workload=name, demoted_loops=[_Unserialisable()]))
+
+
+def _poison_racecheck(monkeypatch):
+    from repro.verify import racecheck
+
+    monkeypatch.setattr(
+        racecheck, "racecheck_workload",
+        lambda name, mode: racecheck.RaceReport(
+            workload=name, mode=mode, loops_checked=_Unserialisable()))
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "racecheck"])
+def test_failed_json_report_leaves_no_output(workspace, tmp_path,
+                                             monkeypatch, capsys, command):
+    """A JSON report that fails to serialise neither creates nor
+    truncates its output file."""
+    if command == "run":
+        binary = tmp_path / "app.jelf"
+        assert main(["compile", str(workspace / "app.jc"), "-o",
+                     str(binary)]) == 0
+        argv = ["run", str(binary), "--input", "1", "--stats-json"]
+        _poison_run(monkeypatch)
+    elif command == "verify":
+        argv = ["verify", "470.lbm", "--no-train", "-o"]
+        _poison_verify(monkeypatch)
+    else:
+        argv = ["racecheck", "470.lbm", "--mode", "parallel", "-o"]
+        _poison_racecheck(monkeypatch)
+    capsys.readouterr()
+    output = tmp_path / "out" / "report.json"
+    output.parent.mkdir()
+    with pytest.raises(TypeError):
+        main(argv + [str(output)])
+    assert not output.exists()
+    output.write_text("previous report\n")
+    with pytest.raises(TypeError):
+        main(argv + [str(output)])
+    assert output.read_text() == "previous report\n"
+    assert [path.name for path in output.parent.iterdir()] == ["report.json"]
