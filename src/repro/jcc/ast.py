@@ -153,6 +153,26 @@ class VecFor(Stmt):
     body: list  # Assign statements
 
 
+def clone(node):
+    """A deep copy of an expression or statement, or of a list of them.
+
+    Copies every attribute of every node (the sema-filled ``type``
+    included) and recurses into nodes and lists; other values are
+    immutable scalars and are shared.  This equals ``copy.deepcopy``
+    because no node is reachable twice in a program tree, so deepcopy's
+    memo never finds a node it has already copied.
+    """
+    if isinstance(node, list):
+        return [clone(item) for item in node]
+    if not isinstance(node, (Expr, Stmt)):
+        return node
+    copied = object.__new__(type(node))
+    copied.__dict__.update({
+        key: clone(value) if isinstance(value, (list, Expr, Stmt)) else value
+        for key, value in node.__dict__.items()})
+    return copied
+
+
 # -- top level --------------------------------------------------------------------
 
 @dataclass

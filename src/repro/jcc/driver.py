@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.isa.instructions import Instruction, Opcode as O
+from repro.isa.instructions import Opcode as O
 from repro.isa.operands import Imm, Label, Mem, Reg
 from repro.isa.registers import R
 from repro.jbin import syscalls
@@ -14,8 +14,9 @@ from repro.jcc import ast
 from repro.jcc.codegen import FunctionCodegen, ModuleContext
 from repro.jcc.optimizer import optimise
 from repro.jcc.parser import parse
-from repro.jcc.regalloc import allocate
+from repro.jcc.regalloc import Allocation, allocate
 from repro.jcc.sema import BUILTINS, analyse
+from repro.telemetry.core import get_recorder
 
 
 @dataclass
@@ -45,11 +46,20 @@ class CompileError(Exception):
 
 def compile_source(source: str,
                    options: CompileOptions | None = None) -> JELF:
-    """Compile JC source to a (by default stripped) executable image."""
+    """Compile JC source to a (by default stripped) executable image.
+
+    Telemetry (cat ``jcc``; no-ops under the default NullRecorder):
+    ``jcc.parse`` (lexing, parsing and sema) and ``jcc.optimise`` once;
+    ``jcc.codegen``, ``jcc.regalloc`` and ``jcc.assemble`` (emitting the
+    allocated stream) per function; a last ``jcc.assemble`` for the image.
+    """
     options = options or CompileOptions()
-    program = parse(source)
-    analyse(program)
-    optimise(program, options)
+    rec = get_recorder()
+    with rec.span("jcc.parse", cat="jcc"):
+        program = parse(source)
+        analyse(program)
+    with rec.span("jcc.optimise", cat="jcc"):
+        optimise(program, options)
 
     asm = Assembler(comment=options.comment)
     module = ModuleContext(program=program, options=options)
@@ -72,7 +82,8 @@ def compile_source(source: str,
     for values, name in module.float_pool.items():
         asm.double(name, *values)
 
-    return asm.assemble(entry="_start", strip=options.strip)
+    with rec.span("jcc.assemble", cat="jcc"):
+        return asm.assemble(entry="_start", strip=options.strip)
 
 
 def _emit_globals(asm: Assembler, program: ast.Program) -> None:
@@ -134,13 +145,22 @@ def _used_builtins(program: ast.Program) -> set[str]:
 
 def _emit_function(asm: Assembler, module: ModuleContext,
                    fn: ast.Function) -> None:
-    code = FunctionCodegen(module, fn).generate()
-    allocation = allocate(code)
+    rec = get_recorder()
+    with rec.span("jcc.codegen", cat="jcc", fn=fn.name):
+        code = FunctionCodegen(module, fn).generate()
+    with rec.span("jcc.regalloc", cat="jcc", fn=fn.name):
+        allocation = allocate(code)
+    with rec.span("jcc.assemble", cat="jcc", fn=fn.name):
+        _emit_allocated(asm, fn.name, allocation)
+
+
+def _emit_allocated(asm: Assembler, name: str,
+                    allocation: Allocation) -> None:
     saved = allocation.used_callee_saved
     frame_words = allocation.frame_words + len(saved)
     frame_bytes = frame_words * 8
 
-    asm.label(fn.name)
+    asm.label(name)
     if frame_bytes:
         asm.emit(O.SUB, Reg(R.rsp), Imm(frame_bytes))
     for index, reg in enumerate(saved):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 KEYWORDS = frozenset((
@@ -15,6 +16,19 @@ _OPERATORS = (
     "/=", "%=", "++", "--", "<<", ">>", "+", "-", "*", "/", "%", "<", ">",
     "=", "!", "&", "|", "^", "(", ")", "{", "}", "[", "]", ";", ",",
 )
+_OPERATOR = re.compile("|".join(map(re.escape, _OPERATORS)))
+_IDENT = re.compile(r"[^\W\d]\w*")
+
+# Numeric literals (docs/LANGUAGE.md): hex and decimal ints, and doubles
+# with a point and/or an exponent.  A decimal int has no leading zero.
+_NUMBER = re.compile(r"""
+    (?P<hex>0[xX][0-9a-fA-F]+)
+  | (?P<float>(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?
+             |[0-9]+[eE][+-]?[0-9]+)
+  | (?P<dec>0|[1-9][0-9]*)
+""", re.VERBOSE)
+# What may not directly follow a literal: it would make a malformed one.
+_NUMBER_TAIL = re.compile(r"[A-Za-z0-9_.]+")
 
 
 @dataclass(frozen=True)
@@ -58,36 +72,24 @@ def tokenize(source: str) -> list[Token]:
             continue
         if ch.isdigit() or (ch == "." and pos + 1 < length
                             and source[pos + 1].isdigit()):
-            start = pos
-            is_float = False
-            while pos < length and (source[pos].isdigit()
-                                    or source[pos] in ".eExX"
-                                    or (source[pos] in "+-"
-                                        and source[pos - 1] in "eE")):
-                if source[pos] == ".":
-                    is_float = True
-                if source[pos] in "eE" and "x" not in source[start:pos].lower():
-                    is_float = True
-                pos += 1
-            text = source[start:pos]
-            kind = "float_lit" if is_float else "int_lit"
-            tokens.append(Token(kind, text, line))
+            match = _NUMBER.match(source, pos)
+            tail = _NUMBER_TAIL.match(source, match.end() if match else pos)
+            if match is None or tail is not None:
+                bad = source[pos:tail.end() if tail else pos + 1]
+                raise LexError(f"malformed number {bad!r} at line {line}")
+            kind = "float_lit" if match.lastgroup == "float" else "int_lit"
+            tokens.append(Token(kind, match.group(), line))
+            pos = match.end()
             continue
-        if ch.isalpha() or ch == "_":
-            start = pos
-            while pos < length and (source[pos].isalnum()
-                                    or source[pos] == "_"):
-                pos += 1
-            text = source[start:pos]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line))
-            continue
-        for op in _OPERATORS:
-            if source.startswith(op, pos):
-                tokens.append(Token("op", op, line))
-                pos += len(op)
-                break
-        else:
+        match = _IDENT.match(source, pos) or _OPERATOR.match(source, pos)
+        if match is None:
             raise LexError(f"unexpected character {ch!r} at line {line}")
+        text = match.group()
+        if match.re is _OPERATOR:
+            kind = "op"
+        else:
+            kind = "keyword" if text in KEYWORDS else "ident"
+        tokens.append(Token(kind, text, line))
+        pos = match.end()
     tokens.append(Token("eof", "", line))
     return tokens

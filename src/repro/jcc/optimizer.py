@@ -9,7 +9,6 @@ baselines — compiler auto-parallelisation via an OpenMP-style runtime call.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass
 
@@ -109,7 +108,7 @@ def _contains_control(body: list, kinds) -> bool:
 
 def _substitute(expr, name: str, replacement):
     """expr with every Name(name) replaced (returns a deep copy)."""
-    expr = copy.deepcopy(expr)
+    expr = ast.clone(expr)
 
     def visit(node):
         if isinstance(node, ast.Binary):
@@ -125,7 +124,7 @@ def _substitute(expr, name: str, replacement):
         elif isinstance(node, ast.Call):
             node.args = [visit(a) for a in node.args]
         elif isinstance(node, ast.Name) and node.ident == name:
-            clone = copy.deepcopy(replacement)
+            clone = ast.clone(replacement)
             return clone
         return node
 
@@ -135,7 +134,7 @@ def _substitute(expr, name: str, replacement):
 def _offset_iter(expr, name: str, offset: int):
     """expr with ``name`` replaced by ``name + offset``."""
     if offset == 0:
-        return copy.deepcopy(expr)
+        return ast.clone(expr)
     plus = ast.Binary(op="+", left=ast.Name(ident=name),
                       right=ast.IntLit(value=offset))
     plus.left.type = "int"
@@ -283,14 +282,14 @@ def try_vectorize(loop: ast.For, lanes: int) -> list | None:
     start_ref.type = "int"
     vec = ast.VecFor(iter_name=countable.iter_name,
                      start=start_ref,
-                     bound=copy.deepcopy(countable.bound),
+                     bound=ast.clone(countable.bound),
                      lanes=lanes,
-                     body=copy.deepcopy(body))
+                     body=ast.clone(body))
     # Scalar tail: continue from wherever the vector loop stopped.
-    tail = ast.For(init=None, cond=copy.deepcopy(loop.cond),
-                   step=copy.deepcopy(loop.step),
-                   body=copy.deepcopy(body))
-    return [copy.deepcopy(loop.init), vec, tail]
+    tail = ast.For(init=None, cond=ast.clone(loop.cond),
+                   step=ast.clone(loop.step),
+                   body=ast.clone(body))
+    return [ast.clone(loop.init), vec, tail]
 
 
 # -- unrolling -------------------------------------------------------------------------
@@ -318,7 +317,7 @@ def try_unroll(loop: ast.For, factor: int) -> list | None:
     main_cond = ast.Binary(
         op="<",
         left=ast.Name(ident=name),
-        right=ast.Binary(op="-", left=copy.deepcopy(countable.bound),
+        right=ast.Binary(op="-", left=ast.clone(countable.bound),
                          right=ast.IntLit(value=factor - 1)))
     main_cond.left.type = "int"
     main_cond.right.type = "int"
@@ -329,16 +328,16 @@ def try_unroll(loop: ast.For, factor: int) -> list | None:
                            value=ast.IntLit(value=factor))
     main_step.target.type = "int"
     main_step.value.type = "int"
-    main = ast.For(init=copy.deepcopy(loop.init), cond=main_cond,
+    main = ast.For(init=ast.clone(loop.init), cond=main_cond,
                    step=main_step, body=unrolled_body)
-    tail = ast.For(init=None, cond=copy.deepcopy(loop.cond),
-                   step=copy.deepcopy(loop.step),
-                   body=copy.deepcopy(body))
+    tail = ast.For(init=None, cond=ast.clone(loop.cond),
+                   step=ast.clone(loop.step),
+                   body=ast.clone(body))
     return [main, tail]
 
 
 def _offset_statement(statement, name: str, offset: int):
-    clone = copy.deepcopy(statement)
+    clone = ast.clone(statement)
     if isinstance(clone, ast.Assign):
         if isinstance(clone.target, ast.Index):
             clone.target.index = _offset_iter(clone.target.index, name,
@@ -409,11 +408,11 @@ def try_multiversion(fn: ast.Function, loop: ast.For) -> list | None:
 
     def disjoint(a, b):
         # a + n <= b || b + n <= a  (element-granular pointer arithmetic)
-        length = copy.deepcopy(countable.bound)
+        length = ast.clone(countable.bound)
         end_a = ast.Binary(op="+", left=ptr(a), right=length)
         end_a.type = locals_[a]
         end_b = ast.Binary(op="+", left=ptr(b),
-                           right=copy.deepcopy(length))
+                           right=ast.clone(length))
         end_b.type = locals_[b]
         left = ast.Binary(op="<=", left=end_a, right=ptr(b))
         left.type = "int"
@@ -434,8 +433,8 @@ def try_multiversion(fn: ast.Function, loop: ast.For) -> list | None:
                 cond.type = "int"
     if cond is None:
         return None
-    fast = copy.deepcopy(loop)
-    slow = copy.deepcopy(loop)
+    fast = ast.clone(loop)
+    slow = ast.clone(loop)
     slow.no_vectorize = True
     return [ast.If(cond=cond, then_body=[fast], else_body=[slow])]
 
@@ -544,7 +543,7 @@ def try_autopar(program: ast.Program, fn: ast.Function, loop: ast.For,
     inner_cond.left.type = "int"
     inner_cond.type = "int"
     inner_init = ast.DeclStmt(type="int", name=name,
-                              init=copy.deepcopy(lo))
+                              init=ast.clone(lo))
     inner_step = ast.Assign(target=ast.Name(ident=name), op="+=",
                             value=ast.IntLit(value=1))
     inner_step.target.type = "int"
@@ -553,14 +552,14 @@ def try_autopar(program: ast.Program, fn: ast.Function, loop: ast.For,
         return_type="void", name=body_name,
         params=[("int", "__lo"), ("int", "__hi")],
         body=[ast.For(init=inner_init, cond=inner_cond, step=inner_step,
-                      body=copy.deepcopy(body))])
+                      body=ast.clone(body))])
     outlined.locals = {"__lo": "int", "__hi": "int", name: "int"}
     program.functions.append(outlined)
 
     call = ast.Call(func="__jomp_parallel_for", args=[
         _func_addr(body_name),
-        copy.deepcopy(countable.start),
-        copy.deepcopy(countable.bound),
+        ast.clone(countable.start),
+        ast.clone(countable.bound),
         _int_lit(n_threads),
     ])
     call.type = "void"

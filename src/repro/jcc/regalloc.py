@@ -16,10 +16,11 @@ Scratch registers for spill shuttling: rax & r11 (int), xmm14 & xmm15
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 
-from repro.isa.instructions import FLAGS_REG, Instruction, Opcode as O
-from repro.isa.operands import Imm, Label, Mem, Reg
+from repro.isa.instructions import Instruction, Opcode as O
+from repro.isa.operands import Label, Mem, Reg
 from repro.isa.registers import R
 from repro.jcc.codegen import FunctionCode, VREG_BASE
 
@@ -30,6 +31,9 @@ INT_SCRATCH = (R.rax, R.r11)
 FLOAT_SCRATCH = (R.xmm14, R.xmm15)
 
 CALLEE_SAVED_POOL = frozenset(INT_POOL_CALLEE)
+
+# Opcodes after which control never falls through to the next instruction.
+_BLOCK_ENDS = (O.JMP, O.RET, O.HLT)
 
 
 class AllocationError(Exception):
@@ -68,82 +72,128 @@ class Allocation:
     used_callee_saved: list
 
 
-def _instruction_vreg_uses_defs(ins: Instruction) -> tuple[set, set]:
-    uses = {r for r in ins.reg_uses() if _is_vreg(r)}
-    defs = {r for r in ins.reg_defs() if _is_vreg(r)}
-    return uses, defs
+def vreg_uses_defs(stream: list) -> list:
+    """Each stream item's (vreg uses, vreg defs); ``None`` for labels."""
+    use_def: list = []
+    for kind, item in stream:
+        if kind != "ins":
+            use_def.append(None)
+            continue
+        use_def.append(({r for r in item.reg_uses() if r >= VREG_BASE},
+                        {r for r in item.reg_defs() if r >= VREG_BASE}))
+    return use_def
+
+
+def build_intervals(stream: list, use_def: list) -> dict[int, Interval]:
+    """Liveness per basic block, then each vreg's extent over the stream.
+
+    Blocks start at labels and end after a jump, conditional branch,
+    ``ret`` or ``hlt``.  A vreg live into a block touches the
+    block's first position, one live out of it touches its last position,
+    and its uses and defs touch their own positions; ``start``/``end`` are
+    the least and greatest positions touched.  ``crosses_call`` marks an
+    interval with a call strictly inside it.
+    """
+    # Blocks as lists of instruction positions, in stream order.  Every
+    # label starts a block and names the index of that block.
+    blocks: list[list[int]] = []
+    label_block: dict[str, int] = {}
+    open_block = False
+    for position, (kind, item) in enumerate(stream):
+        if kind == "label":
+            label_block[item] = len(blocks)
+            open_block = False
+            continue
+        if not open_block:
+            blocks.append([])
+            open_block = True
+        blocks[-1].append(position)
+        if item.opcode in _BLOCK_ENDS or item.is_cond_branch:
+            open_block = False
+
+    successors: list[list[int]] = []
+    gens: list[set] = []
+    kills: list[set] = []
+    for index, positions in enumerate(blocks):
+        last = stream[positions[-1]][1]
+        succs = []
+        if last.opcode not in _BLOCK_ENDS:
+            succs.append(index + 1)
+        if last.opcode is O.JMP or last.is_cond_branch:
+            operand = last.operands[0]
+            if isinstance(operand, Label) and operand.name in label_block:
+                succs.append(label_block[operand.name])
+        # Falling or branching past the last instruction reaches no block.
+        successors.append([succ for succ in succs if succ < len(blocks)])
+        gen: set = set()
+        kill: set = set()
+        for position in reversed(positions):
+            uses, defs = use_def[position]
+            gen -= defs
+            gen |= uses
+            kill |= defs
+        gens.append(gen)
+        kills.append(kill)
+
+    # -- live-in: least fixpoint by a worklist over blocks -------------------
+    predecessors: list[list[int]] = [[] for _ in blocks]
+    for index, succs in enumerate(successors):
+        for succ in succs:
+            predecessors[succ].append(index)
+    live_in: list[set] = [set() for _ in blocks]
+    live_out: list[set] = [set() for _ in blocks]
+    worklist = list(range(len(blocks)))
+    queued = [True] * len(blocks)
+    while worklist:
+        index = worklist.pop()
+        queued[index] = False
+        out: set = set()
+        for succ in successors[index]:
+            out |= live_in[succ]
+        live_out[index] = out
+        new_in = gens[index] | (out - kills[index])
+        if new_in != live_in[index]:
+            live_in[index] = new_in
+            for pred in predecessors[index]:
+                if not queued[pred]:
+                    queued[pred] = True
+                    worklist.append(pred)
+
+    # -- extents: positions only grow, so start is the first touch ----------
+    start: dict[int, int] = {}
+    end: dict[int, int] = {}
+    for index, positions in enumerate(blocks):
+        first = positions[0]
+        for vreg in live_in[index]:
+            start.setdefault(vreg, first)
+            end[vreg] = first
+        for position in positions:
+            uses, defs = use_def[position]
+            for vreg in uses | defs:
+                start.setdefault(vreg, position)
+                end[vreg] = position
+        last = positions[-1]
+        for vreg in live_out[index]:
+            start.setdefault(vreg, last)
+            end[vreg] = last
+
+    calls = [position for position, (kind, item) in enumerate(stream)
+             if kind == "ins" and item.opcode in (O.CALL, O.CALLI)]
+    intervals: dict[int, Interval] = {}
+    for vreg, first in start.items():
+        last = end[vreg]
+        after = bisect_right(calls, first)
+        intervals[vreg] = Interval(
+            vreg=vreg, start=first, end=last,
+            crosses_call=after < len(calls) and calls[after] < last)
+    return intervals
 
 
 def allocate(code: FunctionCode) -> Allocation:
     """Run liveness, build intervals, allocate, rewrite."""
     stream = code.stream
-    instructions = [(i, item[1]) for i, item in enumerate(stream)
-                    if item[0] == "ins"]
-    label_positions = {item[1]: i for i, item in enumerate(stream)
-                       if item[0] == "label"}
-
-    # -- control-flow successors over stream positions -----------------------
-    successors: dict[int, list[int]] = {}
-    for position, ins in instructions:
-        succs = []
-        target = None
-        if ins.opcode in (O.JMP,) or ins.is_cond_branch:
-            operand = ins.operands[0]
-            if isinstance(operand, Label):
-                target = label_positions.get(operand.name)
-        if ins.opcode is O.JMP:
-            if target is not None:
-                succs.append(target)
-        else:
-            succs.append(position + 1)
-            if ins.is_cond_branch and target is not None:
-                succs.append(target)
-        if ins.opcode in (O.RET, O.HLT):
-            succs = []
-        successors[position] = succs
-
-    # -- liveness fixpoint -----------------------------------------------------
-    live_in: dict[int, frozenset] = {p: frozenset() for p, _ in instructions}
-    use_def = {p: _instruction_vreg_uses_defs(ins)
-               for p, ins in instructions}
-    positions = [p for p, _ in instructions]
-    changed = True
-    while changed:
-        changed = False
-        for position in reversed(positions):
-            uses, defs = use_def[position]
-            live_out: set = set()
-            for succ in successors[position]:
-                live_out |= _live_at(live_in, succ, len(stream))
-            new_live = frozenset(uses | (live_out - defs))
-            if new_live != live_in[position]:
-                live_in[position] = new_live
-                changed = True
-
-    # -- intervals ----------------------------------------------------------------
-    intervals: dict[int, Interval] = {}
-
-    def touch(vreg: int, position: int) -> None:
-        interval = intervals.get(vreg)
-        if interval is None:
-            intervals[vreg] = Interval(vreg=vreg, start=position,
-                                       end=position)
-        else:
-            interval.start = min(interval.start, position)
-            interval.end = max(interval.end, position)
-
-    for position, ins in instructions:
-        uses, defs = use_def[position]
-        for vreg in uses | defs:
-            touch(vreg, position)
-        for vreg in live_in[position]:
-            touch(vreg, position)
-    call_positions = [p for p, ins in instructions
-                      if ins.opcode in (O.CALL, O.CALLI)]
-    for interval in intervals.values():
-        interval.crosses_call = any(
-            interval.start < call < interval.end
-            for call in call_positions)
+    use_def = vreg_uses_defs(stream)
+    intervals = build_intervals(stream, use_def)
 
     # -- linear scan ------------------------------------------------------------------
     spill_base = code.reserved_frame_words
@@ -184,27 +234,19 @@ def allocate(code: FunctionCode) -> Allocation:
 
     # -- rewrite ------------------------------------------------------------------------
     new_stream: list = []
-    for item in stream:
-        if item[0] == "label":
+    for item, uses_defs in zip(stream, use_def):
+        if uses_defs is None:
             new_stream.append(item)
             continue
-        ins = item[1]
-        new_stream.extend(("ins", rewritten)
-                          for rewritten in _rewrite(ins, assignment))
+        new_stream.extend(("ins", rewritten) for rewritten
+                          in _rewrite(item[1], *uses_defs, assignment))
     return Allocation(stream=new_stream, frame_words=next_spill,
                       used_callee_saved=sorted(used_callee))
 
 
-def _live_at(live_in: dict, position: int, limit: int) -> frozenset:
-    # Successor position may point at a label; live set flows through it.
-    while position < limit and position not in live_in:
-        position += 1
-    return live_in.get(position, frozenset())
-
-
-def _rewrite(ins: Instruction, assignment: dict) -> list[Instruction]:
+def _rewrite(ins: Instruction, uses: set, defs: set,
+             assignment: dict) -> list[Instruction]:
     """Map vregs to physical registers; emit spill loads/stores."""
-    uses, defs = _instruction_vreg_uses_defs(ins)
     if not uses and not defs:
         return [ins]
     mapping: dict[int, int] = {}
@@ -223,7 +265,7 @@ def _rewrite(ins: Instruction, assignment: dict) -> list[Instruction]:
             scratch = next(float_scratch if interval.is_float
                            else int_scratch)
         except StopIteration:
-            return _rewrite_with_lea(ins, assignment)
+            return _rewrite_with_lea(ins, uses, defs, assignment)
         mapping[vreg] = scratch
         slot_mem = Mem(base=R.rsp, disp=8 * interval.slot)
         mov = O.MOVSD if interval.is_float else O.MOV
@@ -250,8 +292,8 @@ def _rewrite(ins: Instruction, assignment: dict) -> list[Instruction]:
     return preloads + [rewritten] + poststores
 
 
-def _rewrite_with_lea(ins: Instruction, assignment: dict
-                      ) -> list[Instruction]:
+def _rewrite_with_lea(ins: Instruction, uses: set, defs: set,
+                      assignment: dict) -> list[Instruction]:
     """Fallback for instructions with three spilled int operands: fold the
     memory operand's address into one scratch with an LEA first."""
     mem_positions = [i for i, op in enumerate(ins.operands)
@@ -291,7 +333,7 @@ def _rewrite_with_lea(ins: Instruction, assignment: dict
         elif isinstance(operand, Reg) and operand.id in remaining:
             interval = assignment[operand.id]
             scratch = remaining[operand.id]
-            if operand.id in ins.reg_uses():
+            if operand.id in uses:
                 if interval.phys is not None:
                     out.append(Instruction(O.MOV, (Reg(scratch),
                                                    Reg(interval.phys))))
@@ -299,7 +341,7 @@ def _rewrite_with_lea(ins: Instruction, assignment: dict
                     out.append(Instruction(
                         O.MOV, (Reg(scratch),
                                 Mem(base=R.rsp, disp=8 * interval.slot))))
-            if operand.id in ins.reg_defs():
+            if operand.id in defs:
                 if interval.phys is not None:
                     poststores.append(Instruction(
                         O.MOV, (Reg(interval.phys), Reg(scratch))))

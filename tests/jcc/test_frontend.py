@@ -1,5 +1,7 @@
 """Lexer / parser / sema tests for JC."""
 
+import re
+
 import pytest
 
 from repro.jcc import ast
@@ -34,6 +36,27 @@ class TestLexer:
     def test_bad_character(self):
         with pytest.raises(LexError):
             tokenize("a @ b")
+
+    @pytest.mark.parametrize("text,kind", [
+        ("0", "int_lit"), ("42", "int_lit"), ("0x1f", "int_lit"),
+        ("0XfF", "int_lit"), ("0xE", "int_lit"), ("1.5", "float_lit"),
+        ("1.", "float_lit"), (".5", "float_lit"), ("2e3", "float_lit"),
+        ("1.5e-3", "float_lit"), ("1.E+2", "float_lit"),
+    ])
+    def test_numeric_literal_forms(self, text, kind):
+        assert [(t.kind, t.text) for t in tokenize(text)][:-1] == [
+            (kind, text)]
+
+    def test_hex_literal_takes_every_hex_digit(self):
+        program = parse("int main() { return 0x1f + 0xAb; }")
+        ret = program.function("main").body[0].value
+        assert (ret.left.value, ret.right.value) == (31, 171)
+
+    @pytest.mark.parametrize("text", [
+        "1..2", "08", "00", "0x", "0x1g", "1e", "1.2.3", "12abc"])
+    def test_malformed_number_is_a_lex_error(self, text):
+        with pytest.raises(LexError, match=re.escape(f"{text!r} at line 2")):
+            parse(f"int main() {{\n return {text}; }}")
 
 
 class TestParser:
