@@ -11,17 +11,13 @@ flat, stably numbered list of :class:`LoopAnalysisResult` — the input to
 both the profiling and the parallelisation rewrite-schedule generators.
 
 Each function's front end (dominators, stack, SSA, loops) is built once
-and feeds both the function summaries and classification.  Loop
-classification is independent per function, so with ``jobs > 1`` it fans
-out over a process pool; results are identical to a serial run because the
-flat loop numbering is assigned in a deterministic merge (stable sort on
-header address, functions visited in entry-address order) after all
-functions complete.
+and feeds both the function summaries and classification.  The flat loop
+numbering is assigned after every function is classified (stable sort on
+header address, functions visited in entry-address order).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.jbin.image import JELF
@@ -99,16 +95,13 @@ def analyse_front_end(cfg: FunctionCFG) -> FunctionAnalysis:
 def _analyze_function(fa: FunctionAnalysis,
                       summaries: dict[int, FunctionSummary],
                       known_liveins: dict | None = None,
-                      engine: bool = True
-                      ) -> tuple[FunctionAnalysis, list[LoopAnalysisResult]]:
+                      engine: bool = True) -> list[LoopAnalysisResult]:
     """Classify every loop of one function over its front end.
 
     Loop ids are still unassigned here (``classify_loop`` never reads
-    them); the caller numbers loops in the deterministic global merge.
+    them); the caller numbers loops once every function is classified.
     Telemetry: ``analysis.classify`` is a child span of
-    ``analysis.function`` (a no-op under the default NullRecorder — in
-    particular inside the ``jobs > 1`` pool workers, where only the parent
-    records).
+    ``analysis.function`` (a no-op under the default NullRecorder).
     """
     rec = get_recorder()
     with rec.span("analysis.function", cat="analysis",
@@ -119,21 +112,14 @@ def _analyze_function(fa: FunctionAnalysis,
                                      engine=engine, loops=fa.loops)
                        for loop in fa.loops]
         span.set(loops=len(fa.loops))
-    return fa, results
-
-
-def _analyze_function_task(args) -> tuple[FunctionAnalysis,
-                                          list[LoopAnalysisResult]]:
-    return _analyze_function(*args)
+    return results
 
 
 class BinaryAnalyzer:
     """Runs the static analysis pipeline over one image."""
 
-    def __init__(self, image: JELF, jobs: int | None = None,
-                 interproc: bool = True) -> None:
+    def __init__(self, image: JELF, interproc: bool = True) -> None:
         self.image = image
-        self.jobs = jobs if jobs is not None else 1
         self.interproc = interproc
 
     def run(self) -> BinaryAnalysis:
@@ -149,49 +135,27 @@ class BinaryAnalyzer:
         liveins = (entry_livein_values(cfgs, self.image.entry)
                    if self.interproc else {})
 
-        entries = list(cfgs)
-        # The entry-state feed is only sound in the entry function itself.
-        tasks = [(fronts[entry], summaries,
-                  liveins if entry == self.image.entry else None,
-                  self.interproc)
-                 for entry in entries]
-        if self.jobs > 1 and len(entries) > 1:
-            # Worker results carry their own copies of the front end and
-            # loops; use those copies throughout so every artefact in the
-            # returned analysis is self-consistent.
-            with ProcessPoolExecutor(
-                    max_workers=min(self.jobs, len(entries))) as pool:
-                analysed = list(pool.map(
-                    _analyze_function_task, tasks,
-                    chunksize=max(1, len(entries) // (4 * self.jobs))))
-        else:
-            analysed = [_analyze_function(*task) for task in tasks]
-
-        functions: dict[int, FunctionAnalysis] = {}
-        all_loops: list[tuple[Loop, LoopAnalysisResult]] = []
-        for entry, (fa, results) in zip(entries, analysed):
-            functions[entry] = fa
-            for result in results:
-                all_loops.append((result.loop, result))
+        results: list[LoopAnalysisResult] = []
+        for entry, fa in fronts.items():
+            # The entry-state feed is only sound in the entry function.
+            results.extend(_analyze_function(
+                fa, summaries, liveins if entry == self.image.entry else None,
+                self.interproc))
 
         # Stable loop ids in header-address order across the whole binary
         # (stable sort: ties keep function entry-address order).
-        all_loops.sort(key=lambda pair: pair[0].header)
-        analysis = BinaryAnalysis(image=self.image, disassembly=dis,
-                                  functions=functions, summaries=summaries)
-        for loop_id, (loop, result) in enumerate(all_loops):
-            loop.loop_id = loop_id
-            analysis.loops.append(result)
-        return analysis
+        results.sort(key=lambda result: result.loop.header)
+        for loop_id, result in enumerate(results):
+            result.loop.loop_id = loop_id
+        return BinaryAnalysis(image=self.image, disassembly=dis,
+                              functions=fronts, summaries=summaries,
+                              loops=results)
 
 
-def analyze_image(image: JELF, jobs: int | None = None,
-                  interproc: bool = True) -> BinaryAnalysis:
+def analyze_image(image: JELF, interproc: bool = True) -> BinaryAnalysis:
     """Convenience wrapper: run the full static analysis on an image.
 
-    ``jobs > 1`` distributes the per-function pipeline over worker
-    processes; the result is identical to the serial analysis.
     ``interproc=False`` disables the symbolic dependence engine and the
     interprocedural call release (the purely local classification).
     """
-    return BinaryAnalyzer(image, jobs=jobs, interproc=interproc).run()
+    return BinaryAnalyzer(image, interproc=interproc).run()

@@ -56,13 +56,6 @@ class FunctionCFG:
     def exit_blocks(self) -> list[BasicBlock]:
         return [b for b in self.blocks.values() if not b.succs]
 
-    def block_of(self, addr: int) -> BasicBlock | None:
-        """The block containing instruction address ``addr``, if any."""
-        for block in self.blocks.values():
-            if block.start <= addr < block.end:
-                return block
-        return None
-
     def reverse_postorder(self) -> list[int]:
         """Block starts in reverse postorder from the entry."""
         seen: set[int] = set()

@@ -47,9 +47,6 @@ class Loop:
     def exit_targets(self) -> set[int]:
         return {dst for _, dst in self.exit_edges}
 
-    def contains_block(self, start: int) -> bool:
-        return start in self.body
-
     def __repr__(self) -> str:
         return (f"<loop {self.loop_id} header={self.header:#x} "
                 f"blocks={len(self.body)} depth={self.depth}>")

@@ -107,18 +107,6 @@ class SSAForm:
             self._prefix_deltas[block] = prefix
         return prefix[index]
 
-    def use_at(self, block: int, index: int, var: Var) -> SSAName | None:
-        fact = self.facts.get((block, index))
-        if fact is None or var not in fact.uses:
-            return None
-        return (var, fact.uses[var])
-
-    def def_at(self, block: int, index: int, var: Var) -> SSAName | None:
-        fact = self.facts.get((block, index))
-        if fact is None or var not in fact.defs:
-            return None
-        return (var, fact.defs[var])
-
     def phi_for(self, block: int, var: Var) -> Phi | None:
         for phi in self.phis.get(block, []):
             if phi.var == var:

@@ -57,7 +57,7 @@ def _cmd_compile(args) -> int:
 
 def _cmd_analyze(args) -> int:
     image, digest = _load_binary(args.binary)
-    analysis = analyze_image(image, jobs=args.jobs)
+    analysis = analyze_image(image)
     print(f"{args.binary}: {len(analysis.functions)} functions, "
           f"{len(analysis.loops)} loops [sha256:{digest[:16]}]")
     print(f"{'loop':>4s} {'function':>10s} {'header':>10s} "
@@ -491,9 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="static loop analysis of a binary")
     a.add_argument("binary")
-    a.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the per-function analysis "
-                        "pipeline (results are identical at any value)")
     a.add_argument("--mode", default="parallel",
                    choices=("parallel", "vector", "prefetch"),
                    help="also report the named rewrite family's "
@@ -572,8 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the profiling passes; verify the untrained "
                         "pipeline's claims")
     v.add_argument("--demote", action="store_true",
-                   help="demote confirmed-unsound loops "
-                        "(JanusConfig.verify_demote)")
+                   help="demote confirmed-unsound loops")
     v.set_defaults(func=_cmd_verify)
 
     rc = sub.add_parser("racecheck",

@@ -31,7 +31,7 @@ from repro.dbm.memory import Memory, f64_to_i64, i64_to_f64, s64
 from repro.dbm.machine import Machine, ThreadContext
 from repro.dbm.executor import ExecutionResult, run_native
 from repro.dbm.modifier import JanusDBM, run_under_dbm
-from repro.dbm.runtime import ParallelRuntime, run_parallel
+from repro.dbm.runtime import ParallelRuntime
 
 __all__ = [
     "Memory",
@@ -45,5 +45,4 @@ __all__ = [
     "JanusDBM",
     "run_under_dbm",
     "ParallelRuntime",
-    "run_parallel",
 ]

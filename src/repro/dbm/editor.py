@@ -59,16 +59,6 @@ class BlockEditor:
         ins.size = 0
         self.instructions.insert(0, ins)
 
-    def insert_before_terminator(self, ins: Instruction) -> None:
-        last = self.instructions[-1]
-        position = len(self.instructions)
-        if last.is_control:
-            position -= 1
-        ins.address = self.instructions[position - 1].address if position \
-            else self.start
-        ins.size = 0
-        self.instructions.insert(position, ins)
-
     def insert_at_anchor(self, address: int, ins: Instruction) -> None:
         """Insert at an anchor instruction: before it when it is a control
         transfer, after it otherwise; repeated inserts keep their order."""

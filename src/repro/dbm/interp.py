@@ -94,7 +94,7 @@ class Interpreter:
         # (jit.superblock.* keys).
         self.sb_stats = SuperblockStats(self.jit_stats.registry)
         # Iterations a self-loop trace or superblock may spin before
-        # returning to the dispatcher (JanusConfig.trace_budget).
+        # returning to the dispatcher.
         self.trace_budget = TRACE_BUDGET
         # Superblock promotion: back-edge/trace-entry count at which the
         # dispatcher attempts formation; enabled on the fast path only.

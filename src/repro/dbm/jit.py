@@ -92,8 +92,7 @@ _U64 = (1 << 64) - 1
 
 # Iterations a self-loop trace (or a superblock) may spin before returning
 # to the dispatcher (bounds how late an instruction limit can be detected).
-# Default for ``Interpreter.trace_budget``; configure per run through
-# ``JanusConfig.trace_budget``.
+# Default for ``Interpreter.trace_budget``.
 TRACE_BUDGET = 4096
 
 _COND_EXPR = {

@@ -59,10 +59,8 @@ class JanusDBM:
                  schedule: RewriteSchedule | None = None,
                  cost_model: CostModel | None = None,
                  n_threads: int = 1,
-                 strict: bool = True,
                  scheduling: str = "chunk",
-                 rr_block: int = 8,
-                 trace_budget: int | None = None) -> None:
+                 rr_block: int = 8) -> None:
         self.process = process
         self.schedule = schedule
         self.rule_index = schedule.build_index() if schedule else {}
@@ -71,7 +69,6 @@ class JanusDBM:
         self.stop_addresses = frozenset(self.rule_index)
         self.cost = cost_model or DEFAULT_COST_MODEL.copy()
         self.n_threads = n_threads
-        self.strict = strict
         # Iteration scheduling policy (paper II-E): "chunk" = equal
         # contiguous chunks (default); "round_robin" = small contiguous
         # blocks handed out cyclically.
@@ -86,8 +83,6 @@ class JanusDBM:
         self.registry = MetricRegistry()
         self.interp = Interpreter(self.machine, process,
                                   registry=self.registry)
-        if trace_budget is not None:
-            self.interp.trace_budget = trace_budget
         self.interp.rtcall_handler = self._dispatch_rtcall
         self.rtcall_handlers: dict[int, object] = {}
         self.caches: dict[int, dict[int, Block]] = {0: {}}

@@ -38,7 +38,7 @@ class WorkerYield(Exception):
 class DependenceViolationError(Exception):
     """A parallel execution exhibited a cross-thread data conflict.
 
-    In strict mode (the default for tests) this aborts the run: it means a
-    loop was selected whose iterations were not actually independent — an
-    analysis or selection bug, not a legal outcome.
+    It aborts the run: it means a loop was selected whose iterations were
+    not actually independent — an analysis or selection bug, not a legal
+    outcome.
     """

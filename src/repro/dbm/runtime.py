@@ -20,8 +20,9 @@ preheader, the runtime
    operands, main-stack redirection, STM around dynamically discovered
    code);
 5. detects cross-thread conflicts on the shadow access maps — a conflict
-   outside the STM means an unsound parallelisation and raises in strict
-   mode; STM conflicts with later threads are modelled as abort + retry;
+   outside the STM means an unsound parallelisation and raises
+   :class:`DependenceViolationError`; STM conflicts with later threads are
+   modelled as abort + retry;
 6. merges: last thread's registers and written slots become the main
    context, reductions combine associatively, privatised words write back,
    and the loop's elapsed time is the slowest thread plus init/finish
@@ -74,24 +75,6 @@ WORD = 8
 TLS_MAIN_RSP = 0
 TLS_BOUND = 1
 
-
-def run_parallel(process, schedule, n_threads: int = 8, cost_model=None,
-                 strict: bool = True, max_instructions: int | None = None):
-    """Execute a process under Janus with the parallelisation schedule.
-
-    This is the paper's full system: DBM + rewrite schedule + thread pool +
-    runtime checks + STM.  Returns an :class:`ExecutionResult` whose stats
-    carry the Fig. 8 breakdown counters.
-    """
-    from repro.dbm.executor import DEFAULT_INSTRUCTION_LIMIT
-    from repro.dbm.modifier import JanusDBM
-
-    dbm = JanusDBM(process, schedule=schedule, cost_model=cost_model,
-                   n_threads=n_threads, strict=strict)
-    ParallelRuntime(dbm)
-    limit = max_instructions if max_instructions is not None \
-        else DEFAULT_INSTRUCTION_LIMIT
-    return dbm.run(max_instructions=limit)
 
 # Refuse to parallelise invocations with fewer iterations than this:
 # thread dispatch would dominate (the runtime's only greedy heuristic).
@@ -637,7 +620,6 @@ class ParallelRuntime:
         their :class:`ShadowView` (cheap membership, no descriptor
         expansion); transactional write sets are exact.
         """
-        cost = self.dbm.cost
         for i, worker in enumerate(workers):
             if not worker.tx_log:
                 continue
@@ -653,17 +635,9 @@ class ParallelRuntime:
                 if any(addr in later_tx_writes
                        or any(o.view.writes_contain(addr) for o in later)
                        for addr in tx_reads):
-                    self.stm.stats.aborts += 1
-                    recorder = get_recorder()
-                    if recorder.enabled:
-                        recorder.instant("stm.abort", cat="stm",
-                                         thread=worker.thread_id,
-                                         reads=len(tx_reads),
-                                         writes=len(tx_writes),
-                                         late_conflict=True)
-                    penalty = (cost.stm_abort_cycles
-                               + len(tx_reads) * cost.stm_read_cycles
-                               + len(tx_writes) * cost.stm_write_cycles)
+                    penalty = self.stm.abort(worker.thread_id,
+                                             len(tx_reads), len(tx_writes),
+                                             late_conflict=True)
                     worker.ctx.cycles += penalty
                     self.dbm.stats.stm_cycles += penalty
 
@@ -687,13 +661,10 @@ class ParallelRuntime:
                 conflict -= a.tx_covered
                 conflict -= b.tx_covered
                 if conflict:
-                    address = min(conflict)
-                    message = (
-                        f"cross-thread conflict on {address:#x} between "
-                        f"threads {a.thread_id} and {b.thread_id} in loop "
-                        f"{a.meta.loop_id}")
-                    if self.dbm.strict:
-                        raise DependenceViolationError(message)
+                    raise DependenceViolationError(
+                        f"cross-thread conflict on {min(conflict):#x} "
+                        f"between threads {a.thread_id} and {b.thread_id} "
+                        f"in loop {a.meta.loop_id}")
 
     def _charge_false_sharing(self, workers: list[WorkerState]) -> None:
         if len(workers) < 2:

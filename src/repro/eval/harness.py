@@ -71,8 +71,8 @@ class EvalHarness:
 
     n_threads: int = 8
     cache_dir: str | None = None
-    # Worker-process count for the evaluation fan-out (``warm``) and the
-    # per-function static-analysis pipeline.  1 = fully serial.
+    # Worker-process count for the evaluation fan-out (``warm``).
+    # 1 = fully serial.
     jobs: int = 1
     # When true (and a cache_dir is set), ``warm`` threads a telemetry
     # dump directory through the fan-out so worker spans can be merged
@@ -97,8 +97,7 @@ class EvalHarness:
         instance = self._janus.get(key)
         if instance is None:
             config = JanusConfig(n_threads=self.n_threads,
-                                 max_instructions=MAX_INSTRUCTIONS,
-                                 analysis_jobs=self.jobs)
+                                 max_instructions=MAX_INSTRUCTIONS)
             instance = Janus(self.image(name, options), config)
             self._janus[key] = instance
         return instance

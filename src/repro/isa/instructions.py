@@ -245,10 +245,6 @@ class Instruction:
         )
 
     @property
-    def is_packed(self) -> bool:
-        return self.opcode in PACKED_LANES
-
-    @property
     def lanes(self) -> int:
         """Number of 8-byte lanes a memory access by this instruction touches."""
         return PACKED_LANES.get(self.opcode, 1)
@@ -262,9 +258,6 @@ class Instruction:
         return None
 
     # -- use/def metadata (consumed by the static analyser) ---------------
-
-    def mem_operands(self) -> list[Mem]:
-        return [op for op in self.operands if isinstance(op, Mem)]
 
     def reg_uses(self) -> set[int]:
         """Register ids read by this instruction (including address registers)."""

@@ -52,14 +52,6 @@ class Mem:
         if self.scale not in (1, 2, 4, 8):
             raise ValueError(f"invalid scale: {self.scale}")
 
-    def with_base(self, base: int | None) -> "Mem":
-        """A copy of this operand with a different base register."""
-        return Mem(base=base, index=self.index, scale=self.scale, disp=self.disp)
-
-    def with_disp(self, disp: int) -> "Mem":
-        """A copy of this operand with a different displacement."""
-        return Mem(base=self.base, index=self.index, scale=self.scale, disp=disp)
-
     def __repr__(self) -> str:
         parts = []
         if self.base is not None:

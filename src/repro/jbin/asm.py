@@ -73,10 +73,6 @@ class Assembler:
         self._instructions.append(ins)
         return ins
 
-    def emit_all(self, instructions) -> None:
-        """Append pre-built instructions (used by the compiler backend)."""
-        self._instructions.extend(instructions)
-
     # -- data directives ------------------------------------------------------
 
     def word(self, name: str | None, *values: int) -> Label:

@@ -50,13 +50,3 @@ def vector_scratch_address(ordinal: int) -> int:
     """Address of the packed-bound scratch word for the ``ordinal``-th
     vectorised loop (main thread only; vector mode is single-threaded)."""
     return thread_tls_base(0) + WORD * (VECTOR_SCRATCH_FIRST_SLOT + ordinal)
-
-
-def is_stack_address(addr: int) -> bool:
-    """True if ``addr`` lies in any thread's stack region."""
-    return STACK_TOP - 64 * THREAD_STACK_SIZE <= addr <= STACK_TOP
-
-
-def plt_slot(index: int) -> int:
-    """Address of the ``index``-th PLT entry."""
-    return PLT_BASE + index * PLT_ENTRY_SIZE

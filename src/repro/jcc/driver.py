@@ -40,10 +40,6 @@ class CompileOptions:
         return f"jcc-{self.personality} {' '.join(flags)}"
 
 
-class CompileError(Exception):
-    """Raised when the driver cannot produce an image."""
-
-
 def compile_source(source: str,
                    options: CompileOptions | None = None) -> JELF:
     """Compile JC source to a (by default stripped) executable image.

@@ -51,23 +51,11 @@ class JanusConfig:
     min_average_trips: float = 16.0
     cost_model: CostModel = field(
         default_factory=lambda: DEFAULT_COST_MODEL.copy())
-    strict: bool = True
     # Iteration scheduling policy: "chunk" (paper default) or
     # "round_robin" with rr_block-sized blocks (paper II-E alternative).
     scheduling: str = "chunk"
     rr_block: int = 8
     max_instructions: int = 500_000_000
-    # Iterations a self-loop trace or superblock may spin inside compiled
-    # code before bailing back to the dispatcher (bounds how late an
-    # instruction limit is detected; see repro.dbm.jit.TRACE_BUDGET).
-    trace_budget: int = 4096
-    # Worker processes for the per-function static-analysis pipeline
-    # (1 = serial; results are identical either way).
-    analysis_jobs: int = 1
-    # When the verification oracle (repro verify) confirms a claimed-DOALL
-    # loop carries a cross-iteration dependence, demote its category so the
-    # selector can no longer parallelise it.
-    verify_demote: bool = False
     # Rewrite-rule family emitted by build_schedule: "parallel" (thread-level
     # DOALL, the paper's main path), "vector" (packed-lane widening of scalar
     # DOALL bodies) or "prefetch" (stride-ahead cache hints).
@@ -95,10 +83,9 @@ class Janus:
     @property
     def analysis(self) -> BinaryAnalysis:
         if self._analysis is None:
-            with get_recorder().span("janus.analysis", cat="analysis",
-                                     jobs=self.config.analysis_jobs) as span:
-                self._analysis = analyze_image(self.image,
-                                               jobs=self.config.analysis_jobs)
+            with get_recorder().span("janus.analysis",
+                                     cat="analysis") as span:
+                self._analysis = analyze_image(self.image)
                 span.set(functions=len(self._analysis.functions),
                          loops=len(self._analysis.loops))
         return self._analysis
@@ -246,9 +233,8 @@ class Janus:
         if schedule is None:
             schedule = self.build_schedule(mode, training)
         dbm = JanusDBM(process, schedule=schedule, cost_model=cost,
-                       n_threads=threads, strict=self.config.strict,
+                       n_threads=threads,
                        scheduling=self.config.scheduling,
-                       rr_block=self.config.rr_block,
-                       trace_budget=self.config.trace_budget)
+                       rr_block=self.config.rr_block)
         ParallelRuntime(dbm)
         return dbm.run(max_instructions=limit)

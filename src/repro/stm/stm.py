@@ -47,13 +47,28 @@ class STMManager:
         return Transaction(memory=self.memory, thread_id=thread_id,
                            checkpoint=checkpoint)
 
-    def finish(self, tx: Transaction, ctx,
-               conflicts_with_later: bool = False) -> int:
+    def abort(self, thread_id: int, n_reads: int, n_writes: int,
+              **detail) -> int:
+        """Count one abort; returns its rollback and retry cycles.
+
+        The retry runs non-speculatively as the oldest thread, so it pays
+        roughly the same access work again (reads + writes).  ``detail``
+        is extra arguments for the ``stm.abort`` instant.
+        """
+        self.stats.aborts += 1
+        recorder = get_recorder()
+        if recorder.enabled:
+            recorder.instant("stm.abort", cat="stm", thread=thread_id,
+                             reads=n_reads, writes=n_writes, **detail)
+        cost = self.cost
+        return (cost.stm_abort_cycles + n_reads * cost.stm_read_cycles
+                + n_writes * cost.stm_write_cycles)
+
+    def finish(self, tx: Transaction, ctx) -> int:
         """Validate and commit; returns the cycle cost charged.
 
-        ``conflicts_with_later`` models a read that a younger thread's
-        write would have raced with: abort, charge the retry, then commit
-        (the retry runs non-speculatively as the oldest thread).
+        A failed validation aborts: the rollback and retry are charged,
+        then the transaction commits.
         """
         cost = self.cost
         cycles = cost.stm_start_cycles
@@ -61,19 +76,8 @@ class STMManager:
         cycles += tx.n_writes * cost.stm_write_cycles
         cycles += tx.n_reads * cost.stm_validate_entry_cycles
         cycles += tx.n_writes * cost.stm_commit_entry_cycles
-        aborted = (not tx.validate()) or conflicts_with_later
-        if aborted:
-            self.stats.aborts += 1
-            recorder = get_recorder()
-            if recorder.enabled:
-                recorder.instant("stm.abort", cat="stm",
-                                 thread=tx.thread_id, reads=tx.n_reads,
-                                 writes=tx.n_writes)
-            cycles += cost.stm_abort_cycles
-            # Re-execution as the oldest thread: charge roughly the same
-            # access work again (reads + writes, non-speculative).
-            cycles += tx.n_reads * cost.stm_read_cycles
-            cycles += tx.n_writes * cost.stm_write_cycles
+        if not tx.validate():
+            cycles += self.abort(tx.thread_id, tx.n_reads, tx.n_writes)
         tx.commit()
         self.stats.reads += tx.n_reads
         self.stats.writes += tx.n_writes

@@ -40,13 +40,11 @@ from repro.workloads.suite import compile_workload, get_workload
 def verify_workload(name: str, *, train: bool = True,
                     max_iterations: int = DEFAULT_ORACLE_ITERATIONS,
                     max_instructions: int | None = None,
-                    demote: bool = False,
-                    config: JanusConfig | None = None) -> VerifyReport:
+                    demote: bool = False) -> VerifyReport:
     """Run every verification tier over one suite workload."""
     workload = get_workload(name)
     image = compile_workload(name)
-    if config is None:
-        config = JanusConfig(verify_demote=demote)
+    config = JanusConfig()
     if max_instructions is not None:
         config.max_instructions = max_instructions
     janus = Janus(image, config)
@@ -134,7 +132,7 @@ def verify_workload(name: str, *, train: bool = True,
                 inputs=list(workload.train_inputs),
                 max_iterations=max_iterations,
                 max_instructions=config.max_instructions,
-                demote=config.verify_demote)
+                demote=demote)
             report.findings.extend(oracle.findings())
             report.demoted_loops = list(oracle.demoted)
             report.oracle_iterations = sum(

@@ -26,7 +26,8 @@ conflict against exactly those guards:
 * anything else — any conflict in a STATIC_DOALL loop, or one invisible
   to both the profiler and the runtime checks — is ``CONFIRMED_UNSOUND``:
   parallel execution could silently compute wrong answers.  With
-  ``JanusConfig.verify_demote`` set, such loops are demoted in place.
+  ``demote=True`` (``repro verify --demote``), such loops are demoted in
+  place.
 
 The shadow machinery is the dependence profiler's
 (:mod:`repro.profiling.profiler`), but where the profiler trusts the static
@@ -353,7 +354,7 @@ def run_doall_oracle(image, analysis, inputs=None, claimed=None,
     With ``demote=True`` every confirmed-unsound loop's category is
     downgraded in place (STATIC_DOALL → STATIC_DEPENDENCE, DYNAMIC_DOALL →
     DYNAMIC_DEPENDENCE), which removes it from the selector's candidate
-    set — the ``JanusConfig.verify_demote`` behaviour.
+    set — the ``repro verify --demote`` behaviour.
     """
     if claimed is None:
         claimed = claimed_doall_loops(analysis)

@@ -20,10 +20,6 @@ class Workload:
     ref_inputs: tuple
     description: str = ""
 
-    @property
-    def short_name(self) -> str:
-        return self.program
-
 
 def _w(name, program, language, train, ref, description=""):
     return Workload(name=name, program=program, language=language,

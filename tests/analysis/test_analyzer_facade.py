@@ -5,6 +5,7 @@ from repro.isa import Imm, Mem, Opcode as O, Reg
 from repro.isa.operands import Label
 from repro.isa.registers import R
 from repro.jcc import CompileOptions, compile_source
+from repro.workloads import compile_workload
 
 from tests.analysis.conftest import assemble
 
@@ -80,3 +81,13 @@ class TestFacadeQueries:
         result = analysis.loops[0]
         fa = analysis.function_of_loop(result)
         assert result.loop in fa.loops
+
+
+def test_loop_ids_stay_stable_and_dense():
+    analysis = analyze_image(compile_workload("464.h264ref"))
+    assert [r.loop_id for r in analysis.loops] \
+        == list(range(len(analysis.loops)))
+    headers = [r.loop.header for r in analysis.loops]
+    assert headers == sorted(headers)
+    # Each result's loop object carries its own id.
+    assert all(r.loop.loop_id == r.loop_id for r in analysis.loops)

@@ -10,7 +10,7 @@ import pytest
 from repro.isa import Imm, Mem, Opcode as O, Reg
 from repro.isa.operands import Label, LabelRef
 from repro.isa.registers import R
-from repro.jbin import syscalls
+from repro.jbin import layout, syscalls
 from repro.jbin.asm import Assembler
 from repro.jbin.loader import load
 from repro.dbm.executor import run_native
@@ -420,8 +420,13 @@ class TestViolationDetection:
         loop.category = LoopCategory.STATIC_DOALL
         loop.alias.dependences.clear()
         schedule = generate_parallel_schedule(analysis, [loop.loop_id])
-        dbm = JanusDBM(load(image), schedule=schedule, n_threads=4,
-                       strict=True)
+        dbm = JanusDBM(load(image), schedule=schedule, n_threads=4)
         ParallelRuntime(dbm)
-        with pytest.raises(DependenceViolationError):
+        with pytest.raises(DependenceViolationError) as excinfo:
             dbm.run()
+        # Thread 1 runs i = 1..64 and writes arr[64]; thread 2 reads it as
+        # arr[i - 1] at i = 65.  arr is the first global (DATA_BASE).
+        address = layout.DATA_BASE + 8 * 64
+        assert str(excinfo.value) == (
+            f"cross-thread conflict on {address:#x} between threads 1 "
+            f"and 2 in loop {loop.loop_id}")

@@ -22,14 +22,12 @@ from repro.dbm.blocks import discover_block
 from repro.dbm.executor import run_native
 from repro.dbm.interp import Interpreter
 from repro.dbm.machine import Machine, make_main_context
-from repro.dbm.modifier import JanusDBM
 from repro.isa import Imm, Opcode as O, Reg
 from repro.isa.operands import Label
 from repro.isa.registers import R, reg_id
 from repro.jbin.asm import Assembler
 from repro.jbin.loader import load
 from repro.jcc import CompileOptions, compile_source
-from repro.pipeline import JanusConfig
 from repro.stm.transaction import Transaction
 
 BRANCHY = """
@@ -284,19 +282,3 @@ def test_formation_fails_on_syscall_in_body():
     assert interp.sb_stats.formed == 0
     assert interp.sb_stats.formation_failures >= 1
     assert all(block.jit_super is None for block in cache.values())
-
-
-# ---------------------------------------------------------------------------
-# Budget plumbing
-# ---------------------------------------------------------------------------
-
-def test_trace_budget_plumbing():
-    """JanusConfig.trace_budget reaches the interpreter via JanusDBM."""
-    from repro.dbm.jit import TRACE_BUDGET
-
-    assert JanusConfig().trace_budget == TRACE_BUDGET
-    image = _image("xs[i] > 0.5")
-    dbm = JanusDBM(load(image), trace_budget=64)
-    assert dbm.interp.trace_budget == 64
-    # Default: no override keeps the module constant.
-    assert JanusDBM(load(image)).interp.trace_budget == TRACE_BUDGET

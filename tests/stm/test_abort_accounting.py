@@ -2,9 +2,9 @@
 
 Satellite coverage for the telemetry PR: an abort must charge the
 re-execution cycles on top of the clean commit cost, must increment
-``stm.aborts`` exactly once per abort (even when a failed validation and
-a late conflict coincide), and must emit exactly one ``stm.abort``
-instant when telemetry is recording.
+``stm.aborts`` exactly once per abort (a failed validation in ``finish``
+or a late conflict charged through ``abort``), and must emit exactly one
+``stm.abort`` instant when telemetry is recording.
 """
 
 import pytest
@@ -31,8 +31,7 @@ def make_memory(contents=None):
     return memory
 
 
-def run_tx(manager, thread_id=1, reads=(), writes=(),
-           poison=None, conflicts=False):
+def run_tx(manager, thread_id=1, reads=(), writes=(), poison=None):
     """One begin/access/finish round; returns the cycles charged."""
     tx = manager.begin(thread_id, checkpoint=None)
     for addr in reads:
@@ -43,7 +42,7 @@ def run_tx(manager, thread_id=1, reads=(), writes=(),
         # A concurrent writer invalidates the read set before commit.
         manager.memory.write(poison, 12345)
     ctx = ThreadContext(thread_id=thread_id)
-    return manager.finish(tx, ctx, conflicts_with_later=conflicts)
+    return manager.finish(tx, ctx)
 
 
 class TestAbortCycleCharge:
@@ -54,7 +53,7 @@ class TestAbortCycleCharge:
         clean = run_tx(manager, reads=(0x100, 0x108), writes=(0x110,))
         conflicted = run_tx(manager, thread_id=2,
                             reads=(0x100, 0x108), writes=(0x110,),
-                            conflicts=True)
+                            poison=0x100)
         # The abort pays the rollback plus a non-speculative re-execution
         # of the access work (paper II-E3): reads + writes again.
         expected_penalty = (cost.stm_abort_cycles
@@ -67,27 +66,31 @@ class TestAbortCycleCharge:
         manager = STMManager(memory=memory, cost=CostModel())
         tx = manager.begin(1, checkpoint=None)
         tx.read(0x100)
+        memory.write(0x100, 99)
         ctx = ThreadContext(thread_id=1)
-        charged = manager.finish(tx, ctx, conflicts_with_later=True)
+        charged = manager.finish(tx, ctx)
         assert ctx.cycles == charged
         assert manager.stats.commit_cycles == charged
 
 
 class TestAbortCounting:
     def test_one_abort_per_aborted_transaction(self):
-        memory = make_memory({0x100: 1})
+        memory = make_memory({0x100: 1, 0x108: 2})
         manager = STMManager(memory=memory, cost=CostModel())
-        run_tx(manager, reads=(0x100,), conflicts=True)
-        run_tx(manager, thread_id=2, reads=(0x100,), poison=0x100)
+        run_tx(manager, reads=(0x100,), poison=0x100)
+        run_tx(manager, thread_id=2, reads=(0x108,), poison=0x108)
         assert manager.stats.aborts == 2
         assert manager.stats.transactions == 2
 
-    def test_coinciding_causes_count_once(self):
-        """Failed validation + late conflict on one tx is still one abort."""
-        memory = make_memory({0x100: 1})
-        manager = STMManager(memory=memory, cost=CostModel())
-        run_tx(manager, reads=(0x100,), poison=0x100, conflicts=True)
+    def test_late_conflict_abort_counts_without_a_transaction(self):
+        cost = CostModel()
+        manager = STMManager(memory=make_memory(), cost=cost)
+        charged = manager.abort(1, 2, 1, late_conflict=True)
+        assert charged == (cost.stm_abort_cycles + 2 * cost.stm_read_cycles
+                           + 1 * cost.stm_write_cycles)
         assert manager.stats.aborts == 1
+        assert manager.stats.transactions == 0
+        assert manager.stats.commit_cycles == 0
 
     def test_clean_commit_counts_no_abort(self):
         memory = make_memory({0x100: 1})
@@ -100,7 +103,7 @@ class TestAbortCounting:
         memory = make_memory({0x100: 1})
         manager = STMManager(memory=memory, cost=CostModel(),
                              stats=STMStats(registry))
-        run_tx(manager, reads=(0x100,), conflicts=True)
+        run_tx(manager, reads=(0x100,), poison=0x100)
         assert registry.get("stm.aborts") == 1
         assert registry.get("stm.transactions") == 1
 
@@ -110,7 +113,7 @@ class TestAbortInstants:
         recorder = set_recorder(Recorder(label="test"))
         memory = make_memory({0x100: 1})
         manager = STMManager(memory=memory, cost=CostModel())
-        run_tx(manager, reads=(0x100,), writes=(0x108,), conflicts=True)
+        run_tx(manager, reads=(0x100,), writes=(0x108,), poison=0x100)
         run_tx(manager, thread_id=2, reads=(0x100,))
         aborts = [e for e in recorder.events if e["name"] == "stm.abort"]
         assert len(aborts) == 1
@@ -120,7 +123,7 @@ class TestAbortInstants:
         disable()
         memory = make_memory({0x100: 1})
         manager = STMManager(memory=memory, cost=CostModel())
-        run_tx(manager, reads=(0x100,), conflicts=True)
+        run_tx(manager, reads=(0x100,), poison=0x100)
         assert manager.stats.aborts == 1  # counters still work
 
 
@@ -183,4 +186,5 @@ class TestLateConflictCharges:
         runtime._charge_stm_late_conflicts([early, late])
         aborts = [e for e in recorder.events if e["name"] == "stm.abort"]
         assert len(aborts) == 1
-        assert aborts[0]["args"]["late_conflict"] is True
+        assert aborts[0]["args"] == {"thread": 1, "reads": 1, "writes": 0,
+                                     "late_conflict": True}

@@ -65,9 +65,9 @@ class TestTransaction:
 
 
 class TestSTMManager:
-    def _finish(self, manager, tx, conflicts=False):
+    def _finish(self, manager, tx):
         ctx = ThreadContext(thread_id=1)
-        return manager.finish(tx, ctx, conflicts_with_later=conflicts)
+        return manager.finish(tx, ctx)
 
     def test_commit_charges_costs(self):
         memory = make_memory({0x100: 1})
@@ -91,7 +91,8 @@ class TestSTMManager:
         clean = self._finish(manager, tx)
         tx2 = manager.begin(2, checkpoint=None)
         tx2.read(0x100)
-        conflicted = self._finish(manager, tx2, conflicts=True)
+        memory.write(0x100, 99)  # a concurrent writer invalidates tx2
+        conflicted = self._finish(manager, tx2)
         assert conflicted > clean
         assert manager.stats.aborts == 1
 

@@ -86,15 +86,6 @@ def test_compile_personalities(workspace, capsys):
     capsys.readouterr()
 
 
-def test_analyze_jobs_output_identical(workspace, capsys):
-    """`analyze --jobs 2` must print exactly the serial report."""
-    binary = workspace / "app.jelf"
-    assert main(["analyze", str(binary)]) == 0
-    serial_out = capsys.readouterr().out
-    assert main(["analyze", str(binary), "--jobs", "2"]) == 0
-    assert capsys.readouterr().out == serial_out
-
-
 def test_table2_figure(capsys):
     assert main(["figures", "table2"]) == 0
     out = capsys.readouterr().out
