@@ -5,8 +5,9 @@ ys[i]``, which -O3 vectorises) and a *branchy* body (``if (xs[i] > t) ...
 else ...``, the shape the superblock tier targets) — under:
 
 * ``reference``           — per-instruction reference dispatch,
-* ``linked_trace``        — the trace-cache tier (block linking + self-loop
-                            traces) with superblock formation disabled,
+* ``linked``              — the trace-cache block tier (block linking) with
+                            superblock promotion disabled
+                            (``superblock_threshold = 0``),
 * ``superblock``          — the full tier stack: hot multi-block loops are
                             stitched into guarded superblocks,
 * ``recording_reference`` — reference dispatch with an access log attached
@@ -26,9 +27,9 @@ via the telemetry BENCH exporter::
     PYTHONPATH=src python benchmarks/bench_interp_throughput.py [out.json]
 
 The pytest entry point runs a shortened loop and asserts the acceptance
-ratios: linked trace >= 3x over the reference dispatch, recording >= 1.5x
+ratios: linked >= 3x over the reference dispatch, recording >= 1.5x
 over the recording reference, and superblock >= 1.1x (straight-line) /
->= 2x (branchy) over the linked-trace tier.
+>= 2x (branchy) over the linked tier.
 """
 
 from __future__ import annotations
@@ -129,10 +130,10 @@ def run_reference(image):
     return ctx, machine
 
 
-def run_linked_trace(image):
-    """The trace-cache tier alone: superblock formation switched off."""
+def run_linked(image):
+    """The block tier alone: superblock promotion switched off."""
     process, machine, ctx, interp = _fresh(image)
-    interp.superblocks_enabled = False
+    interp.superblock_threshold = 0
     _run_loop(process, ctx, interp)
     return ctx, machine
 
@@ -169,7 +170,7 @@ def run_recording(image):
 # interleaved with each other; the slow baselines run once.
 MODES = (
     ("reference", run_reference, 1),
-    ("linked_trace", run_linked_trace, 3),
+    ("linked", run_linked, 3),
     ("superblock", run_superblock, 3),
     ("recording_reference", run_recording_reference, 1),
     ("recording", run_recording, 2),
@@ -214,9 +215,9 @@ def measure_workload(name: str, template: str, reps: int) -> dict:
         rec.gauge(f"bench.{name}.{mode}.mips", round(ips / 1e6, 3))
     report["ratios"] = {
         "linked_vs_reference": _ratio(
-            report["modes"], "linked_trace", "reference"),
-        "superblock_vs_linked_trace": _ratio(
-            report["modes"], "superblock", "linked_trace"),
+            report["modes"], "linked", "reference"),
+        "superblock_vs_linked": _ratio(
+            report["modes"], "superblock", "linked"),
         "recording_vs_recording_reference": _ratio(
             report["modes"], "recording", "recording_reference"),
     }
@@ -238,8 +239,8 @@ def test_throughput_smoke():
     branchy = report["workloads"]["branchy"]["ratios"]
     assert straight["linked_vs_reference"] >= 3.0, report
     assert straight["recording_vs_recording_reference"] >= 1.5, report
-    assert straight["superblock_vs_linked_trace"] >= 1.1, report
-    assert branchy["superblock_vs_linked_trace"] >= 2.0, report
+    assert straight["superblock_vs_linked"] >= 1.1, report
+    assert branchy["superblock_vs_linked"] >= 2.0, report
 
 
 def main(argv: list[str]) -> int:

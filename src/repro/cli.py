@@ -159,14 +159,6 @@ def _cmd_run(args) -> int:
     return result.exit_code
 
 
-def _normalise_figure(name: str) -> str:
-    """``--fig 7`` and ``--fig fig7`` both mean ``fig7``."""
-    name = name.strip()
-    if name.isdigit():
-        return f"fig{name}"
-    return name
-
-
 def _cmd_figures(args) -> int:
     from repro.eval import figures, reporting
     from repro.eval.harness import EvalHarness
@@ -193,12 +185,9 @@ def _cmd_figures(args) -> int:
                    reporting.render_table2),
         "verify": (figures.verify_rows, reporting.render_verify),
     }
-    names = list(args.which or ())
-    names += [_normalise_figure(name) for name in args.fig]
-    if args.verify and "verify" not in names:
-        names.append("verify")
-    # --verify alone means "just the verification table", not "everything".
-    names = names or [n for n in sorted(producers) if n != "verify"]
+    # The default is every figure and table; the verifier runs only when
+    # named.
+    names = args.which or [n for n in sorted(producers) if n != "verify"]
     unknown = [name for name in names if name not in producers]
     if unknown:
         print(f"unknown figures: {', '.join(unknown)}", file=sys.stderr)
@@ -525,7 +514,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("figures", help="regenerate paper figures/tables")
     f.add_argument("which", nargs="*",
-                   help="fig6..fig12, table1, table2 (default: all)")
+                   help="fig6..fig12, table1, table2 (default: all), or "
+                        "verify: run the soundness verifier over the "
+                        "benchmarks and print its summary table (exit 1 "
+                        "on confirmed unsoundness)")
     f.add_argument("--cache-dir", default=".repro-cache",
                    help="directory for persisted run results")
     f.add_argument("--no-cache", action="store_true",
@@ -534,16 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes for the evaluation fan-out "
                         "(default: all cores; figure output is identical "
                         "at any value; needs the on-disk cache)")
-    f.add_argument("--fig", action="append", default=[],
-                   help="figure to produce (e.g. 7 or fig7); may repeat, "
-                        "adds to the positional list")
     f.add_argument("--benchmarks",
                    help="comma-separated workload subset (default: each "
                         "figure's full benchmark list)")
-    f.add_argument("--verify", action="store_true",
-                   help="also run the soundness verifier over the "
-                        "benchmarks and print its summary table "
-                        "(exit 1 on confirmed unsoundness)")
     f.add_argument("--telemetry", action="store_true",
                    help="record spans/counters across the run (workers "
                         "included) and write one merged Chrome trace; "
@@ -604,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     jd = sub.add_parser("jit-dump",
                         help="run a suite workload natively and print the "
                              "generated-Python source of its compiled "
-                             "blocks, traces and superblocks")
+                             "blocks and superblocks")
     jd.add_argument("workload", help="suite workload name, e.g. 470.lbm")
     jd.add_argument("--pc",
                     help="only the block at this address (0x-hex or "

@@ -10,7 +10,7 @@ own RTCALLs.  Two kinds of entry exist:
 * ``(SITE, loop_id, is_write, lanes)`` — a PROF_MEM site: a ``RECORD``
   pseudo-instruction inserted before a profiled access at translation
   time, its operand decoded once into a :class:`RecordSite`.  Sites are
-  compiled into every runner variant (fast, trace, superblock), so the
+  compiled into every runner variant (fast, recording, superblock), so the
   profiled run stays on the fast tiers.
 * ``(ACCESS, pc, is_write, lanes)`` — an application access recorded
   while ``Interpreter.recording`` is set (an external-call window or an

@@ -27,7 +27,7 @@ class Block:
     cost: int = 0
     # Trace-cache tier runners (see repro.dbm.jit.compile_block_fn),
     # never compared: the fast variant (no open transaction or recording
-    # window; may link/trace) and the recording variant (every
+    # window; may link) and the recording variant (every
     # Mem-operand access appended to the run's access log while a
     # recording window is live).
     jit_fast: object = field(default=None, repr=False, compare=False)
@@ -47,11 +47,6 @@ class Block:
     # Only ever entered from the dispatcher's fast path.
     jit_super: object = field(default=None, repr=False, compare=False)
     jit_super_shadow: object = field(default=None, repr=False, compare=False)
-    # Set by the block compiler when the fast runner was built as a
-    # self-loop trace; the dispatcher counts entries to such blocks
-    # toward superblock promotion (their back edges spin internally and
-    # are invisible at block boundaries).
-    is_self_loop: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.cost:

@@ -37,8 +37,9 @@ class ExecutionResult:
     exit_code: int
     machine: Machine
     # Execution counters: every mode reports the trace-cache JIT tier
-    # (blocks_translated, links_installed, trace_entries/exits,
-    # fallback_instructions); DBM/parallel modes add their own on top.
+    # (blocks_translated, links_installed, fallback_instructions) and the
+    # superblock tier (superblock_*); DBM/parallel modes add their own on
+    # top.
     stats: dict[str, int] = field(default_factory=dict)
 
     @property

@@ -93,12 +93,11 @@ class Interpreter:
         # Superblock tier counters share the same registry
         # (jit.superblock.* keys).
         self.sb_stats = SuperblockStats(self.jit_stats.registry)
-        # Iterations a self-loop trace or superblock may spin before
-        # returning to the dispatcher.
+        # Iterations a superblock may spin before returning to the
+        # dispatcher.
         self.trace_budget = TRACE_BUDGET
-        # Superblock promotion: back-edge/trace-entry count at which the
-        # dispatcher attempts formation; enabled on the fast path only.
-        self.superblocks_enabled = True
+        # Superblock promotion: back-edge count at which the dispatcher
+        # attempts formation, on the fast path only; 0 disables it.
         self.superblock_threshold = SUPERBLOCK_THRESHOLD
         # Fork/join bracket state for the JOMP runtime (libgomp analogue).
         self._jomp_stack: list[tuple[int, int]] = []

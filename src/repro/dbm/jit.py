@@ -2,12 +2,12 @@
 
 DynamoRIO does not interpret: it re-encodes translated blocks as native
 code, links them to each other, and promotes hot paths into traces.  The
-honest Python analogue, implemented here, is compiling each block into one
-specialised Python function (``compile_block_fn``): operand kinds, register
-indices, addresses and branch targets are resolved once at translation
-time, and the generated source is ``exec``-compiled so steady-state
-execution is straight-line Python bytecode with no per-instruction
-dispatch.
+honest Python analogue of the first two steps, implemented here, is
+compiling each block into one specialised Python function
+(``compile_block_fn``): operand kinds, register indices, addresses and
+branch targets are resolved once at translation time, and the generated
+source is ``exec``-compiled so steady-state execution is straight-line
+Python bytecode with no per-instruction dispatch.
 
 Three variants exist per block:
 
@@ -16,26 +16,26 @@ Three variants exist per block:
   terminator resolves its successor's compiled
   :class:`~repro.dbm.blocks.Block` once through the dispatcher's ``lookup``
   and caches it, so the dispatch loop skips the code-cache lookup.  A
-  self-looping block (a DOALL loop body) is promoted to a *trace*: the
-  whole block body spins inside the compiled function and only returns to
-  the dispatcher every ``TRACE_BUDGET`` iterations (so instruction limits
-  stay enforced).  ``RECORD`` sites (PROF_MEM, see
-  :mod:`repro.dbm.accesslog`) compile into every variant as an inline
-  append of the site's address to the run's access log, so training runs
-  stay on this tier, traces and superblocks included.
+  self-looping block links to itself like any other successor; hot loops
+  (self-loops included) are promoted by the superblock tier
+  (:mod:`repro.dbm.superblock`), the analogue of DynamoRIO's traces.
+  ``RECORD`` sites (PROF_MEM, see :mod:`repro.dbm.accesslog`) compile
+  into every variant as an inline append of the site's address to the
+  run's access log, so training runs stay on this tier, superblocks
+  included.
 * the **recording** variant (``record=True``; selected while
   ``interp.recording`` is set, i.e. an external-call window or an oracle
   replay window is live) is the fast variant plus an inline log append at
-  every Mem-operand access.  It links but never traces, so instruction
-  limits stay exact per block while accesses are being recorded.  In a
-  run with an access log attached, a block containing an RTCALL compiles
-  — in both its fast and its recording slot — to a *dynamic* form that
-  re-reads ``interp.recording`` after every RTCALL: the RTCALL may open or
-  close a window, and the accesses after it in the same block must
-  follow.
+  every Mem-operand access.  It links but never enters a superblock, so
+  instruction limits stay exact per block while accesses are being
+  recorded.  In a run with an access log attached, a block containing an
+  RTCALL compiles — in both its fast and its recording slot — to a
+  *dynamic* form that re-reads ``interp.recording`` after every RTCALL:
+  the RTCALL may open or close a window, and the accesses after it in the
+  same block must follow.
 * the **shadow** variant (``shadow=True``; selected by the dispatcher when
   ``interp.shadow_sink`` is installed) keeps the fast variant's direct
-  memory access and linking/tracing, and additionally records shadow
+  memory access and linking, and additionally records shadow
   events for the parallel runtime: the worker's stack/TLS filter bounds
   are bound in the runner's namespace (``_flo``, ``_slo``, ``_shi``,
   ``_tlo``, ``_thi``, so every worker's runner has the same source) and
@@ -90,9 +90,9 @@ _I64_MAX = 9223372036854775807
 _I64_MIN = -9223372036854775808
 _U64 = (1 << 64) - 1
 
-# Iterations a self-loop trace (or a superblock) may spin before returning
-# to the dispatcher (bounds how late an instruction limit can be detected).
-# Default for ``Interpreter.trace_budget``.
+# Iterations a superblock may spin before returning to the dispatcher
+# (bounds how late an instruction limit can be detected).  Default for
+# ``Interpreter.trace_budget``.
 TRACE_BUDGET = 4096
 
 _COND_EXPR = {
@@ -124,8 +124,7 @@ class JITStats(RegistryView):
     """
 
     _NAMESPACE = "jit"
-    _FIELDS = ("blocks_translated", "links_installed", "trace_entries",
-               "trace_exits", "trace_budget_bailouts",
+    _FIELDS = ("blocks_translated", "links_installed",
                "fallback_instructions")
 
 
@@ -771,7 +770,7 @@ class _BlockCompiler:
             hid = ops[0].value
             arg = ops[1].value if len(ops) > 1 else 0
             self.emit("ctx.flags = f")
-            # RTCALL blocks never trace: the block's charge is the last.
+            # The block's charge was added at entry: back it out.
             self.emit(f"ctx.entry_instructions = ctx.instructions"
                       f" - {len(self.block.instructions)}")
             self.emit(f"t = _rt(ctx, {hid}, {arg})")
@@ -883,27 +882,13 @@ class _BlockCompiler:
 
     # -- terminators ---------------------------------------------------------
 
-    def terminator(self, ins: Instruction, k: int, trace: bool) -> None:
+    def terminator(self, ins: Instruction, k: int) -> None:
         op = ins.opcode
         ops = ins.operands
 
         if op in _JCC:
             cond = _COND_EXPR[CONDITION_OF[op]]
             taken = self.resolve(ops[0].value)
-            if trace:
-                # Taken edge loops back to the block entry: spin in place,
-                # bail to the dispatcher when the budget runs out.
-                self.emit(f"if {cond}:")
-                self.emit("    n -= 1")
-                self.emit("    if n == 0:")
-                self.emit("        ctx.flags = f")
-                self.emit("        _st.trace_budget_bailouts += 1")
-                self.emit("        return _self")
-                self.emit("    continue")
-                self.emit("ctx.flags = f")
-                self.emit("_st.trace_exits += 1")
-                self.emit_link_return(self.block.end)
-                return
             self.emit("ctx.flags = f")
             self.emit(f"if {cond}:")
             self.indent += 1
@@ -911,13 +896,6 @@ class _BlockCompiler:
             self.indent -= 1
             self.emit_link_return(self.block.end)
         elif op is Opcode.JMP:
-            if trace:
-                self.emit("n -= 1")
-                self.emit("if n == 0:")
-                self.emit("    ctx.flags = f")
-                self.emit("    _st.trace_budget_bailouts += 1")
-                self.emit("    return _self")
-                return
             self.emit("ctx.flags = f")
             self.emit_link_return(self.resolve(ops[0].value))
         elif op is Opcode.CALL:
@@ -969,33 +947,10 @@ class _BlockCompiler:
 
     # -- assembly ------------------------------------------------------------
 
-    def traceable(self, term: Instruction) -> bool:
-        """A self-looping block may spin inside its own compiled function.
-
-        Requires no SYSCALL/RTCALL in the block: those can open or close
-        transactions or recording windows, or halt, which must re-enter
-        the dispatcher's per-block legality check.  (A shadow trace needs
-        no extra back-edge check: with no RTCALL inside, neither the sink
-        nor the transaction state can change mid-trace.)  The recording
-        variant never traces: while accesses are recorded, an instruction
-        limit must stop the run at exactly the block boundary the
-        reference interpreter stops at.
-        """
-        if self.rec_mode == "static":
-            return False
-        for ins in self.block.instructions:
-            if ins.opcode in (Opcode.SYSCALL, Opcode.RTCALL):
-                return False
-        op = term.opcode
-        if op in _JCC or op is Opcode.JMP:
-            return self.resolve(term.operands[0].value) == self.block.start
-        return False
-
     def build(self):
         block = self.block
         instructions = block.instructions
         term = instructions[-1]
-        trace = self.traceable(term)
         fname = f"_jx_{block.start:x}"
         head = [
             f"def {fname}(ctx):",
@@ -1005,22 +960,13 @@ class _BlockCompiler:
         ]
         if self.rec_mode == "dynamic":
             head.append("    rc = _in.recording")
-        if trace:
-            # The dispatcher counts entries to self-loop heads toward
-            # superblock promotion (repro.dbm.superblock).
-            block.is_self_loop = True
-            head.append("    _st.trace_entries += 1")
-            head.append(f"    n = {self.interp.trace_budget}")
-            head.append("    while True:")
-            self.ns["_self"] = block
-            self.indent = 2
         self.emit(f"ctx.cycles += {block.cost}")
         self.emit(f"ctx.instructions += {len(instructions)}")
         for k, ins in enumerate(instructions[:-1]):
             self.stmt(ins, k)
         k = len(instructions) - 1
         if term.is_control:
-            self.terminator(term, k, trace)
+            self.terminator(term, k)
         else:
             self.stmt(term, k)
             self.emit("ctx.flags = f")

@@ -1,14 +1,16 @@
-"""Superblock tier: hot multi-block loop bodies compiled as one function.
+"""Superblock tier: hot loop bodies compiled as one function.
 
-The trace-cache tier (:mod:`repro.dbm.jit`) links per-block runners and
-promotes *single self-looping blocks* to traces, so a loop body spanning
-several blocks (an ``if`` in the body, a call, a nested loop exit path)
-still pays a dispatcher round-trip and a full register-file round-trip at
-every block boundary.  This module adds the classic tracing-JIT step on
-top — DynamoRIO's trace building, PyPy's bridges, in miniature:
+The trace-cache tier (:mod:`repro.dbm.jit`) links per-block runners, so a
+hot loop — a single self-looping block or a body spanning several blocks
+(an ``if`` in the body, a call, a nested loop exit path) — still pays a
+dispatcher round-trip and a full register-file round-trip at every block
+boundary.  This module adds the classic tracing-JIT step on top, and is
+the only tier that keeps a hot loop inside one compiled function —
+DynamoRIO's trace building, PyPy's bridges, in miniature:
 
-* the dispatcher (:mod:`repro.dbm.tracecache`) counts back edges; when a
-  loop head crosses ``Interpreter.superblock_threshold`` it asks
+* the dispatcher (:mod:`repro.dbm.tracecache`) counts back edges (a
+  self-loop's included); when a loop head crosses
+  ``Interpreter.superblock_threshold`` it asks
   :func:`maybe_form_superblock` for a runner;
 * formation walks the code cache from the head along the *biased* path —
   the most-recently-taken successor of each conditional branch — stitching
@@ -64,8 +66,8 @@ from repro.dbm.machine import HALT_ADDRESS
 from repro.dbm.memory import s64
 from repro.telemetry.core import RegistryView
 
-# Back-edge (or trace-entry) count at which the dispatcher attempts
-# superblock formation for a loop head.
+# Back-edge count at which the dispatcher attempts superblock formation
+# for a loop head.
 SUPERBLOCK_THRESHOLD = 16
 
 # Formation limits: blocks stitched / total instructions per superblock.
@@ -194,7 +196,7 @@ def _walk(head, interp, lookup, ctx, last_succ, shadow=False):
         if block.start in seen or len(segments) >= MAX_SUPERBLOCK_BLOCKS:
             return None
         slot = block.jit_super_shadow if shadow else block.jit_super
-        if block is not head and (slot is not None or block.is_self_loop):
+        if block is not head and slot is not None:
             return None  # interior of another hot loop: its own tier owns it
         for ins in block.instructions:
             if ins.opcode in (Opcode.SYSCALL, Opcode.RTCALL):
@@ -229,7 +231,9 @@ def _walk(head, interp, lookup, ctx, last_succ, shadow=False):
         elif op is Opcode.JMP:
             succ = resolve(term.operands[0].value)
             if succ == block.start:
-                return None  # infinite self-loop: the trace tier owns it
+                # Infinite self-loop: no exit to guard; the dispatcher's
+                # per-block limit check bounds it on the block tier.
+                return None
             segments.append((block, ("jmp",)))
         elif op is Opcode.CALL:
             succ = resolve(term.operands[0].value)

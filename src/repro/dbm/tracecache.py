@@ -2,7 +2,7 @@
 
 This is the analogue of DynamoRIO's dispatcher: it hands control to a
 block's compiled runner and only regains it at an unlinked transfer, a
-halt, or a trace-budget bailout.  A runner may return the *compiled
+halt, or a superblock exit.  A runner may return the *compiled
 successor block itself* (a link), in which case the loop re-enters compiled
 code immediately — no code-cache lookup.
 
@@ -11,17 +11,17 @@ runs only while no transaction is open and — in a run with an access log
 attached (:mod:`repro.dbm.accesslog`: training and the DOALL oracle) — no
 recording window is live.  A live window selects the *recording* variant,
 which appends every Mem-operand access to the log and links but never
-traces.  Windows open and close only in RTCALL handlers, and in a run with
-a log every RTCALL block compiles to a form that re-reads the window state
-after each RTCALL, so the accesses after a window-opening RTCALL in the
-same block are recorded too.  Outside the windows, profiling runs execute
-exactly like plain runs — traces, superblocks and inline ``RECORD`` sites
-included; loop coverage is attributed from ``ctx.instructions`` by the
-bracket RTCALLs, not here.
+enters a superblock.  Windows open and close only in RTCALL handlers, and
+in a run with a log every RTCALL block compiles to a form that re-reads
+the window state after each RTCALL, so the accesses after a window-opening
+RTCALL in the same block are recorded too.  Outside the windows, profiling
+runs execute exactly like plain runs — superblocks and inline ``RECORD``
+sites included; loop coverage is attributed from ``ctx.instructions`` by
+the bracket RTCALLs, not here.
 
 When a :class:`~repro.dbm.shadow.ShadowSink` is installed (parallel
 workers) the fast tier is replaced wholesale by the *shadow* tier —
-``jit_super_shadow``/``jit_shadow`` runners that link, trace and form
+``jit_super_shadow``/``jit_shadow`` runners that link and form
 superblocks exactly like the fast tier while recording filtered raw
 events into the sink.  A block entered with a transaction open (only
 parallel workers open one) runs its *dynamic* shadow form from the
@@ -35,9 +35,9 @@ shadow sink: it is the oracle the compiled tiers are tested against.
 
 On top of the block tier, the dispatcher drives **superblock promotion**
 (:mod:`repro.dbm.superblock`): while on the fast path it records each
-block's most-recently-taken successor and counts loop-head heat — a
-backward transfer, or any entry to a self-loop trace head (whose back
-edges spin internally and are invisible here).  When a head crosses
+block's most-recently-taken successor and counts loop-head heat on
+backward transfers (a self-loop's back edge is one, so a single long
+invocation of a one-block loop is promoted too).  When a head crosses
 ``interp.superblock_threshold`` the superblock former stitches the biased
 loop body into one compiled function; from then on the head's
 ``jit_super`` runner is preferred whenever the fast path is legal.
@@ -62,11 +62,11 @@ def run_loop(interp, ctx, pc: int, lookup,
 
     Raises :class:`~repro.dbm.interp.ExecutionLimitExceeded` when
     ``max_instructions`` is crossed (checked at block boundaries; a
-    self-loop trace or superblock bails out at least every
-    ``interp.trace_budget`` iterations, bounding the overshoot).  The
-    overshoot never crosses an RTCALL, and while a recording window is
-    live no block traces, so everything an access-log consumer observes
-    stops at the same block boundary as under per-block dispatch.
+    superblock bails out at least every ``interp.trace_budget``
+    iterations, bounding the overshoot).  The overshoot never crosses an
+    RTCALL, and while a recording window is live no superblock runs, so
+    everything an access-log consumer observes stops at the same block
+    boundary as under per-block dispatch.
     """
     from repro.dbm.interp import ExecutionLimitExceeded
 
@@ -74,7 +74,7 @@ def run_loop(interp, ctx, pc: int, lookup,
     # plain run one local flag short-circuits the window test.
     plain = interp.access_log is None
     threshold = interp.superblock_threshold
-    counting = interp.superblocks_enabled and threshold > 0
+    counting = threshold > 0
     # Loop-head heat and most-recently-taken successors, both keyed by
     # block start; scoped to this invocation like the code cache itself.
     hot: dict[int, int] = {}
@@ -133,8 +133,7 @@ def run_loop(interp, ctx, pc: int, lookup,
                 last_succ[block.start] = start
                 slot = (nxt.jit_super_shadow if sink is not None
                         else nxt.jit_super)
-                if slot is None \
-                        and (start <= block.start or nxt.is_self_loop):
+                if slot is None and start <= block.start:
                     count = hot.get(start, 0) + 1
                     hot[start] = count
                     if count == threshold:

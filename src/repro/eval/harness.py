@@ -23,11 +23,14 @@ deterministic and the cache key is independent of who computed it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import importlib
 import os
 import pickle
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.dbm.executor import ExecutionResult, run_native
 from repro.jbin.loader import load
@@ -50,6 +53,26 @@ MAX_INSTRUCTIONS = 20_000_000
 
 # Bump when ExecutionResult or the cached payload layout changes shape.
 _CACHE_FORMAT = 1
+
+# The code that turns workload source into image bytes.
+_COMPILER_PACKAGES = ("repro.jcc", "repro.jbin", "repro.isa")
+
+
+@functools.cache
+def compiler_identity() -> str:
+    """sha256 over the ``.py`` sources of :data:`_COMPILER_PACKAGES`.
+
+    Computed once per process.  It keys the image-digest sidecars, so
+    after a compiler edit a warm cache recompiles instead of trusting a
+    digest the old compiler produced.
+    """
+    digest = hashlib.sha256()
+    for package in _COMPILER_PACKAGES:
+        root = Path(importlib.import_module(package).__file__).parent
+        for path in sorted(root.rglob("*.py")):
+            digest.update(f"{package}/{path.relative_to(root)}\0".encode())
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def _options_key(options: CompileOptions) -> tuple:
@@ -167,15 +190,15 @@ class EvalHarness:
     def _digest_path(self, name: str, options: CompileOptions) -> str:
         """Side-cache file for one workload's image digest.
 
-        Keyed by the workload *source* text rather than the compiled
-        image, so a cache hit never has to compile at all.  A compiler
-        change therefore does not invalidate the side-cache — delete the
-        cache directory (or pass ``--no-cache``) after hacking on jcc.
+        Keyed by the workload *source* text and the compiler's own source
+        (:func:`compiler_identity`) rather than the compiled image, so a
+        cache hit never has to compile at all and a compiler edit misses.
         """
         source = hashlib.sha256(
             workload_source(get_workload(name)).encode()).hexdigest()
         tag = "|".join(("digest", str(_CACHE_FORMAT), name,
-                        repr(_options_key(options)), source))
+                        repr(_options_key(options)), source,
+                        compiler_identity()))
         fname = hashlib.sha256(tag.encode()).hexdigest()[:32]
         return os.path.join(self.cache_dir, "digest-" + fname + ".txt")
 

@@ -1,7 +1,7 @@
 """The profiling runtime attached to the DBM during training runs.
 
 Profiling runs execute on the ordinary *fast* compiled tiers
-(:mod:`repro.dbm.jit`), traces and superblocks included, because nothing
+(:mod:`repro.dbm.jit`), superblocks included, because nothing
 is instrumented per block or per access:
 
 * loop **coverage** is attributed from ``ctx.instructions`` by the

@@ -7,9 +7,9 @@ address in the original binary, a 16-bit rule ID, and a 64-bit data field
 whose meaning is rule-specific — either an immediate (register number, slot
 offset, lane count) or an index into the schedule's data pool.
 
-Rule families are *registered*: tools that grow new families call
-:func:`register_rule_family` and their IDs survive serialisation even on
-readers that predate the family's :class:`RuleID` members.
+Every ID on disk must be a :class:`RuleID` member: the DBM has a handler
+for each member and for nothing else, so an unknown ID is a format error
+at read time rather than a crash at rewrite time.
 """
 
 from __future__ import annotations
@@ -75,39 +75,6 @@ VECTOR_RULES = frozenset((
 
 PREFETCH_RULES = frozenset((RuleID.MEM_PREFETCH,))
 
-# name -> frozenset of integer rule IDs.  The four built-in families are
-# always present; extensions register theirs so their IDs round-trip
-# through (de)serialisation and lint as WARNING rather than ERROR.
-RULE_FAMILIES: dict[str, frozenset[int]] = {
-    "profiling": frozenset(int(r) for r in PROFILING_RULES),
-    "parallel": frozenset(int(r) for r in PARALLEL_RULES),
-    "vector": frozenset(int(r) for r in VECTOR_RULES),
-    "prefetch": frozenset(int(r) for r in PREFETCH_RULES),
-}
-
-
-def register_rule_family(name: str, rule_ids) -> None:
-    """Register (or extend) a rule family by name.
-
-    IDs need not be :class:`RuleID` members: registered non-member IDs
-    survive :meth:`RewriteRule.unpack` as plain ints instead of raising,
-    so schedules carrying a newer tool's rules still round-trip here.
-    """
-    ids = frozenset(int(r) for r in rule_ids)
-    for value in ids:
-        if not 0 <= value < 2 ** 16:
-            raise ValueError(f"rule id {value} does not fit in 16 bits")
-    RULE_FAMILIES[name] = RULE_FAMILIES.get(name, frozenset()) | ids
-
-
-def registered_rule_ids() -> frozenset[int]:
-    """Every rule ID belonging to any registered family."""
-    ids: frozenset[int] = frozenset()
-    for family in RULE_FAMILIES.values():
-        ids |= family
-    return ids
-
-
 _RULE_STRUCT = struct.Struct("<QHq")
 RULE_SIZE = _RULE_STRUCT.size  # 18 bytes
 
@@ -140,13 +107,8 @@ class RewriteRule:
         try:
             rule_id = RuleID(rule_id)
         except ValueError:
-            # Unknown-but-registered IDs round-trip as plain ints so a
-            # reader without the family's enum members still preserves
-            # the schedule byte-for-byte (the linter downgrades these to
-            # WARNING); anything unregistered is a format error.
-            if rule_id not in registered_rule_ids():
-                raise ScheduleFormatError(
-                    f"unknown rule id {rule_id} at offset {offset}") from None
+            raise ScheduleFormatError(
+                f"unknown rule id {rule_id} at offset {offset}") from None
         return cls(address=address, rule_id=rule_id, data=data)
 
     @classmethod

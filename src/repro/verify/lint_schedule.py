@@ -18,7 +18,6 @@ from repro.rewrite.rules import (
     VECTOR_RULES,
     RewriteRule,
     RuleID,
-    registered_rule_ids,
 )
 from repro.rewrite.schedule import RewriteSchedule, ScheduleError
 from repro.verify.findings import Finding, Severity
@@ -65,9 +64,8 @@ _KNOWN_RULES = (PROFILING_RULES | PARALLEL_RULES | VECTOR_RULES
                 | PREFETCH_RULES)
 
 
-def _finding(check: str, location: str, message: str,
-             severity: Severity = Severity.ERROR) -> Finding:
-    return Finding(tier=_TIER, check=check, severity=severity,
+def _finding(check: str, location: str, message: str) -> Finding:
+    return Finding(tier=_TIER, check=check, severity=Severity.ERROR,
                    location=location, message=message)
 
 
@@ -88,19 +86,9 @@ def lint_schedule(analysis, schedule: RewriteSchedule) -> list[Finding]:
         name = getattr(rule.rule_id, "name", str(rule.rule_id))
         loc = f"rule {i} ({name} @{rule.address:#x})"
         if rule.rule_id not in _KNOWN_RULES:
-            if int(rule.rule_id) in registered_rule_ids():
-                # A registered extension family: the DBM will route it to
-                # its registered handler, so it is not a format error, but
-                # the linter has no contract to check against.
-                findings.append(_finding(
-                    "rule.extension-id", loc,
-                    f"rule id {int(rule.rule_id)} belongs to a registered "
-                    f"extension family; no placement contract checked",
-                    severity=Severity.WARNING))
-            else:
-                findings.append(_finding(
-                    "rule.unknown-id", loc,
-                    f"rule id {int(rule.rule_id)} is not a known RuleID"))
+            findings.append(_finding(
+                "rule.unknown-id", loc,
+                f"rule id {int(rule.rule_id)} is not a known RuleID"))
             continue
         if rule.address not in instructions:
             findings.append(_finding(

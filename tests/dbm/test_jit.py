@@ -39,8 +39,8 @@ from repro.jcc import CompileOptions, compile_source
 def run_with_path(process, mode: str = "fast", record_log: bool = False):
     """Execute a process through one of the execution tiers.
 
-    ``mode`` is ``"fast"`` (the linked/trace block tier, superblocks
-    off), ``"reference"`` (per-instruction reference dispatch) or
+    ``mode`` is ``"fast"`` (the linked block tier, superblocks off),
+    ``"reference"`` (per-instruction reference dispatch) or
     ``"superblock"`` (the full trace-cache dispatcher with instant
     hot-loop promotion).  With ``record_log`` an access log is attached
     and a recording window stays open, which routes compiled execution
@@ -57,7 +57,7 @@ def run_with_path(process, mode: str = "fast", record_log: bool = False):
     if mode == "reference":
         interp.force_reference = True
     elif mode == "fast":
-        interp.superblocks_enabled = False
+        interp.superblock_threshold = 0
     else:
         interp.superblock_threshold = 1
     if record_log:
@@ -509,11 +509,11 @@ def test_sweep_covers_every_opcode():
 
 
 # ---------------------------------------------------------------------------
-# Linking and trace promotion
+# Linking and hot-loop promotion
 # ---------------------------------------------------------------------------
 
-def test_linking_and_trace_stats():
-    """A hot DOALL loop links its blocks and promotes the body to a trace."""
+def test_linking_and_superblock_stats():
+    """A hot DOALL loop links its blocks and runs inside a superblock."""
     source = """
     double xs[256];
     int main() {
@@ -531,13 +531,13 @@ def test_linking_and_trace_stats():
     stats = result.stats
     assert stats["blocks_translated"] > 0
     assert stats["links_installed"] > 0
-    assert stats["trace_entries"] > 0
-    assert stats["trace_exits"] > 0
+    assert stats["superblock_formed"] >= 1
+    assert stats["superblock_entries"] > 0
     assert stats["fallback_instructions"] == 0
 
 
 def test_trace_budget_preserves_instruction_limit():
-    """A self-loop trace must still honour the dispatcher's limit check."""
+    """An infinite self-loop must still honour the dispatcher's limit check."""
     from repro.dbm.interp import ExecutionLimitExceeded
 
     a = Assembler()

@@ -12,8 +12,9 @@ Every way control can leave a superblock is forced at least once here:
   (``test_hook_installation_deopts``).
 
 Each exit restores full architectural state; the tests compare against a
-superblocks-disabled twin (or a reference-interpreter twin) bit for bit,
-including cycle and instruction accounting.
+superblocks-disabled twin (``superblock_threshold = 0``) or a
+reference-interpreter twin bit for bit, including cycle and instruction
+accounting.
 """
 
 import struct
@@ -21,7 +22,9 @@ import struct
 from repro.dbm.blocks import discover_block
 from repro.dbm.executor import run_native
 from repro.dbm.interp import Interpreter
+from repro.dbm.jit import _JCC
 from repro.dbm.machine import Machine, make_main_context
+from repro.dbm.superblock import SUPERBLOCK_THRESHOLD
 from repro.isa import Imm, Opcode as O, Reg
 from repro.isa.operands import Label
 from repro.isa.registers import R, reg_id
@@ -57,8 +60,12 @@ def _image(condition: str):
                           CompileOptions(opt_level=3))
 
 
-def _run(image, threshold=1, budget=None, enabled=True, inputs=None):
-    """Run under the trace-cache dispatcher with superblock knobs."""
+def _run(image, threshold=1, budget=None, inputs=None, reference=False):
+    """Run under the trace-cache dispatcher with superblock knobs.
+
+    ``threshold=0`` disables superblock promotion; ``reference=True``
+    runs every block through the reference per-instruction dispatch.
+    """
     from repro.dbm.tracecache import run_loop
 
     process = load(image, inputs=inputs)
@@ -67,7 +74,7 @@ def _run(image, threshold=1, budget=None, enabled=True, inputs=None):
     machine.inputs = list(process.inputs)
     ctx = make_main_context(process.entry, machine.memory)
     interp = Interpreter(machine, process)
-    interp.superblocks_enabled = enabled
+    interp.force_reference = reference
     interp.superblock_threshold = threshold
     if budget is not None:
         interp.trace_budget = budget
@@ -104,7 +111,7 @@ def _state(ctx, machine):
 
 def _assert_matches_disabled(image, **kwargs):
     ctx, machine, interp, _ = _run(image, **kwargs)
-    ref_ctx, ref_machine, _ri, _rc = _run(image, enabled=False)
+    ref_ctx, ref_machine, _ri, _rc = _run(image, threshold=0)
     assert _state(ctx, machine) == _state(ref_ctx, ref_machine)
     return interp.sb_stats
 
@@ -132,6 +139,42 @@ def test_superblock_state_matches_disabled_tier():
     stats = _assert_matches_disabled(_image("xs[i] > 0.5"), threshold=1)
     assert stats.formed >= 1
     assert stats.entries > 0
+
+
+SELF_LOOP = """
+double xs[512];
+int main() {
+    int i;
+    for (i = 0; i < 512; i++) { xs[i] = xs[i] + 1.5 * i; }
+    print_double(xs[300]);
+    return 0;
+}
+"""
+
+
+def test_once_invoked_self_loop_forms_superblock():
+    """One invocation of a long one-block loop is promoted mid-run.
+
+    The self-loop's back edge is a backward transfer the dispatcher
+    counts, so the loop crosses the default threshold within its only
+    invocation; the result is bit-identical to the block tier alone and
+    to the reference dispatch.
+    """
+    image = compile_source(SELF_LOOP, CompileOptions(opt_level=3))
+    ctx, machine, interp, cache = _run(image,
+                                       threshold=SUPERBLOCK_THRESHOLD)
+    heads = [block for block in cache.values()
+             if block.jit_super is not None]
+    assert interp.sb_stats.formed >= 1
+    assert interp.sb_stats.entries >= 1
+    # The promoted head is the single-block loop itself.
+    assert any(block.terminator.operands[0].value == block.start
+               for block in heads if block.terminator.opcode in _JCC)
+    state = _state(ctx, machine)
+    assert machine.outputs
+    for kwargs in ({"threshold": 0}, {"reference": True}):
+        twin_ctx, twin_machine, _ti, _tc = _run(image, **kwargs)
+        assert state == _state(twin_ctx, twin_machine), kwargs
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pickle
 import pytest
 
 from repro.eval import figures, reporting, scheduler
+from repro.eval import harness as harness_mod
 from repro.eval.harness import EvalHarness, _options_key, options_from_key
 from repro.eval.scheduler import Cell
 from repro.jcc import CompileOptions
@@ -123,7 +124,8 @@ class TestEndToEnd:
             for r in replayed.janus_for(name).analysis.loops]
         assert replayed_state == live_state
 
-    def test_digest_side_cache_avoids_recompilation(self, tmp_path):
+    def test_digest_side_cache_avoids_recompilation(self, tmp_path,
+                                                    monkeypatch):
         cache = str(tmp_path / "cache")
         EvalHarness(cache_dir=cache).native(CHEAP[0])
         assert any(f.startswith("digest-")
@@ -133,6 +135,24 @@ class TestEndToEnd:
         fresh.image = None  # any compile attempt would now blow up
         entry = fresh._cache_entry("native", CHEAP[0], CompileOptions())
         assert fresh._disk_get(*entry) is not None
+
+        # An edited compiler must not trust the old compiler's sidecar:
+        # a fresh harness recompiles (here to the same bytes, so the
+        # cached run is still found through the image digest).
+        monkeypatch.setattr(harness_mod, "compiler_identity",
+                            lambda: "edited-compiler")
+        edited = EvalHarness(cache_dir=cache)
+        compiled = []
+        real_image = edited.image
+
+        def counting_image(*args):
+            compiled.append(args)
+            return real_image(*args)
+
+        edited.image = counting_image
+        assert edited._cache_entry("native", CHEAP[0],
+                                   CompileOptions()) == entry
+        assert len(compiled) == 1
 
 
 def _hammer_disk_put(args):

@@ -86,38 +86,38 @@ def test_identical_records_share_a_pool_slot():
 
 def test_rule_families_cover_new_modes():
     from repro.rewrite.rules import (
+        PARALLEL_RULES,
         PREFETCH_RULES,
-        RULE_FAMILIES,
+        PROFILING_RULES,
         VECTOR_RULES,
     )
 
     assert len(VECTOR_RULES) == 5
     assert len(PREFETCH_RULES) == 1
-    assert RULE_FAMILIES["vector"] == frozenset(int(r) for r in VECTOR_RULES)
-
-
-def test_registered_unknown_rule_id_round_trips():
-    from repro.rewrite.rules import register_rule_family, registered_rule_ids
-
-    register_rule_family("test-extension", {77})
-    assert 77 in registered_rule_ids()
-    rule = RewriteRule(address=0x400900, rule_id=77, data=5)
-    clone = RewriteRule.unpack(rule.pack())
-    assert clone == rule
-    assert int(clone.rule_id) == 77
-
-    schedule = RewriteSchedule.for_image(make_image())
-    schedule.add_rule(0x400900, 77, 5)
-    schedule.add_rule(0x400903, RuleID.LOOP_INIT, 0)
-    restored = RewriteSchedule.deserialize(schedule.serialize())
-    assert restored.rules == schedule.rules
-    assert restored.serialize() == schedule.serialize()
+    # The four families partition the rule IDs: every member belongs to
+    # exactly one.
+    families = (PROFILING_RULES, PARALLEL_RULES, VECTOR_RULES,
+                PREFETCH_RULES)
+    assert sorted(r for family in families for r in family) == sorted(RuleID)
 
 
 def test_unregistered_unknown_rule_id_is_a_format_error():
-    from repro.rewrite.rules import ScheduleFormatError, registered_rule_ids
+    from repro.rewrite.rules import ScheduleFormatError
 
-    assert 93 not in registered_rule_ids()
     raw = RewriteRule(address=0x400900, rule_id=93, data=0).pack()
-    with pytest.raises(ScheduleFormatError):
+    with pytest.raises(ScheduleFormatError, match="unknown rule id 93"):
         RewriteRule.unpack(raw)
+
+
+def test_schedule_with_unknown_rule_id_is_rejected_on_read():
+    """An ID outside RuleID never reaches the DBM's handler table."""
+    from repro.rewrite.rules import ScheduleFormatError
+
+    rule = RewriteRule(address=0x400900, rule_id=77, data=5)
+    with pytest.raises(ScheduleFormatError, match="unknown rule id 77"):
+        RewriteRule.from_bytes(rule.pack())
+    schedule = RewriteSchedule.for_image(make_image())
+    schedule.add_rule(0x400903, RuleID.LOOP_INIT, 0)
+    schedule.add_rule(0x400900, 77, 5)
+    with pytest.raises(ScheduleError, match="rule 1 of 2: unknown rule id 77"):
+        RewriteSchedule.deserialize(schedule.serialize())

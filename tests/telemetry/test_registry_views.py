@@ -43,9 +43,7 @@ LEGACY_DBM_KEYS = [
 ]
 
 LEGACY_JIT_KEYS = [
-    "blocks_translated", "links_installed",
-    "trace_entries", "trace_exits", "trace_budget_bailouts",
-    "fallback_instructions",
+    "blocks_translated", "links_installed", "fallback_instructions",
 ]
 
 SUPERBLOCK_KEYS = [

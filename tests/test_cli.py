@@ -97,13 +97,6 @@ def test_figures_rejects_unknown_name(capsys):
     assert "unknown figures" in capsys.readouterr().err
 
 
-def test_figures_fig_option_normalises_numbers(capsys):
-    # "--fig 99" normalises to fig99, which does not exist: proves the
-    # option feeds the same resolution path as the positional form.
-    assert main(["figures", "--fig", "99"]) == 2
-    assert "fig99" in capsys.readouterr().err
-
-
 def test_run_stats_json_and_stable_stderr(workspace, capsys, tmp_path):
     binary = workspace / "app.jelf"
     stats_path = tmp_path / "stats.json"

@@ -11,9 +11,8 @@ from repro.rewrite import (
     generate_vector_schedule,
 )
 from repro.rewrite.gen_profile import COVERAGE_STAGE, DEPENDENCE_STAGE
-from repro.rewrite.rules import RewriteRule, RuleID, register_rule_family
+from repro.rewrite.rules import RewriteRule, RuleID
 from repro.verify import lint_schedule
-from repro.verify.findings import Severity
 
 from tests.analysis.conftest import assemble
 
@@ -162,18 +161,6 @@ class TestCorruptedSchedules:
         schedule.text_checksum ^= 0xFFFF
         assert "schedule.checksum" in checks(
             lint_schedule(analysis, schedule))
-
-    def test_registered_extension_id_warns_instead_of_erroring(self):
-        register_rule_family("lint-extension", {88})
-        analysis = analyze_image(doall_image())
-        schedule = generate_profile_schedule(analysis, stage=COVERAGE_STAGE)
-        schedule.rules.append(RewriteRule(
-            address=schedule.rules[0].address, rule_id=88, data=0))
-        findings = lint_schedule(analysis, schedule)
-        extension = [f for f in findings if f.check == "rule.extension-id"]
-        assert len(extension) == 1
-        assert extension[0].severity is Severity.WARNING
-        assert "rule.unknown-id" not in checks(findings)
 
     def test_missing_vect_finish(self):
         analysis = analyze_image(fp_doall_image())
