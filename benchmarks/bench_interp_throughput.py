@@ -13,9 +13,11 @@ else ...``, the shape the superblock tier targets) — under:
 * ``recording_reference`` — reference dispatch with an access log attached
                             and a recording window open for the whole run
                             (every Mem-operand access is logged),
-* ``recording``           — the compiled recording variant under the same
-                            live window (what external-call and oracle
-                            replay windows run).
+* ``recording``           — the compiled fast block runner with the access
+                            log attached, under the same live window (it
+                            appends every access while the window is
+                            live; what external-call and oracle replay
+                            windows run).
 
 The machine this runs on is noisy across processes, so the ratio-critical
 JIT tiers are measured interleaved (round-robin within one process) with

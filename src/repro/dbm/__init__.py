@@ -17,8 +17,8 @@ Module map:
 * :mod:`repro.dbm.handlers` — one handler per rewrite-rule ID (paper Fig. 3).
 * :mod:`repro.dbm.rtcalls` — RTCALL ids between modified code and runtime.
 * :mod:`repro.dbm.tracecache` — the dispatch loop shared by every mode.
-* :mod:`repro.dbm.jit` — block runners (fast, recording, shadow variants)
-  and the per-image translation memo.
+* :mod:`repro.dbm.jit` — block runners (one fast and one shadow runner
+  per block) and the per-image translation memo.
 * :mod:`repro.dbm.superblock` — hot multi-block loop bodies as one runner.
 * :mod:`repro.dbm.accesslog` — the per-run access log profiling reads.
 * :mod:`repro.dbm.shadow` — per-worker shadow-memory events and views.

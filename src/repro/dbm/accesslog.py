@@ -10,13 +10,14 @@ own RTCALLs.  Two kinds of entry exist:
 * ``(SITE, loop_id, is_write, lanes)`` — a PROF_MEM site: a ``RECORD``
   pseudo-instruction inserted before a profiled access at translation
   time, its operand decoded once into a :class:`RecordSite`.  Sites are
-  compiled into every runner variant (fast, recording, superblock), so the
-  profiled run stays on the fast tiers.
+  compiled into every runner (block and superblock), so the profiled run
+  stays on the fast tiers.
 * ``(ACCESS, pc, is_write, lanes)`` — an application access recorded
   while ``Interpreter.recording`` is set (an external-call window or an
-  oracle replay window): every Mem-operand read or write (one entry per
-  packed access, at its base address), never the stack words
-  PUSH/POP/CALL/RET move.
+  oracle replay window; the fast block runner re-reads the flag at entry
+  and after each RTCALL, and no superblock runs meanwhile): every
+  Mem-operand read or write (one entry per packed access, at its base
+  address), never the stack words PUSH/POP/CALL/RET move.
 
 ``address`` is the effective address; a consumer expands ``lanes`` into
 the words ``address + 8*k``.  Between two drains neither the consumer's

@@ -26,22 +26,18 @@ class Block:
     end: int  # fall-through address (address after the last instruction)
     cost: int = 0
     # Trace-cache tier runners (see repro.dbm.jit.compile_block_fn),
-    # never compared: the fast variant (no open transaction or recording
-    # window; may link) and the recording variant (every
-    # Mem-operand access appended to the run's access log while a
-    # recording window is live).
+    # never compared.  The fast runner may link; in a run with an access
+    # log it also appends every Mem-operand access while a recording
+    # window is live.
     jit_fast: object = field(default=None, repr=False, compare=False)
-    jit_rec: object = field(default=None, repr=False, compare=False)
-    # Shadow variant: fast-tier codegen with the parallel runtime's
+    # Shadow runner: fast-tier codegen with the parallel runtime's
     # shadow-memory filter inlined and raw events appended to the
-    # worker's ShadowSink (repro.dbm.shadow); jit_tx holds the dynamic
-    # shadow form run when the block is entered with a transaction open.
-    # Built per worker thread (the filter bounds and the sink are bound
-    # in the runner's namespace; the source and its code object are
-    # shared across workers), so these slots live in the per-thread
-    # cache's blocks only.
+    # worker's ShadowSink (repro.dbm.shadow); it also runs the block
+    # inside an open transaction.  Built per worker thread (the filter
+    # bounds and the sink are bound in the runner's namespace; the source
+    # and its code object are shared across workers), so this slot lives
+    # in the per-thread cache's blocks only.
     jit_shadow: object = field(default=None, repr=False, compare=False)
-    jit_tx: object = field(default=None, repr=False, compare=False)
     # Superblock tier runner (repro.dbm.superblock): the whole hot loop
     # body stitched into one compiled function with side-exit guards.
     # Only ever entered from the dispatcher's fast path.

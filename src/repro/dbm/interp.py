@@ -17,12 +17,14 @@ use Janus' STM).
 Recording: with an :class:`~repro.dbm.accesslog.AccessLog` attached
 (``access_log``), ``RECORD`` sites append to it, and while ``recording`` is
 set every Mem-operand access is appended too (never the stack words
-PUSH/POP/CALL/RET move) — the same entries the compiled recording runners
-append.  With a :class:`~repro.dbm.shadow.ShadowSink` installed
-(``shadow_sink``, a parallel worker) every Mem-operand access outside an
-open transaction whose base address passes the sink's own-stack/TLS
-filter is appended to it, one event per packed access — the same events
-the compiled shadow runners record, except that this dispatch records
+PUSH/POP/CALL/RET move) — the same entries the compiled fast runners
+append while their window flag is set.  With a
+:class:`~repro.dbm.shadow.ShadowSink` installed (``shadow_sink``, a
+parallel worker) every Mem-operand access outside an open transaction
+whose base address passes the sink's own-stack/TLS filter is appended to
+it, one event per packed access — the same events the compiled shadow
+runners record (they branch on the open transaction per access, as
+``_mem_read``/``_mem_write`` do), except that this dispatch records
 statically summarised sites raw (the runtime records no stride
 descriptors under ``force_reference``).  This per-instruction dispatch is
 therefore the oracle for both recording paths.
@@ -79,7 +81,7 @@ class Interpreter:
         self.active_tx = None
         # Shadow tracking (repro.dbm.shadow): a parallel worker installs
         # its ShadowSink here and the dispatcher selects the shadow JIT
-        # variants.  Sites in shadow_summarised are statically proven
+        # runners.  Sites in shadow_summarised are statically proven
         # affine and covered by per-chunk stride descriptors — the shadow
         # runners skip them.
         self.shadow_sink = None

@@ -9,47 +9,42 @@ branch targets are resolved once at translation time, and the generated
 source is ``exec``-compiled so steady-state execution is straight-line
 Python bytecode with no per-instruction dispatch.
 
-Three variants exist per block:
+Each block has one runner per tier:
 
-* the **fast** variant assumes no open transaction and no live recording
-  window and reads/writes machine memory directly; it may *link*: a
-  terminator resolves its successor's compiled
-  :class:`~repro.dbm.blocks.Block` once through the dispatcher's ``lookup``
-  and caches it, so the dispatch loop skips the code-cache lookup.  A
-  self-looping block links to itself like any other successor; hot loops
-  (self-loops included) are promoted by the superblock tier
-  (:mod:`repro.dbm.superblock`), the analogue of DynamoRIO's traces.
-  ``RECORD`` sites (PROF_MEM, see :mod:`repro.dbm.accesslog`) compile
-  into every variant as an inline append of the site's address to the
-  run's access log, so training runs stay on this tier, superblocks
-  included.
-* the **recording** variant (``record=True``; selected while
-  ``interp.recording`` is set, i.e. an external-call window or an oracle
-  replay window is live) is the fast variant plus an inline log append at
-  every Mem-operand access.  It links but never enters a superblock, so
-  instruction limits stay exact per block while accesses are being
-  recorded.  In a run with an access log attached, a block containing an
-  RTCALL compiles — in both its fast and its recording slot — to a
-  *dynamic* form that re-reads ``interp.recording`` after every RTCALL:
-  the RTCALL may open or close a window, and the accesses after it in the
-  same block must follow.
-* the **shadow** variant (``shadow=True``; selected by the dispatcher when
-  ``interp.shadow_sink`` is installed) keeps the fast variant's direct
-  memory access and linking, and additionally records shadow
-  events for the parallel runtime: the worker's stack/TLS filter bounds
-  are bound in the runner's namespace (``_flo``, ``_slo``, ``_shi``,
-  ``_tlo``, ``_thi``, so every worker's runner has the same source) and
-  passing addresses are appended to the worker's
+* the **fast** runner (``Block.jit_fast``) reads and writes machine
+  memory directly; it may *link*: a terminator resolves its successor's
+  compiled :class:`~repro.dbm.blocks.Block` once through the dispatcher's
+  ``lookup`` and caches it, so the dispatch loop skips the code-cache
+  lookup.  A self-looping block links to itself like any other
+  successor; hot loops (self-loops included) are promoted by the
+  superblock tier (:mod:`repro.dbm.superblock`), the analogue of
+  DynamoRIO's traces.  ``RECORD`` sites (PROF_MEM, see
+  :mod:`repro.dbm.accesslog`) compile into every runner as an inline
+  append of the site's address to the run's access log, so training
+  runs stay on this tier, superblocks included.  In a run with an access
+  log attached, the fast runner also appends every Mem-operand access to
+  the log while the local ``rc`` is set: ``rc`` holds
+  ``interp.recording`` (an external-call window or an oracle replay
+  window is live), read at entry and again after every RTCALL, the only
+  instruction whose handler opens or closes a window.
+* the **shadow** runner (``Block.jit_shadow``, ``shadow=True``; selected
+  by the dispatcher when ``interp.shadow_sink`` is installed) links like
+  the fast runner and additionally records shadow events for the
+  parallel runtime: the worker's stack/TLS filter bounds are bound in
+  the runner's namespace (``_flo``, ``_slo``, ``_shi``, ``_tlo``,
+  ``_thi``, so every worker's runner has the same source) and passing
+  addresses are appended to the worker's
   :class:`~repro.dbm.shadow.ShadowSink` lists — no closure call, no
-  per-lane set insert.  Access sites statically
-  proven affine (``interp.shadow_summarised``) are skipped entirely; the
-  runtime covers them with per-chunk stride descriptors.  Blocks
-  containing RTCALL/SYSCALL compile a *dynamic* shadow form that
-  re-checks the open transaction per access (such a block can open or
-  close the STM window mid-block); a block entered with a transaction
-  open runs the same dynamic form (``tx=True``, the ``jit_tx`` slot),
-  which routes every access through the transaction and records nothing
-  while it stays open.
+  per-lane set insert.  Access sites statically proven affine
+  (``interp.shadow_summarised``) are not recorded; the runtime covers
+  them with per-chunk stride descriptors.  The same runner serves a
+  block entered with a transaction open and one that opens or closes a
+  transaction mid-block: the local ``tx`` holds ``interp.active_tx``,
+  read at entry and after every RTCALL, and every access — recorded
+  sites, summarised sites, each packed lane and the PUSH/POP/CALL/RET
+  stack words — branches on it inline: under an open transaction an
+  access off the thread's own stack goes through the transaction and
+  nothing is recorded.
 
 Indirect terminators (``ret``/``jmpi``/``calli``) keep a one-entry inline
 cache mapping the last raw target to its compiled block — DynamoRIO's
@@ -67,7 +62,8 @@ counters are unchanged by a memo hit.
 Semantics are defined by :mod:`repro.dbm.interp`, whose per-instruction
 dispatch also records access logs and shadow events: the differential
 sweeps in ``tests/dbm/test_jit.py`` (opcode templates, access logs) and
-``tests/dbm/test_shadow_diff.py`` (shadow views) pin every variant
+``tests/dbm/test_shadow_diff.py`` (shadow views), and
+``tests/dbm/test_shadow_runner.py`` (transactions) pin every runner
 against it.  Opcodes without a template (none today) fall back to the
 reference ``_exec`` per instruction and are counted in
 ``JITStats.fallback_instructions``.
@@ -157,81 +153,7 @@ def translation_memo(process) -> dict:
     return _MEMO_SLOT[1]
 
 
-def _shadow_helpers(interp, sink) -> dict:
-    """Memory helpers for *dynamic* shadow blocks.
-
-    A block containing RTCALL/SYSCALL can open or close a transaction
-    mid-block, and a block entered with one open runs inside it, so the
-    tx state is re-checked per access.  The shadow recording contract
-    (:mod:`repro.dbm.shadow`): accesses under an open transaction are
-    routed through it and invisible to the shadow, and the worker's own
-    stack/TLS regions are filtered on the base address.
-    """
-    memory_read = interp.machine.memory.read
-    memory_write = interp.machine.memory.write
-    stack_size = layout.THREAD_STACK_SIZE
-    tls_lo, tls_hi = sink.tls_lo, sink.tls_hi
-    stack_lo, stack_hi = sink.stack_lo, sink.stack_hi
-    reads_append = sink.reads.append
-    writes_append = sink.writes.append
-    packed_reads_append = sink.packed_reads.append
-    packed_writes_append = sink.packed_writes.append
-
-    def _sr(ctx, addr):
-        tx = interp.active_tx
-        if tx is None:
-            if (addr <= stack_lo or addr > stack_hi) and (
-                    addr < tls_lo or addr >= tls_hi):
-                reads_append(addr)
-            return memory_read(addr)
-        if not (ctx.stack_top - stack_size < addr <= ctx.stack_top):
-            return tx.read(addr)
-        return memory_read(addr)
-
-    def _sw(ctx, addr, value):
-        tx = interp.active_tx
-        if tx is None:
-            if (addr <= stack_lo or addr > stack_hi) and (
-                    addr < tls_lo or addr >= tls_hi):
-                writes_append(addr)
-            memory_write(addr, value)
-            return
-        if not (ctx.stack_top - stack_size < addr <= ctx.stack_top):
-            tx.write(addr, value)
-            return
-        memory_write(addr, value)
-
-    def _sp(ctx, addr, lanes, is_write):
-        # Packed probe: one base-filtered event covering all lanes (the
-        # view expands the lanes at query time).
-        if interp.active_tx is None and (
-                addr <= stack_lo or addr > stack_hi) and (
-                addr < tls_lo or addr >= tls_hi):
-            if is_write:
-                packed_writes_append((addr, lanes))
-            else:
-                packed_reads_append((addr, lanes))
-
-    def _rat(ctx, addr):
-        tx = interp.active_tx
-        if tx is not None and not (
-                ctx.stack_top - stack_size < addr <= ctx.stack_top):
-            return tx.read(addr)
-        return memory_read(addr)
-
-    def _wat(ctx, addr, value):
-        tx = interp.active_tx
-        if tx is not None and not (
-                ctx.stack_top - stack_size < addr <= ctx.stack_top):
-            tx.write(addr, value)
-            return
-        memory_write(addr, value)
-
-    return {"_sr": _sr, "_sw": _sw, "_sp": _sp, "_rat": _rat, "_wat": _wat}
-
-
-def compile_block_fn(block, interp, lookup, shadow=False, record=False,
-                     tx=False):
+def compile_block_fn(block, interp, lookup, shadow=False):
     """Compile ``block`` into a single runner function ``run(ctx)``.
 
     The runner charges the block's static cost, executes the block, and
@@ -243,20 +165,13 @@ def compile_block_fn(block, interp, lookup, shadow=False, record=False,
 
     ``lookup(pc, ctx) -> Block`` is the dispatcher's code-cache lookup; it
     must be stable for the lifetime of the block (links are installed
-    once).  ``tx=True`` builds the dynamic shadow form for a block
-    entered with a transaction open.
+    once).  ``shadow=True`` builds the shadow runner for the worker whose
+    sink is installed in ``interp.shadow_sink``.
     """
     from repro.dbm.interp import JXRuntimeError
 
-    compiler = _BlockCompiler(block, interp, lookup, JXRuntimeError,
-                              shadow=shadow or tx, record=record, tx=tx)
-    fn = compiler.build()
-    # Window (or transaction) state is re-read inside: one runner serves
-    # both slots.
-    if compiler.rec_mode == "dynamic":
-        block.jit_fast = block.jit_rec = fn
-    if compiler.tx_mid_block:
-        block.jit_shadow = block.jit_tx = fn
+    fn = _BlockCompiler(block, interp, lookup, JXRuntimeError,
+                        shadow=shadow).build()
     interp.jit_stats.blocks_translated += 1
     return fn
 
@@ -264,8 +179,7 @@ def compile_block_fn(block, interp, lookup, shadow=False, record=False,
 class _BlockCompiler:
     """Generates the Python source of one block runner and exec-compiles it."""
 
-    def __init__(self, block, interp, lookup, error_type, shadow=False,
-                 record=False, tx=False):
+    def __init__(self, block, interp, lookup, error_type, shadow=False):
         self.block = block
         self.interp = interp
         self.lookup = lookup
@@ -284,23 +198,12 @@ class _BlockCompiler:
             "_err": error_type,
             "_sys": interp._syscall,
             "_x": interp._exec,
+            "_in": interp,
             "_Z4": (0.0, 0.0, 0.0, 0.0),
         }
         if shadow:
-            # A block with RTCALL/SYSCALL can open or close a transaction
-            # mid-block, and a block entered with one open (``tx``) runs
-            # inside it: both compile the *dynamic* shadow form, which
-            # re-checks the tx per access.  Any other block is provably
-            # tx-free for its whole run (the dispatcher only selects the
-            # static form when no tx is open at entry) and records
-            # through the inlined filter.
             sink = interp.shadow_sink
-            self.sink = sink
             self.summarised = interp.shadow_summarised
-            self.tx_mid_block = any(
-                ins.opcode in (Opcode.SYSCALL, Opcode.RTCALL)
-                for ins in block.instructions)
-            self.shadow_dynamic = tx or self.tx_mid_block
             # The filter bounds are names, not literals, so one source
             # (and one memoised code object) serves every worker.  Most
             # heap addresses sit below both excluded regions: one
@@ -308,40 +211,30 @@ class _BlockCompiler:
             self.ns["_flo"] = min(sink.stack_lo + 1, sink.tls_lo)
             self.ns["_slo"], self.ns["_shi"] = sink.stack_lo, sink.stack_hi
             self.ns["_tlo"], self.ns["_thi"] = sink.tls_lo, sink.tls_hi
-        else:
-            self.tx_mid_block = self.shadow_dynamic = False
+            self.ns["_re"] = sink.reads.append
+            self.ns["_we"] = sink.writes.append
+            self.ns["_pre"] = sink.packed_reads.append
+            self.ns["_pwe"] = sink.packed_writes.append
+        # A shadow runner also serves a block entered with a transaction
+        # open or opening one mid-block: it keeps the open transaction in
+        # the local ``tx`` (re-read after each RTCALL, the only
+        # instruction that opens or closes one) and branches on it at
+        # every memory access.
+        self.tx_guarded = shadow
+        # Whether the body reads ``rc``/``tx``: a runner with no access
+        # to guard skips the entry read (and shares the plain source).
+        self.uses_rc = self.uses_tx = False
         self.n_temps = 0
-        # Access recording into the run's access log (None: record
-        # nothing; "static": every access, the whole block runs inside
-        # a live window; "dynamic": every access while the ``rc`` flag —
-        # re-read after each RTCALL — is set).
+        # Access recording into the run's access log: every Mem-operand
+        # access while the ``rc`` flag (the window state, re-read after
+        # each RTCALL) is set.  The shadow tier never runs a window.
         self.log = interp.access_log
-        self.rec_mode = None
+        self.rec = self.log is not None and not shadow
         if self.log is not None:
             self.ns["_lg"] = self.log.entries.append
-            self.ns["_in"] = interp
-            if any(ins.opcode is Opcode.RTCALL
-                   for ins in block.instructions):
-                self.rec_mode = "dynamic"
-            elif record:
-                self.rec_mode = "static"
-            if shadow:
-                self.rec_mode = None  # the shadow tier never runs a window
-        # Stack-word accesses (PUSH/POP/CALL/RET spill slots) are never
-        # shadow-recorded (they always hit the worker's own stack) but
-        # still need tx redirection when a transaction can be open.
-        self.stack_guarded = self.shadow_dynamic
         memory = interp.machine.memory
         self.ns["_mr"] = memory.read
         self.ns["_mw"] = memory.write
-        if shadow:
-            if self.shadow_dynamic:
-                self.ns.update(_shadow_helpers(interp, sink))
-            else:
-                self.ns["_re"] = sink.reads.append
-                self.ns["_we"] = sink.writes.append
-                self.ns["_pre"] = sink.packed_reads.append
-                self.ns["_pwe"] = sink.packed_writes.append
 
         def _rt(ctx, hid, arg, _interp=interp, _error=error_type):
             handler = _interp.rtcall_handler
@@ -398,21 +291,12 @@ class _BlockCompiler:
                       lanes: int) -> None:
         """Append one access-log entry (the key folds to a constant)."""
         key = (ACCESS, ins.address, is_write, lanes)
-        conditions = ["rc"] if self.rec_mode == "dynamic" else []
+        self.uses_rc = True
+        cond = "rc"
         if self.log.private is not None:
             low, high = self.log.private
-            conditions.append(f"not {low} < {var} <= {high}")
-        line = f"_lg(({key!r}, {var}))"
-        if conditions:
-            line = f"if {' and '.join(conditions)}: {line}"
-        self.emit(line)
-
-    def recorded_ea(self, op, ins: Instruction, is_write: bool) -> str:
-        """A local holding ``op``'s address, with the access recorded."""
-        sa = self.addr_temp()
-        self.emit(f"{sa} = {self.ea(op)}")
-        self.record_access(sa, ins, is_write, 1)
-        return sa
+            cond += f" and not {low} < {var} <= {high}"
+        self.emit(f"if {cond}: _lg(({key!r}, {var}))")
 
     def record_site(self, site) -> None:
         """A ``RECORD`` pseudo-instruction: charge, then log the site."""
@@ -433,37 +317,69 @@ class _BlockCompiler:
                 f"and ({var} < _tlo or {var} >= _thi))")
 
     def emit_record(self, var: str, call: str) -> None:
-        self.emit(f"if {self.record_cond(var)}: {call}")
+        cond = self.record_cond(var)
+        if self.tx_guarded:
+            # Accesses under an open transaction are invisible.
+            self.uses_tx = True
+            cond = f"tx is None and ({cond})"
+        self.emit(f"if {cond}: {call}")
 
-    def shadow_read_expr(self, op, ins: Instruction) -> str:
-        """Expression for a shadow-recorded Mem read (emits the record)."""
-        ea = self.ea(op)
-        if self.addr_of(ins) in self.summarised:
-            if self.shadow_dynamic:
-                return f"_rat(ctx, {ea})"
-            return f"_mr({ea})"
-        if self.shadow_dynamic:
-            return f"_sr(ctx, {ea})"
-        sa = self.addr_temp()
-        self.emit(f"{sa} = {ea}")
-        self.emit_record(sa, f"_re({sa})")
-        return f"_mr({sa})"
-
-    def shadow_write(self, op, ins: Instruction, value: str) -> None:
-        ea = self.ea(op)
-        if self.addr_of(ins) in self.summarised:
-            if self.shadow_dynamic:
-                self.emit(f"_wat(ctx, {ea}, {value})")
+    def record(self, var: str, ins: Instruction, is_write: bool,
+               lanes: int) -> None:
+        """Record the access at base address ``var`` in the access log,
+        or as a shadow event unless the site is summarised."""
+        if self.rec:
+            self.record_access(var, ins, is_write, lanes)
+        elif self.shadow and self.addr_of(ins) not in self.summarised:
+            if lanes == 1:
+                call = f"_we({var})" if is_write else f"_re({var})"
             else:
-                self.emit(f"_mw({ea}, {value})")
+                event = "_pwe" if is_write else "_pre"
+                call = f"{event}(({var}, {lanes}))"
+            self.emit_record(var, call)
+
+    # -- memory access --------------------------------------------------------
+
+    def own_stack(self, addr: str) -> str:
+        return (f"ctx.stack_top - {layout.THREAD_STACK_SIZE} < {addr}"
+                f" <= ctx.stack_top")
+
+    def word_load(self, addr: str) -> str:
+        """The word at ``addr``: read through an open transaction unless
+        it lies on the thread's own stack."""
+        if not self.tx_guarded:
+            return f"_mr({addr})"
+        self.uses_tx = True
+        return (f"(_mr({addr}) if tx is None or {self.own_stack(addr)}"
+                f" else tx.read({addr}))")
+
+    def emit_word_store(self, addr: str, value: str) -> None:
+        if not self.tx_guarded:
+            self.emit(f"_mw({addr}, {value})")
             return
-        if self.shadow_dynamic:
-            self.emit(f"_sw(ctx, {ea}, {value})")
+        self.uses_tx = True
+        self.emit(f"if tx is None or {self.own_stack(addr)}:")
+        self.emit(f"    _mw({addr}, {value})")
+        self.emit("else:")
+        self.emit(f"    tx.write({addr}, {value})")
+
+    def mem_load(self, op: Mem, ins: Instruction) -> str:
+        """Expression reading Mem operand ``op``, with the access recorded."""
+        if not (self.rec or self.shadow):
+            return f"_mr({self.ea(op)})"
+        sa = self.addr_temp()
+        self.emit(f"{sa} = {self.ea(op)}")
+        self.record(sa, ins, False, 1)
+        return self.word_load(sa)
+
+    def mem_store(self, op: Mem, ins: Instruction, value: str) -> None:
+        if not (self.rec or self.shadow):
+            self.emit(f"_mw({self.ea(op)}, {value})")
             return
         sa = self.addr_temp()
-        self.emit(f"{sa} = {ea}")
-        self.emit_record(sa, f"_we({sa})")
-        self.emit(f"_mw({sa}, {value})")
+        self.emit(f"{sa} = {self.ea(op)}")
+        self.record(sa, ins, True, 1)
+        self.emit_word_store(sa, value)
 
     # -- operand access -------------------------------------------------------
 
@@ -473,41 +389,24 @@ class _BlockCompiler:
             return self.greg(op.id)
         if t is Imm:
             return repr(op.value)
-        if self.shadow:
-            return self.shadow_read_expr(op, ins)
-        if self.rec_mode:
-            return f"_mr({self.recorded_ea(op, ins, False)})"
-        return f"_mr({self.ea(op)})"
+        return self.mem_load(op, ins)
 
     def istore(self, op, k: int, ins: Instruction, value: str) -> None:
         if type(op) is Reg:
             self.emit(f"{self.greg(op.id)} = {value}")
-        elif self.shadow:
-            self.shadow_write(op, ins, value)
-        elif self.rec_mode:
-            self.emit(f"_mw({self.recorded_ea(op, ins, True)}, {value})")
         else:
-            self.emit(f"_mw({self.ea(op)}, {value})")
+            self.mem_store(op, ins, value)
 
     def fread(self, op, k: int, ins: Instruction) -> str:
         if type(op) is Reg:
             return f"x[{(op.id - XMM_BASE) * 4}]"
-        if self.shadow:
-            return f"_i2f({self.shadow_read_expr(op, ins)})"
-        if self.rec_mode:
-            return f"_i2f(_mr({self.recorded_ea(op, ins, False)}))"
-        return f"_i2f(_mr({self.ea(op)}))"
+        return f"_i2f({self.mem_load(op, ins)})"
 
     def fstore(self, op, k: int, ins: Instruction, value: str) -> None:
         if type(op) is Reg:
             self.emit(f"x[{(op.id - XMM_BASE) * 4}] = {value}")
-        elif self.shadow:
-            self.shadow_write(op, ins, f"_f2i({value})")
-        elif self.rec_mode:
-            sa = self.recorded_ea(op, ins, True)
-            self.emit(f"_mw({sa}, _f2i({value}))")
         else:
-            self.emit(f"_mw({self.ea(op)}, _f2i({value}))")
+            self.mem_store(op, ins, f"_f2i({value})")
 
     def wrap(self, var: str = "t") -> None:
         self.emit(f"if {var} > {_I64_MAX} or {var} < {_I64_MIN}:")
@@ -687,19 +586,12 @@ class _BlockCompiler:
             # a push of rsp or an rsp-relative operand sees the new sp).
             self.emit(f"sp = {self.greg(STACK_REG)} - 8")
             self.emit(f"{self.greg(STACK_REG)} = sp")
-            value = self.iread(ops[0], k, ins)
-            if self.stack_guarded:
-                self.emit(f"_wat(ctx, sp, {value})")
-            else:
-                self.emit(f"_mw(sp, {value})")
+            self.emit_word_store("sp", self.iread(ops[0], k, ins))
         elif op is Opcode.POP:
             # Store happens before sp moves: a Mem destination's effective
             # address uses the old sp (matches reference order).
             self.emit(f"sp = {self.greg(STACK_REG)}")
-            if self.stack_guarded:
-                self.istore(ops[0], k, ins, "_rat(ctx, sp)")
-            else:
-                self.istore(ops[0], k, ins, "_mr(sp)")
+            self.istore(ops[0], k, ins, self.word_load("sp"))
             self.emit(f"{self.greg(STACK_REG)} = sp + 8")
         # ---- scalar floating point ------------------------------------
         elif op is Opcode.MOVSD:
@@ -779,8 +671,10 @@ class _BlockCompiler:
             self.emit("g = ctx.gregs")
             self.emit("x = ctx.fregs")
             self.emit("f = ctx.flags")
-            if self.rec_mode == "dynamic":
+            if self.rec:
                 self.emit("rc = _in.recording")
+            if self.tx_guarded:
+                self.emit("tx = _in.active_tx")
             self.emit("if t is not None:")
             self.emit("    return t")
         elif op is Opcode.RECORD:
@@ -813,26 +707,10 @@ class _BlockCompiler:
                 self.emit(f"s{lane} = x[{sbase + lane}]")
         else:
             self.emit(f"a = {self.ea(src)}")
-            if self.shadow:
-                summarised = self.addr_of(ins) in self.summarised
-                if self.shadow_dynamic:
-                    if not summarised:
-                        self.emit(f"_sp(ctx, a, {lanes}, False)")
-                    for lane in range(lanes):
-                        offset = f" + {8 * lane}" if lane else ""
-                        self.emit(f"s{lane} = _i2f(_rat(ctx, a{offset}))")
-                else:
-                    if not summarised:
-                        self.emit_record("a", f"_pre((a, {lanes}))")
-                    for lane in range(lanes):
-                        offset = f" + {8 * lane}" if lane else ""
-                        self.emit(f"s{lane} = _i2f(_mr(a{offset}))")
-            else:
-                if self.rec_mode:
-                    self.record_access("a", ins, False, lanes)
-                for lane in range(lanes):
-                    offset = f" + {8 * lane}" if lane else ""
-                    self.emit(f"s{lane} = _i2f(_mr(a{offset}))")
+            self.record("a", ins, False, lanes)
+            for lane in range(lanes):
+                offset = f" + {8 * lane}" if lane else ""
+                self.emit(f"s{lane} = _i2f({self.word_load('a' + offset)})")
         if is_move:
             results = [f"s{lane}" for lane in range(lanes)]
         else:
@@ -858,27 +736,11 @@ class _BlockCompiler:
                 self.emit(f"x[{dbase + lane}] = {results[lane]}")
         else:
             self.emit(f"a2 = {self.ea(dst)}")
-            if self.shadow:
-                summarised = self.addr_of(ins) in self.summarised
-                if self.shadow_dynamic:
-                    if not summarised:
-                        self.emit(f"_sp(ctx, a2, {lanes}, True)")
-                    for lane in range(lanes):
-                        offset = f" + {8 * lane}" if lane else ""
-                        self.emit(
-                            f"_wat(ctx, a2{offset}, _f2i({results[lane]}))")
-                else:
-                    if not summarised:
-                        self.emit_record("a2", f"_pwe((a2, {lanes}))")
-                    for lane in range(lanes):
-                        offset = f" + {8 * lane}" if lane else ""
-                        self.emit(f"_mw(a2{offset}, _f2i({results[lane]}))")
-            else:
-                if self.rec_mode:
-                    self.record_access("a2", ins, True, lanes)
-                for lane in range(lanes):
-                    offset = f" + {8 * lane}" if lane else ""
-                    self.emit(f"_mw(a2{offset}, _f2i({results[lane]}))")
+            self.record("a2", ins, True, lanes)
+            for lane in range(lanes):
+                offset = f" + {8 * lane}" if lane else ""
+                self.emit_word_store(f"a2{offset}",
+                                     f"_f2i({results[lane]})")
 
     # -- terminators ---------------------------------------------------------
 
@@ -901,11 +763,7 @@ class _BlockCompiler:
         elif op is Opcode.CALL:
             self.emit(f"sp = {self.greg(STACK_REG)} - 8")
             self.emit(f"{self.greg(STACK_REG)} = sp")
-            ret_addr = ins.address + ins.size
-            if self.stack_guarded:
-                self.emit(f"_wat(ctx, sp, {ret_addr})")
-            else:
-                self.emit(f"_mw(sp, {ret_addr})")
+            self.emit_word_store("sp", str(ins.address + ins.size))
             self.emit("ctx.flags = f")
             self.emit_link_return(self.resolve(ops[0].value))
         elif op is Opcode.CALLI:
@@ -913,11 +771,7 @@ class _BlockCompiler:
             self.emit(f"t = {self.iread(ops[0], k, ins)}")
             self.emit(f"sp = {self.greg(STACK_REG)} - 8")
             self.emit(f"{self.greg(STACK_REG)} = sp")
-            ret_addr = ins.address + ins.size
-            if self.stack_guarded:
-                self.emit(f"_wat(ctx, sp, {ret_addr})")
-            else:
-                self.emit(f"_mw(sp, {ret_addr})")
+            self.emit_word_store("sp", str(ins.address + ins.size))
             self.emit("ctx.flags = f")
             self.emit_indirect_return(resolve_target=True)
         elif op is Opcode.JMPI:
@@ -926,10 +780,7 @@ class _BlockCompiler:
             self.emit_indirect_return(resolve_target=True)
         elif op is Opcode.RET:
             self.emit(f"sp = {self.greg(STACK_REG)}")
-            if self.stack_guarded:
-                self.emit("t = _rat(ctx, sp)")
-            else:
-                self.emit("t = _mr(sp)")
+            self.emit(f"t = {self.word_load('sp')}")
             self.emit(f"{self.greg(STACK_REG)} = sp + 8")
             self.emit("ctx.flags = f")
             self.emit(f"if t == {HALT_ADDRESS}:")
@@ -958,8 +809,6 @@ class _BlockCompiler:
             "    x = ctx.fregs",
             "    f = ctx.flags",
         ]
-        if self.rec_mode == "dynamic":
-            head.append("    rc = _in.recording")
         self.emit(f"ctx.cycles += {block.cost}")
         self.emit(f"ctx.instructions += {len(instructions)}")
         for k, ins in enumerate(instructions[:-1]):
@@ -971,15 +820,14 @@ class _BlockCompiler:
             self.stmt(term, k)
             self.emit("ctx.flags = f")
             self.emit_link_return(block.end)
+        if self.uses_rc:
+            head.append("    rc = _in.recording")
+        if self.uses_tx:
+            head.append("    tx = _in.active_tx")
         if self.n_slots:
             self.ns["_L"] = self.links
         source = "\n".join(head + self.lines) + "\n"
-        if self.shadow:
-            variant = "shadow"
-        elif self.rec_mode == "static":
-            variant = "rec"
-        else:
-            variant = "fast"
+        variant = "shadow" if self.shadow else "fast"
         filename = f"<jit {variant} {block.start:#x}>"
         key = ("code", source, filename)
         code = self.memo.get(key)

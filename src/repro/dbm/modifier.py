@@ -25,6 +25,7 @@ from repro.dbm.machine import Machine, ThreadContext, make_main_context
 from repro.dbm.tracecache import run_loop
 from repro.isa.costs import DEFAULT_COST_MODEL, CostModel
 from repro.jbin.loader import Process
+from repro.rewrite.rules import ScheduleFormatError
 from repro.rewrite.schedule import RewriteSchedule
 from repro.telemetry.core import (
     MetricRegistry,
@@ -91,6 +92,12 @@ class JanusDBM:
             self._check_schedule()
 
     def _check_schedule(self) -> None:
+        rules = self.schedule.rules
+        for index, rule in enumerate(rules):
+            if rule.rule_id not in HANDLERS:
+                raise ScheduleFormatError(
+                    f"rule {index} of {len(rules)}: unknown rule id "
+                    f"{int(rule.rule_id)} at {rule.address:#x}")
         if not self.schedule.verify_against(self.process.image):
             raise ValueError(
                 "rewrite schedule does not match this binary "

@@ -194,9 +194,7 @@ class ParallelRuntime:
         worker = self._current_worker
         if worker is None:
             return None  # main thread never speculates
-        checkpoint = (list(ctx.gregs), list(ctx.fregs), ctx.flags)
-        tx = self.stm.begin(worker.thread_id, checkpoint)
-        self.dbm.interp.active_tx = tx
+        self.dbm.interp.active_tx = self.stm.begin(worker.thread_id)
         return None
 
     def _rt_tx_finish(self, ctx, arg):

@@ -28,10 +28,11 @@ DynamoRIO's trace building, PyPy's bridges, in miniature:
   ``ctx.flags``, and the cycle/instruction charge for the iterations and
   blocks actually entered — folded to constants per exit site) before
   returning to the block tier.  Superblocks are fast-path-only: the
-  legality predicate the dispatcher uses for the fast block variant (no
-  open transaction; a recording window only opens at an RTCALL, which no
-  superblock contains) is re-checked at every loop back edge, and a
-  violation deopts to the block tier at a clean block boundary.
+  dispatcher's fast-path test (no open transaction; a recording window
+  only opens at an RTCALL, which no superblock contains) is re-checked at
+  every loop back edge, and a violation deopts to the block tier at a
+  clean block boundary.  So unlike the block runners, a superblock never
+  branches on a transaction or appends to the access log.
 
 Exit kinds and their contracts (DESIGN.md section 5):
 
@@ -355,13 +356,15 @@ class _SuperblockCompiler(_BlockCompiler):
         head = segments[0][0]
         super().__init__(head, interp, lookup, error_type, shadow=shadow)
         self.segments = segments
+        # Superblocks run only where the fast path is legal (no open
+        # transaction, no live recording window) and contain no RTCALL
+        # to change either: no log appends, no transaction branches.
+        self.rec = self.tx_guarded = False
         self.ns["_sb"] = interp.sb_stats
-        self.ns["_in"] = interp
         self.ns["_self"] = head
         if shadow:
             # The back-edge legality check compares against the sink the
-            # runner was compiled for (the walk rejects RTCALL/SYSCALL, so
-            # every shadow superblock is the static form).
+            # runner was compiled for.
             self.ns["_sk"] = interp.shadow_sink
         # Per-instruction recording flag, set at the top of stmt(): False
         # at summarised sites (covered by stride descriptors) and always
@@ -887,7 +890,7 @@ class _SuperblockCompiler(_BlockCompiler):
         if self.shadow:
             # The sink the events land in was bound at compile time: a
             # swapped (or removed) sink must deopt to the dispatcher,
-            # which re-selects the correct variant.
+            # which re-selects the correct runner.
             legality += " or _in.shadow_sink is not _sk"
         self.emit(f"if {legality}:")
         self.indent += 1

@@ -6,41 +6,36 @@ halt, or a superblock exit.  A runner may return the *compiled
 successor block itself* (a link), in which case the loop re-enters compiled
 code immediately — no code-cache lookup.
 
-Fast-path legality is re-checked at every block boundary: the fast variant
-runs only while no transaction is open and — in a run with an access log
-attached (:mod:`repro.dbm.accesslog`: training and the DOALL oracle) — no
-recording window is live.  A live window selects the *recording* variant,
-which appends every Mem-operand access to the log and links but never
-enters a superblock.  Windows open and close only in RTCALL handlers, and
-in a run with a log every RTCALL block compiles to a form that re-reads
-the window state after each RTCALL, so the accesses after a window-opening
-RTCALL in the same block are recorded too.  Outside the windows, profiling
-runs execute exactly like plain runs — superblocks and inline ``RECORD``
-sites included; loop coverage is attributed from ``ctx.instructions`` by
-the bracket RTCALLs, not here.
-
-When a :class:`~repro.dbm.shadow.ShadowSink` is installed (parallel
-workers) the fast tier is replaced wholesale by the *shadow* tier —
-``jit_super_shadow``/``jit_shadow`` runners that link and form
-superblocks exactly like the fast tier while recording filtered raw
-events into the sink.  A block entered with a transaction open (only
-parallel workers open one) runs its *dynamic* shadow form from the
-``jit_tx`` slot: every access goes through the transaction, nothing is
-recorded while it stays open, and accesses after a TX_FINISH in the same
-block are recorded again.
+Each block has one runner per tier (:mod:`repro.dbm.jit`): the *fast*
+runner, or — when a :class:`~repro.dbm.shadow.ShadowSink` is installed
+(parallel workers) — the *shadow* runner, which links like the fast
+runner while recording filtered raw events into the sink; shadow
+superblocks form exactly like fast ones.  Neither runner needs the dispatcher to know about
+recording windows or transactions: in a run with an access log attached
+(:mod:`repro.dbm.accesslog`: training and the DOALL oracle) the fast
+runner re-reads the window state at entry and after each RTCALL, the
+only instruction whose handler opens or closes a window, and the shadow
+runner does the same with the open transaction (only parallel workers
+open one).  Outside the windows, profiling runs execute exactly like
+plain runs — superblocks and inline ``RECORD`` sites included; loop
+coverage is attributed from ``ctx.instructions`` by the bracket RTCALLs,
+not here.
 
 Under ``interp.force_reference`` every block runs through the reference
 per-instruction dispatch instead, which feeds the same access log and
 shadow sink: it is the oracle the compiled tiers are tested against.
 
 On top of the block tier, the dispatcher drives **superblock promotion**
-(:mod:`repro.dbm.superblock`): while on the fast path it records each
-block's most-recently-taken successor and counts loop-head heat on
-backward transfers (a self-loop's back edge is one, so a single long
-invocation of a one-block loop is promoted too).  When a head crosses
-``interp.superblock_threshold`` the superblock former stitches the biased
-loop body into one compiled function; from then on the head's
-``jit_super`` runner is preferred whenever the fast path is legal.
+(:mod:`repro.dbm.superblock`).  The fast path, the only place
+superblocks run, is legal while no transaction is open and no recording
+window is live, and is re-checked at every block boundary.  On it the
+dispatcher records each block's most-recently-taken successor and
+counts loop-head heat on backward transfers (a self-loop's back edge is
+one, so a single long invocation of a one-block loop is promoted too).
+When a head crosses ``interp.superblock_threshold`` the superblock
+former stitches the biased loop body into one compiled function; from
+then on the head's ``jit_super`` runner is preferred whenever the fast
+path is legal.
 Superblock side exits, budget bailouts and legality deopts all land back
 in this loop at clean block boundaries.
 """
@@ -92,36 +87,24 @@ def run_loop(interp, ctx, pc: int, lookup,
                 return
             block = lookup(nxt, ctx)
             continue
+        # Superblocks run only where the fast path is legal: no open
+        # transaction and no live recording window.
         fast = interp.active_tx is None and (plain or not interp.recording)
         sink = interp.shadow_sink
-        if fast:
-            if sink is None:
-                run = block.jit_super
-                if run is None:
-                    run = block.jit_fast
-                    if run is None:
-                        run = block.jit_fast = compile_block_fn(
-                            block, interp, lookup)
-            else:
-                run = block.jit_super_shadow
-                if run is None:
-                    run = block.jit_shadow
-                    if run is None:
-                        run = block.jit_shadow = compile_block_fn(
-                            block, interp, lookup, shadow=True)
-        elif interp.active_tx is None:
-            # A recording window is live.
-            run = block.jit_rec
+        if sink is None:
+            run = block.jit_super if fast else None
             if run is None:
-                run = block.jit_rec = compile_block_fn(
-                    block, interp, lookup, record=True)
+                run = block.jit_fast
+                if run is None:
+                    run = block.jit_fast = compile_block_fn(
+                        block, interp, lookup)
         else:
-            # A transaction is open at entry (a parallel worker, so a sink
-            # is installed).
-            run = block.jit_tx
+            run = block.jit_super_shadow if fast else None
             if run is None:
-                run = block.jit_tx = compile_block_fn(
-                    block, interp, lookup, tx=True)
+                run = block.jit_shadow
+                if run is None:
+                    run = block.jit_shadow = compile_block_fn(
+                        block, interp, lookup, shadow=True)
         nxt = run(ctx)
         if max_instructions is not None \
                 and ctx.instructions > max_instructions:

@@ -10,10 +10,10 @@ is instrumented per block or per access:
   runner compiles into an inline append of the site's address to the
   run's ordered access log (:mod:`repro.dbm.accesslog`), charging
   ``prof_event_cycles`` per site;
-* an **external-call window** sets ``Interpreter.recording``, which
-  switches the dispatcher to the recording runner variant: every
-  Mem-operand access (never the stack words PUSH/POP/CALL/RET move) goes
-  into the same log.
+* an **external-call window** sets ``Interpreter.recording``, which keeps
+  the dispatcher off superblocks and makes the fast block runner append
+  every Mem-operand access (never the stack words PUSH/POP/CALL/RET move)
+  to the same log.
 
 The shared :class:`~repro.profiling.shadow.IterationShadowChecker` drains
 the log in program order at every bracket and window RTCALL, so the

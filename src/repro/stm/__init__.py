@@ -9,7 +9,7 @@ into transactional mode and the interpreter redirects heap and
 out-of-frame-stack accesses through the active transaction.
 """
 
-from repro.stm.transaction import Transaction, TxAbort
+from repro.stm.transaction import Transaction
 from repro.stm.stm import STMManager, STMStats
 
-__all__ = ["Transaction", "TxAbort", "STMManager", "STMStats"]
+__all__ = ["Transaction", "STMManager", "STMStats"]

@@ -42,10 +42,9 @@ class STMManager:
     cost: CostModel
     stats: STMStats = field(default_factory=STMStats)
 
-    def begin(self, thread_id: int, checkpoint) -> Transaction:
+    def begin(self, thread_id: int) -> Transaction:
         self.stats.transactions += 1
-        return Transaction(memory=self.memory, thread_id=thread_id,
-                           checkpoint=checkpoint)
+        return Transaction(memory=self.memory, thread_id=thread_id)
 
     def abort(self, thread_id: int, n_reads: int, n_writes: int,
               **detail) -> int:

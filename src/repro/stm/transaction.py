@@ -5,10 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-class TxAbort(Exception):
-    """Raised when validation fails and the transaction must re-execute."""
-
-
 @dataclass
 class Transaction:
     """Buffered reads and writes of one speculative region.
@@ -26,8 +22,6 @@ class Transaction:
     thread_id: int = 0
     read_log: dict[int, int] = field(default_factory=dict)
     write_buffer: dict[int, int] = field(default_factory=dict)
-    # Machine-context checkpoint taken at TX_START (register list copies).
-    checkpoint: object = None
 
     def read(self, addr: int) -> int:
         if addr in self.write_buffer:
@@ -60,7 +54,3 @@ class Transaction:
         write = self.memory.write
         for addr, value in self.write_buffer.items():
             write(addr, value)
-
-    def reset(self) -> None:
-        self.read_log.clear()
-        self.write_buffer.clear()

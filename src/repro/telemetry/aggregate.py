@@ -25,6 +25,8 @@ import json
 import os
 import uuid
 
+from repro.util import atomic_write_text
+
 _DUMP_PREFIX = "dump-"
 
 # One stable nonce per process: repeated flushes overwrite the same file
@@ -40,12 +42,8 @@ def dump_path(directory: str, pid: int | None = None) -> str:
 
 def flush(recorder, directory: str) -> str:
     """Atomically (re)write this process's dump file; returns its path."""
-    os.makedirs(directory, exist_ok=True)
     path = dump_path(directory)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(recorder.dump(), fh)
-    os.replace(tmp, path)
+    atomic_write_text(path, json.dumps(recorder.dump()))
     return path
 
 

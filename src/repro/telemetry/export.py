@@ -22,7 +22,8 @@ by :mod:`repro.telemetry.aggregate`:
 from __future__ import annotations
 
 import json
-import os
+
+from repro.util import atomic_write_text
 
 
 def _normalised_events(merged: dict) -> list[dict]:
@@ -128,14 +129,7 @@ def bench_snapshot(merged: dict, name: str = "telemetry") -> dict:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=False)
-        fh.write("\n")
-    os.replace(tmp, path)
+    atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
 
 
 def write_chrome_trace(path: str, merged: dict) -> dict:

@@ -4,8 +4,8 @@ The trace-cache JIT (repro.dbm.jit) re-implements every opcode's semantics
 as generated Python; any divergence from the reference ``_exec`` dispatch
 would corrupt execution silently.  These tests run identical programs
 through the reference path (``force_reference``), the fast compiled
-variant, the superblock tier and the recording variant (with an access
-log attached and a recording window open for the whole run, compared
+runner, the superblock tier and the fast runner with an access log
+attached and a recording window open for the whole run (compared
 against the reference dispatch under the same window) and require
 bit-identical outcomes: registers, flags, memory, outputs, cycle and
 instruction counts — and identical access logs.
@@ -43,9 +43,9 @@ def run_with_path(process, mode: str = "fast", record_log: bool = False):
     ``"reference"`` (per-instruction reference dispatch) or
     ``"superblock"`` (the full trace-cache dispatcher with instant
     hot-loop promotion).  With ``record_log`` an access log is attached
-    and a recording window stays open, which routes compiled execution
-    through the recording variant; the returned log then holds its
-    entries as (pc, address, is_write, lanes) events.
+    and a recording window stays open, so the compiled fast runner
+    appends every access; the returned log then holds its entries as
+    (pc, address, is_write, lanes) events.
     """
     from repro.dbm.tracecache import run_loop
 

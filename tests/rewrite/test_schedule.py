@@ -121,3 +121,27 @@ def test_schedule_with_unknown_rule_id_is_rejected_on_read():
     schedule.add_rule(0x400900, 77, 5)
     with pytest.raises(ScheduleError, match="rule 1 of 2: unknown rule id 77"):
         RewriteSchedule.deserialize(schedule.serialize())
+
+
+def test_in_memory_unknown_rule_id_is_rejected_by_the_dbm():
+    """A schedule built in process skips the read-time check: the DBM
+    rejects an ID outside RuleID with a typed error naming the rule
+    before anything runs (not a KeyError from the handler table)."""
+    from repro.dbm.modifier import run_under_dbm
+    from repro.isa import Imm, Opcode, Reg
+    from repro.isa.registers import R
+    from repro.jbin.asm import Assembler
+    from repro.jbin.loader import load
+    from repro.rewrite.rules import ScheduleFormatError
+
+    a = Assembler()
+    a.label("_start")
+    a.emit(Opcode.MOV, Reg(R.rax), Imm(0))
+    a.emit(Opcode.RET)
+    process = load(a.assemble(entry="_start"))
+    schedule = RewriteSchedule.for_image(process.image)
+    schedule.add_rule(process.entry, RuleID.THREAD_YIELD, 0)
+    schedule.add_rule(process.entry, 77, 0)
+    message = f"rule 1 of 2: unknown rule id 77 at {process.entry:#x}"
+    with pytest.raises(ScheduleFormatError, match=message):
+        run_under_dbm(process, schedule)

@@ -33,7 +33,7 @@ def make_memory(contents=None):
 
 def run_tx(manager, thread_id=1, reads=(), writes=(), poison=None):
     """One begin/access/finish round; returns the cycles charged."""
-    tx = manager.begin(thread_id, checkpoint=None)
+    tx = manager.begin(thread_id)
     for addr in reads:
         tx.read(addr)
     for k, addr in enumerate(writes):
@@ -64,7 +64,7 @@ class TestAbortCycleCharge:
     def test_abort_cycles_land_in_ctx_and_stats(self):
         memory = make_memory({0x100: 1})
         manager = STMManager(memory=memory, cost=CostModel())
-        tx = manager.begin(1, checkpoint=None)
+        tx = manager.begin(1)
         tx.read(0x100)
         memory.write(0x100, 99)
         ctx = ThreadContext(thread_id=1)

@@ -55,14 +55,6 @@ class TestTransaction:
         memory.write(0x100, 5)
         assert tx.validate()
 
-    def test_reset(self):
-        memory = make_memory({0x100: 5})
-        tx = Transaction(memory=memory)
-        tx.read(0x100)
-        tx.write(0x108, 1)
-        tx.reset()
-        assert tx.n_reads == 0 and tx.n_writes == 0
-
 
 class TestSTMManager:
     def _finish(self, manager, tx):
@@ -72,7 +64,7 @@ class TestSTMManager:
     def test_commit_charges_costs(self):
         memory = make_memory({0x100: 1})
         manager = STMManager(memory=memory, cost=CostModel())
-        tx = manager.begin(1, checkpoint=None)
+        tx = manager.begin(1)
         tx.read(0x100)
         tx.write(0x108, 2)
         cycles = self._finish(manager, tx)
@@ -86,10 +78,10 @@ class TestSTMManager:
     def test_conflict_charges_abort_and_retry(self):
         memory = make_memory({0x100: 1})
         manager = STMManager(memory=memory, cost=CostModel())
-        tx = manager.begin(1, checkpoint=None)
+        tx = manager.begin(1)
         tx.read(0x100)
         clean = self._finish(manager, tx)
-        tx2 = manager.begin(2, checkpoint=None)
+        tx2 = manager.begin(2)
         tx2.read(0x100)
         memory.write(0x100, 99)  # a concurrent writer invalidates tx2
         conflicted = self._finish(manager, tx2)
@@ -99,7 +91,7 @@ class TestSTMManager:
     def test_failed_validation_counts_as_abort(self):
         memory = make_memory({0x100: 1})
         manager = STMManager(memory=memory, cost=CostModel())
-        tx = manager.begin(1, checkpoint=None)
+        tx = manager.begin(1)
         tx.read(0x100)
         memory.write(0x100, 99)
         self._finish(manager, tx)

@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from repro.telemetry import aggregate, export
 from repro.telemetry.core import Recorder
 from repro.telemetry.schema import validate_file
@@ -105,3 +107,36 @@ class TestAggregatesAndSnapshots:
         payload = export.write_metrics(str(path), _merged_two_processes())
         assert json.loads(path.read_text()) == payload
         assert payload["counters"]["jit.blocks"] == 7
+
+
+class TestFailedWrites:
+    """Telemetry files are written through one atomic writer: a failed
+    rename leaves the previous file untouched and no temp file behind."""
+
+    @staticmethod
+    def _fail_replace(monkeypatch):
+        def boom(src, dst):
+            raise OSError("injected rename failure")
+
+        monkeypatch.setattr(os, "replace", boom)
+
+    def _assert_untouched(self, directory, path, old):
+        assert path.read_text() == old
+        assert not [p for p in directory.iterdir()
+                    if p.name.endswith(".tmp")]
+
+    def test_export_writer(self, tmp_path, monkeypatch):
+        path = tmp_path / "metrics.json"
+        path.write_text("previous\n")
+        self._fail_replace(monkeypatch)
+        with pytest.raises(OSError, match="injected"):
+            export.write_metrics(str(path), _merged_two_processes())
+        self._assert_untouched(tmp_path, path, "previous\n")
+
+    def test_aggregate_flush(self, tmp_path, monkeypatch):
+        path = tmp_path / os.path.basename(aggregate.dump_path(""))
+        path.write_text("previous")
+        self._fail_replace(monkeypatch)
+        with pytest.raises(OSError, match="injected"):
+            aggregate.flush(Recorder(label="worker"), str(tmp_path))
+        self._assert_untouched(tmp_path, path, "previous")
