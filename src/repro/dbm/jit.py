@@ -62,7 +62,7 @@ counters are unchanged by a memo hit.
 Semantics are defined by :mod:`repro.dbm.interp`, whose per-instruction
 dispatch also records access logs and shadow events: the differential
 sweeps in ``tests/dbm/test_jit.py`` (opcode templates, access logs) and
-``tests/dbm/test_shadow_diff.py`` (shadow views), and
+``tests/dbm/test_shadow_diff.py`` (shadow sets), and
 ``tests/dbm/test_shadow_runner.py`` (transactions) pin every runner
 against it.  Opcodes without a template (none today) fall back to the
 reference ``_exec`` per instruction and are counted in

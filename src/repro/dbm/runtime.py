@@ -49,12 +49,7 @@ from repro.dbm.checks import evaluate_bounds_check, make_read_var
 from repro.dbm.machine import ThreadContext
 from repro.dbm.memory import f64_to_i64, i64_to_f64, s64
 from repro.dbm.rtcalls import DependenceViolationError, RTCallID, WorkerYield
-from repro.dbm.shadow import (
-    ShadowSink,
-    ShadowView,
-    StrideDescriptor,
-    views_may_conflict,
-)
+from repro.dbm.shadow import ShadowSink, StrideDescriptor, intervals_overlap
 from repro.dbm.tracecache import run_loop
 from repro.isa.operands import Imm, Mem, Reg
 from repro.isa.registers import SCRATCH_REG, STACK_REG, TLS_REG, XMM_BASE
@@ -107,18 +102,12 @@ class WorkerState:
     # chunk under the default policy, several under round-robin.
     chunks: list
     meta: LoopMeta
-    # The persistent per-thread shadow event sink and the stride
-    # descriptors recorded for this invocation's chunks.
+    # The persistent per-thread shadow sink: this invocation's raw
+    # events and stride descriptors outside transactions.
     sink: ShadowSink
-    descriptors: list = field(default_factory=list)
-    # Word addresses a finished transaction read or wrote (the STM
-    # validated those; detection ignores them).
-    tx_covered: set[int] = field(default_factory=set)
-    # (read set, write set) per finished transaction.
+    # (read set, write set) per finished transaction.  The STM validated
+    # these words, so conflict detection subtracts them.
     tx_log: list = field(default_factory=list)
-    # Query interface built by the runtime after the run, consumed by
-    # detection.
-    view: ShadowView | None = None
 
 
 class ParallelRuntime:
@@ -203,8 +192,6 @@ class ParallelRuntime:
         if worker is None or tx is None:
             return None
         self.dbm.interp.active_tx = None
-        worker.tx_covered.update(tx.read_log)
-        worker.tx_covered.update(tx.write_buffer)
         before = ctx.cycles
         self.stm.finish(tx, ctx)
         self.dbm.stats.stm_cycles += ctx.cycles - before
@@ -368,11 +355,7 @@ class ParallelRuntime:
             self._run_worker(worker, start_pc, meta, init, iv_bases,
                              affine_bases)
 
-        for worker in workers:
-            worker.view = ShadowView(worker.thread_id, worker.sink,
-                                     worker.descriptors, self.dbm.registry)
-        self._charge_stm_late_conflicts(workers)
-        self._detect_violations(workers)
+        self._check_conflicts(workers)
         self._charge_false_sharing(workers)
 
         ctx.instructions += sum(w.ctx.instructions for w in workers)
@@ -440,10 +423,9 @@ class ParallelRuntime:
 
     def _chunk_assignments(self, trips: int) -> list[list[tuple[int, int]]]:
         """Iteration blocks per thread under the configured policy."""
-        policy = getattr(self.dbm, "scheduling", "chunk")
-        if policy == "round_robin":
-            block = getattr(self.dbm, "rr_block", 8)
-            return round_robin_bounds(trips, self.dbm.n_threads, block)
+        if self.dbm.scheduling == "round_robin":
+            return round_robin_bounds(trips, self.dbm.n_threads,
+                                      self.dbm.rr_block)
         return [[chunk] for chunk in chunk_bounds(trips, self.dbm.n_threads)]
 
     def _spawn_workers(self, ctx, meta: LoopMeta, init: int, trips: int,
@@ -497,7 +479,7 @@ class ParallelRuntime:
                     tls_lo=wctx.tls_base,
                     tls_hi=wctx.tls_base + layout.TLS_THREAD_SIZE,
                     stack_lo=wctx.stack_top - layout.THREAD_STACK_SIZE,
-                    stack_hi=wctx.stack_top)
+                    stack_hi=wctx.stack_top, registry=self.dbm.registry)
             workers.append(WorkerState(thread_id=thread_id, ctx=wctx,
                                        chunks=blocks, meta=meta, sink=sink))
         return workers
@@ -608,56 +590,57 @@ class ParallelRuntime:
                     sink.record(addr, desc.is_write, desc.lanes)
                     addr += stride
             else:
-                worker.descriptors.append(d)
+                sink.descriptors.append(d)
                 registry.inc("runtime.shadow.summarised")
 
-    def _charge_stm_late_conflicts(self, workers: list[WorkerState]) -> None:
-        """Model aborts against younger threads' writes (section II-E3).
+    def _check_conflicts(self, workers: list[WorkerState]) -> None:
+        """One pass over the invocation's shadow footprints.
 
-        Younger threads' non-transactional writes are queried through
-        their :class:`ShadowView` (cheap membership, no descriptor
-        expansion); transactional write sets are exact.
+        In commit order, each worker's finished transactions are checked
+        against the younger workers' writes: one that read a word a
+        younger thread wrote is charged an abort and retry (section
+        II-E3).  Then each younger worker is checked against it.  Merged
+        extents that cannot intersect dismiss a transaction or a pair
+        without expanding any descriptor; otherwise the exact sets
+        decide, so the verdict (and the reported address) is what exact
+        per-access recording would give.  Words a finished transaction
+        read or wrote were validated by the STM and are not violations.
         """
-        for i, worker in enumerate(workers):
-            if not worker.tx_log:
-                continue
-            later = workers[i + 1:]
-            later_tx_writes: set[int] = set()
-            for other in later:
-                for _tx_reads, tx_writes in other.tx_log:
-                    later_tx_writes |= tx_writes
-            if not later_tx_writes \
-                    and not any(o.view.has_writes() for o in later):
-                continue
-            for tx_reads, tx_writes in worker.tx_log:
-                if any(addr in later_tx_writes
-                       or any(o.view.writes_contain(addr) for o in later)
-                       for addr in tx_reads):
-                    penalty = self.stm.abort(worker.thread_id,
-                                             len(tx_reads), len(tx_writes),
-                                             late_conflict=True)
-                    worker.ctx.cycles += penalty
-                    self.dbm.stats.stm_cycles += penalty
-
-    def _detect_violations(self, workers: list[WorkerState]) -> None:
-        """Pairwise cross-thread conflict check over the shadow views.
-
-        The interval summaries act as a conservative prefilter: a pair
-        whose write/read extents cannot intersect is dismissed without
-        expanding any descriptor.  Positives are confirmed on the exact
-        sets, so the verdict (and the reported address) is what exact
-        per-access recording would give.
-        """
+        reads = [w.sink.intervals(False) for w in workers]
+        writes = [w.sink.intervals(True) for w in workers]
         for i, a in enumerate(workers):
-            for b in workers[i + 1:]:
-                if not views_may_conflict(a.view, b.view):
+            younger = range(i + 1, len(workers))
+            if a.tx_log:
+                younger_tx_writes: set[int] = set()
+                for j in younger:
+                    for _tx_reads, tx_writes in workers[j].tx_log:
+                        younger_tx_writes |= tx_writes
+                for tx_reads, tx_writes in a.tx_log:
+                    if not tx_reads:
+                        continue
+                    extent = [(min(tx_reads), max(tx_reads))]
+                    if not tx_reads.isdisjoint(younger_tx_writes) or any(
+                            intervals_overlap(extent, writes[j])
+                            and not tx_reads.isdisjoint(
+                                workers[j].sink.exact(True))
+                            for j in younger):
+                        penalty = self.stm.abort(
+                            a.thread_id, len(tx_reads), len(tx_writes),
+                            late_conflict=True)
+                        a.ctx.cycles += penalty
+                        self.dbm.stats.stm_cycles += penalty
+            for j in younger:
+                if not (intervals_overlap(writes[i], writes[j])
+                        or intervals_overlap(writes[i], reads[j])
+                        or intervals_overlap(reads[i], writes[j])):
                     continue
-                a_writes, a_reads = a.view.writes(), a.view.reads()
-                b_writes, b_reads = b.view.writes(), b.view.reads()
+                b = workers[j]
+                a_writes, a_reads = a.sink.exact(True), a.sink.exact(False)
+                b_writes, b_reads = b.sink.exact(True), b.sink.exact(False)
                 conflict = ((a_writes & (b_reads | b_writes))
                             | (a_reads & b_writes))
-                conflict -= a.tx_covered
-                conflict -= b.tx_covered
+                for tx in a.tx_log + b.tx_log:
+                    conflict.difference_update(*tx)
                 if conflict:
                     raise DependenceViolationError(
                         f"cross-thread conflict on {min(conflict):#x} "
@@ -668,7 +651,7 @@ class ParallelRuntime:
         if len(workers) < 2:
             return
         cost = self.dbm.cost
-        line_counts = {w.thread_id: w.view.line_counts()
+        line_counts = {w.thread_id: w.sink.line_counts()
                        for w in workers}
         touched: dict[int, int] = {}
         for counts in line_counts.values():

@@ -2,15 +2,15 @@
 
 Each parallel worker records the memory accesses of its chunk so the
 runtime can detect cross-thread conflicts and charge false sharing.  The
-records are three representations deep:
+records are two representations deep, both held by the worker's
+:class:`ShadowSink`:
 
-* :class:`ShadowSink` — flat per-worker event lists.  The generated
-  shadow runners (``repro.dbm.jit`` / ``repro.dbm.superblock``) append raw
-  addresses to them behind an inlined filter on the worker's own
-  stack/TLS bounds, which the runner's namespace binds per worker (the
-  source is shared by all workers); the reference dispatch
-  (``Interpreter.force_reference``) appends the same events through
-  :meth:`ShadowSink.record`.
+* raw events — flat per-worker lists.  The generated shadow runners
+  (``repro.dbm.jit`` / ``repro.dbm.superblock``) append raw addresses to
+  them behind an inlined filter on the worker's own stack/TLS bounds,
+  which the runner's namespace binds per worker (the source is shared by
+  all workers); the reference dispatch (``Interpreter.force_reference``)
+  appends the same events through :meth:`ShadowSink.record`.
 * :class:`StrideDescriptor` — one ``(first, stride, trips, lanes)`` record
   summarising every execution of a statically-proven affine access site
   for one chunk.  The compiled runners skip these sites entirely; the
@@ -19,11 +19,11 @@ records are three representations deep:
   ``force_reference`` the runtime records no descriptors and the
   reference records those sites raw, so the differential test pins the
   descriptor math against exact per-access recording.
-* :class:`ShadowView` — the query interface conflict detection runs on.
-  It answers interval/membership/line-count queries from the raw events
-  plus descriptors, and only *lazily expands* descriptors into exact
-  address sets when another worker's interval summary actually overlaps
-  (``runtime.shadow.lazy_expansions``).
+
+Conflict detection queries the sink: merged interval extents are a
+conservative prefilter, and only when another worker's extent actually
+overlaps are descriptors *lazily expanded* into exact address sets
+(``runtime.shadow.lazy_expansions``).
 
 The recorded semantics (DESIGN.md section 9): every Mem-operand access
 is recorded, never the stack words PUSH/POP/CALL/RET move; an access
@@ -45,19 +45,21 @@ _LINE_SHIFT = 6  # 64-byte lines for the false-sharing model
 
 
 class ShadowSink:
-    """Flat raw-event storage for one worker thread.
+    """One worker thread's shadow footprint for one loop invocation.
 
-    The generated shadow runners bind the ``append`` methods of these
+    The generated shadow runners bind the ``append`` methods of the event
     lists at compile time; the lists are therefore cleared *in place*
     (never reassigned) so compiled code cached across loop invocations
-    stays valid.
+    stays valid.  ``clear()`` also drops the descriptors and the exact
+    sets memoised since the last invocation.
     """
 
     __slots__ = ("thread_id", "tls_lo", "tls_hi", "stack_lo", "stack_hi",
-                 "reads", "writes", "packed_reads", "packed_writes")
+                 "reads", "writes", "packed_reads", "packed_writes",
+                 "descriptors", "registry", "_exact")
 
     def __init__(self, thread_id: int, tls_lo: int, tls_hi: int,
-                 stack_lo: int, stack_hi: int) -> None:
+                 stack_lo: int, stack_hi: int, registry=None) -> None:
         self.thread_id = thread_id
         self.tls_lo = tls_lo
         self.tls_hi = tls_hi
@@ -68,6 +70,10 @@ class ShadowSink:
         self.writes: list[int] = []
         self.packed_reads: list[tuple[int, int]] = []
         self.packed_writes: list[tuple[int, int]] = []
+        self.descriptors: list[StrideDescriptor] = []
+        # Counts ``runtime.shadow.lazy_expansions`` when set.
+        self.registry = registry
+        self._exact: dict[bool, set[int]] = {}
 
     def passes_filter(self, addr: int) -> bool:
         """The recording predicate the generated runners inline."""
@@ -89,10 +95,56 @@ class ShadowSink:
         del self.writes[:]
         del self.packed_reads[:]
         del self.packed_writes[:]
+        del self.descriptors[:]
+        self._exact.clear()
 
     def event_count(self) -> int:
         return (len(self.reads) + len(self.writes)
                 + len(self.packed_reads) + len(self.packed_writes))
+
+    def intervals(self, is_write: bool) -> list[tuple[int, int]]:
+        """Merged inclusive extents covering every read or written word."""
+        raw = self.writes if is_write else self.reads
+        packed = self.packed_writes if is_write else self.packed_reads
+        intervals = [d.interval() for d in self.descriptors
+                     if d.is_write == is_write]
+        if raw:
+            intervals.append((min(raw), max(raw)))
+        for base, lanes in packed:
+            intervals.append((base, base + WORD * (lanes - 1)))
+        return _merge_intervals(intervals)
+
+    def exact(self, is_write: bool) -> set[int]:
+        """Every read or written word address, descriptors expanded."""
+        out = self._exact.get(is_write)
+        if out is not None:
+            return out
+        raw = self.writes if is_write else self.reads
+        packed = self.packed_writes if is_write else self.packed_reads
+        out = set(raw)
+        for base, lanes in packed:
+            out.update(base + WORD * k for k in range(lanes))
+        expanded = False
+        for desc in self.descriptors:
+            if desc.is_write == is_write:
+                out |= desc.addresses()
+                expanded = True
+        if expanded and self.registry is not None:
+            self.registry.inc("runtime.shadow.lazy_expansions")
+        self._exact[is_write] = out
+        return out
+
+    def line_counts(self) -> Counter:
+        """Cache-line events of the writes, for the false-sharing model."""
+        counter: Counter = Counter()
+        for addr in self.writes:
+            counter[addr >> _LINE_SHIFT] += 1
+        for base, _lanes in self.packed_writes:
+            counter[base >> _LINE_SHIFT] += 1
+        for desc in self.descriptors:
+            if desc.is_write:
+                desc.add_line_counts(counter)
+        return counter
 
 
 class StrideDescriptor:
@@ -124,17 +176,6 @@ class StrideDescriptor:
         lo = self.first + min(span, 0)
         hi = self.first + max(span, 0) + WORD * (self.lanes - 1)
         return lo, hi
-
-    def contains(self, addr: int) -> bool:
-        first, stride, trips = self.first, self.stride, self.trips
-        for lane in range(self.lanes):
-            d = addr - first - WORD * lane
-            if stride == 0:
-                if d == 0:
-                    return True
-            elif d % stride == 0 and 0 <= d // stride < trips:
-                return True
-        return False
 
     def addresses(self) -> set[int]:
         """Exact expansion (the lazy path; O(trips * lanes))."""
@@ -193,8 +234,9 @@ def _merge_intervals(intervals: list[tuple[int, int]]) \
     return merged
 
 
-def _intervals_overlap(a: list[tuple[int, int]],
-                       b: list[tuple[int, int]]) -> bool:
+def intervals_overlap(a: list[tuple[int, int]],
+                      b: list[tuple[int, int]]) -> bool:
+    """Whether two merged, sorted extent lists share any word."""
     i = j = 0
     while i < len(a) and j < len(b):
         a_lo, a_hi = a[i]
@@ -206,118 +248,3 @@ def _intervals_overlap(a: list[tuple[int, int]],
         else:
             j += 1
     return False
-
-
-class ShadowView:
-    """One worker's shadow accesses behind the detection query API.
-
-    Conflict detection (``ParallelRuntime._detect_violations`` and
-    friends) runs entirely against this interface: the interval
-    summaries are a conservative prefilter (never a false negative), and
-    every positive is confirmed on the exact sets.
-    """
-
-    def __init__(self, thread_id: int, sink: ShadowSink, descriptors=(),
-                 registry=None) -> None:
-        self.thread_id = thread_id
-        self.sink = sink
-        self.descriptors = list(descriptors)
-        self._registry = registry
-        self._reads: set[int] | None = None
-        self._writes: set[int] | None = None
-        self._lines: Counter | None = None
-        self._raw_writes: set[int] | None = None
-
-    # -- interval summaries ----------------------------------------------
-
-    def read_intervals(self) -> list[tuple[int, int]]:
-        return self._intervals(False)
-
-    def write_intervals(self) -> list[tuple[int, int]]:
-        return self._intervals(True)
-
-    def _intervals(self, is_write: bool) -> list[tuple[int, int]]:
-        sink = self.sink
-        raw = sink.writes if is_write else sink.reads
-        packed = sink.packed_writes if is_write else sink.packed_reads
-        intervals = [d.interval() for d in self.descriptors
-                     if d.is_write == is_write]
-        if raw:
-            intervals.append((min(raw), max(raw)))
-        for base, lanes in packed:
-            intervals.append((base, base + WORD * (lanes - 1)))
-        return _merge_intervals(intervals)
-
-    # -- exact materialisation ------------------------------------------
-
-    def _expand(self, is_write: bool) -> set[int]:
-        sink = self.sink
-        raw = sink.writes if is_write else sink.reads
-        packed = sink.packed_writes if is_write else sink.packed_reads
-        out = set(raw)
-        for base, lanes in packed:
-            out.update(base + WORD * k for k in range(lanes))
-        expanded = False
-        for desc in self.descriptors:
-            if desc.is_write == is_write:
-                out |= desc.addresses()
-                expanded = True
-        if expanded and self._registry is not None:
-            self._registry.inc("runtime.shadow.lazy_expansions")
-        return out
-
-    def reads(self) -> set[int]:
-        if self._reads is None:
-            self._reads = self._expand(False)
-        return self._reads
-
-    def writes(self) -> set[int]:
-        if self._writes is None:
-            self._writes = self._expand(True)
-        return self._writes
-
-    # -- cheap membership (no full expansion) ---------------------------
-
-    def has_writes(self) -> bool:
-        sink = self.sink
-        return bool(sink.writes or sink.packed_writes
-                    or any(d.is_write for d in self.descriptors))
-
-    def writes_contain(self, addr: int) -> bool:
-        if self._writes is not None:
-            return addr in self._writes
-        if self._raw_writes is None:
-            raw = set(self.sink.writes)
-            for base, lanes in self.sink.packed_writes:
-                raw.update(base + WORD * k for k in range(lanes))
-            self._raw_writes = raw
-        if addr in self._raw_writes:
-            return True
-        return any(d.is_write and d.contains(addr)
-                   for d in self.descriptors)
-
-    # -- false-sharing line counts --------------------------------------
-
-    def line_counts(self) -> Counter:
-        if self._lines is None:
-            counter: Counter = Counter()
-            for addr in self.sink.writes:
-                counter[addr >> _LINE_SHIFT] += 1
-            for base, _lanes in self.sink.packed_writes:
-                counter[base >> _LINE_SHIFT] += 1
-            for desc in self.descriptors:
-                if desc.is_write:
-                    desc.add_line_counts(counter)
-            self._lines = counter
-        return self._lines
-
-
-def views_may_conflict(a: ShadowView, b: ShadowView) -> bool:
-    """Conservative prefilter for the pairwise conflict formula.
-
-    True whenever ``(a.W vs b.R|b.W) or (a.R vs b.W)`` *could* intersect.
-    """
-    aw, ar = a.write_intervals(), a.read_intervals()
-    bw, br = b.write_intervals(), b.read_intervals()
-    return (_intervals_overlap(aw, bw) or _intervals_overlap(aw, br)
-            or _intervals_overlap(ar, bw))

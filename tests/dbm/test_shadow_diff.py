@@ -19,12 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.dbm.executor import run_native
 from repro.dbm.modifier import JanusDBM
 from repro.dbm.runtime import ParallelRuntime, WorkerState
-from repro.dbm.shadow import (
-    ShadowSink,
-    ShadowView,
-    StrideDescriptor,
-    views_may_conflict,
-)
+from repro.dbm.shadow import ShadowSink, StrideDescriptor, intervals_overlap
 from repro.jbin.loader import load
 from repro.pipeline import Janus, JanusConfig, SelectionMode
 from repro.workloads import FIG7_BENCHMARKS, compile_workload, get_workload
@@ -38,17 +33,17 @@ WORD = 8
 
 
 def _capture_detect(captures):
-    """Wrap _detect_violations to snapshot every worker's expanded view."""
-    original = ParallelRuntime._detect_violations
+    """Wrap _check_conflicts to snapshot every worker's expanded sink."""
+    original = ParallelRuntime._check_conflicts
 
     def wrapper(self, workers):
         snap = []
         for worker in workers:
-            view = worker.view
+            sink = worker.sink
             snap.append((worker.thread_id,
-                         sorted(view.reads()),
-                         sorted(view.writes()),
-                         dict(view.line_counts())))
+                         sorted(sink.exact(False)),
+                         sorted(sink.exact(True)),
+                         dict(sink.line_counts())))
         captures.append(snap)
         return original(self, workers)
 
@@ -62,11 +57,11 @@ def run_dispatch(image, workload, schedule, scheduling, reference):
     ParallelRuntime(dbm)
     captures: list = []
     original, wrapper = _capture_detect(captures)
-    ParallelRuntime._detect_violations = wrapper
+    ParallelRuntime._check_conflicts = wrapper
     try:
         result = dbm.run(max_instructions=500_000_000)
     finally:
-        ParallelRuntime._detect_violations = original
+        ParallelRuntime._check_conflicts = original
     return result, captures, dbm.registry.as_dict()
 
 
@@ -158,12 +153,10 @@ def test_detection_verdicts_match_across_representations():
                           stack_hi=(1 << 41) + 64)
         sink.reads.extend(reads)
         sink.writes.extend(writes)
-        state = WorkerState(thread_id=thread_id,
-                            ctx=ThreadContext(thread_id=thread_id),
-                            chunks=[(0, 1)], meta=meta, sink=sink,
-                            descriptors=list(descriptors))
-        state.view = ShadowView(thread_id, sink, descriptors)
-        return state
+        sink.descriptors.extend(descriptors)
+        return WorkerState(thread_id=thread_id,
+                           ctx=ThreadContext(thread_id=thread_id),
+                           chunks=[(0, 1)], meta=meta, sink=sink)
 
     # Thread 1 writes [0x1000, 0x1040); thread 2 reads 0x1020: conflict.
     raw_pair = [worker(1, writes=[0x1000 + WORD * k for k in range(8)]),
@@ -175,7 +168,7 @@ def test_detection_verdicts_match_across_representations():
     messages = []
     for pair in (raw_pair, descriptor_pair):
         with pytest.raises(DependenceViolationError) as err:
-            runtime._detect_violations(pair)
+            runtime._check_conflicts(pair)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert "0x1020" in messages[0]
@@ -203,7 +196,7 @@ sink_contents_st = st.tuples(
 )
 
 
-def build_view(thread_id, contents):
+def build_sink(thread_id, contents):
     reads, writes, packed_writes, descriptors = contents
     sink = ShadowSink(thread_id=thread_id, tls_lo=1 << 40,
                       tls_hi=(1 << 40) + 64, stack_lo=1 << 41,
@@ -211,7 +204,8 @@ def build_view(thread_id, contents):
     sink.reads.extend(reads)
     sink.writes.extend(writes)
     sink.packed_writes.extend(packed_writes)
-    return ShadowView(thread_id, sink, descriptors)
+    sink.descriptors.extend(descriptors)
+    return sink
 
 
 def brute_sets(contents):
@@ -237,34 +231,36 @@ def brute_sets(contents):
 
 @settings(max_examples=120, deadline=None)
 @given(sink_contents_st, sink_contents_st)
-def test_view_queries_match_bruteforce(contents_a, contents_b):
-    view_a, view_b = build_view(1, contents_a), build_view(2, contents_b)
+def test_sink_queries_match_bruteforce(contents_a, contents_b):
+    sink_a, sink_b = build_sink(1, contents_a), build_sink(2, contents_b)
     reads_a, writes_a, lines_a = brute_sets(contents_a)
     reads_b, writes_b, lines_b = brute_sets(contents_b)
     # The interval prefilter is conservative: a real conflict always
     # passes it (expand-on-overlap can never miss an overlap).
-    conflict = bool((writes_a & (reads_b | writes_b))
-                    | (reads_a & writes_b))
-    if conflict:
-        assert views_may_conflict(view_a, view_b)
-    # Exact expansion and membership agree with brute force.
-    assert view_a.reads() == reads_a
-    assert view_a.writes() == writes_a
-    assert view_a.line_counts() == lines_a
-    assert view_b.line_counts() == lines_b
-    probe = sorted(writes_a | reads_a | writes_b)[:16]
-    for addr in probe:
-        assert view_b.writes_contain(addr) == (addr in writes_b)
+    if writes_a & (reads_b | writes_b):
+        assert intervals_overlap(sink_a.intervals(True),
+                                 sink_b.intervals(True)) \
+            or intervals_overlap(sink_a.intervals(True),
+                                 sink_b.intervals(False))
+    if reads_a & writes_b:
+        assert intervals_overlap(sink_a.intervals(False),
+                                 sink_b.intervals(True))
+    # Exact expansion agrees with brute force.
+    assert sink_a.exact(False) == reads_a
+    assert sink_a.exact(True) == writes_a
+    assert sink_a.line_counts() == lines_a
+    assert sink_b.line_counts() == lines_b
+    # The sink persists across invocations: clear() must also drop the
+    # descriptors and the memoised exact sets.
+    sink_a.clear()
+    assert sink_a.exact(False) == sink_a.exact(True) == set()
+    assert not sink_a.intervals(True) and not sink_a.line_counts()
 
 
 @settings(max_examples=80, deadline=None)
 @given(descriptor_st)
-def test_descriptor_interval_and_contains(desc):
+def test_descriptor_interval(desc):
     expanded = desc.addresses()
     lo, hi = desc.interval()
     assert min(expanded) == lo
     assert max(expanded) == hi
-    for addr in list(expanded)[:32]:
-        assert desc.contains(addr)
-    assert not desc.contains(lo - WORD)
-    assert not desc.contains(hi + WORD)

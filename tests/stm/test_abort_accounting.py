@@ -7,6 +7,8 @@ or a late conflict charged through ``abort``), and must emit exactly one
 ``stm.abort`` instant when telemetry is recording.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.dbm.machine import ThreadContext
@@ -127,40 +129,44 @@ class TestAbortInstants:
         assert manager.stats.aborts == 1  # counters still work
 
 
+def _runtime():
+    from repro.dbm.modifier import JanusDBM
+    from repro.dbm.runtime import ParallelRuntime
+    from repro.jbin.loader import load
+    from repro.jcc import CompileOptions, compile_source
+
+    image = compile_source(
+        "int main() { print_int(1); return 0; }",
+        CompileOptions(opt_level=2))
+    dbm = JanusDBM(load(image))
+    return dbm, ParallelRuntime(dbm)
+
+
+def _worker(thread_id, tx_log, reads=frozenset(), writes=frozenset(),
+            descriptors=()):
+    """A finished worker whose shadow recorded ``reads``/``writes`` raw
+    and ``descriptors`` summarised."""
+    from repro.dbm.runtime import WorkerState
+    from repro.dbm.shadow import ShadowSink
+
+    sink = ShadowSink(thread_id=thread_id, tls_lo=1 << 40,
+                      tls_hi=(1 << 40) + 64, stack_lo=1 << 41,
+                      stack_hi=(1 << 41) + 64)
+    sink.reads.extend(sorted(reads))
+    sink.writes.extend(sorted(writes))
+    sink.descriptors.extend(descriptors)
+    return WorkerState(thread_id=thread_id,
+                       ctx=ThreadContext(thread_id=thread_id),
+                       chunks=[], meta=SimpleNamespace(loop_id=7),
+                       sink=sink, tx_log=list(tx_log))
+
+
 class TestLateConflictCharges:
-    def _runtime(self):
-        from repro.dbm.modifier import JanusDBM
-        from repro.dbm.runtime import ParallelRuntime
-        from repro.jbin.loader import load
-        from repro.jcc import CompileOptions, compile_source
-
-        image = compile_source(
-            "int main() { print_int(1); return 0; }",
-            CompileOptions(opt_level=2))
-        dbm = JanusDBM(load(image))
-        return dbm, ParallelRuntime(dbm)
-
-    def _worker(self, thread_id, tx_log, writes=frozenset()):
-        """A finished worker whose shadow recorded ``writes`` raw."""
-        from repro.dbm.runtime import WorkerState
-        from repro.dbm.shadow import ShadowSink, ShadowView
-
-        sink = ShadowSink(thread_id=thread_id, tls_lo=1 << 40,
-                          tls_hi=(1 << 40) + 64, stack_lo=1 << 41,
-                          stack_hi=(1 << 41) + 64)
-        sink.writes.extend(sorted(writes))
-        worker = WorkerState(thread_id=thread_id,
-                             ctx=ThreadContext(thread_id=thread_id),
-                             chunks=[], meta=None, sink=sink,
-                             tx_log=list(tx_log))
-        worker.view = ShadowView(thread_id, sink)
-        return worker
-
     def test_late_conflict_aborts_and_charges_worker(self):
-        dbm, runtime = self._runtime()
-        early = self._worker(1, tx_log=[({0x100, 0x108}, {0x110})])
-        late = self._worker(2, tx_log=[], writes={0x100})
-        runtime._charge_stm_late_conflicts([early, late])
+        dbm, runtime = _runtime()
+        early = _worker(1, tx_log=[({0x100, 0x108}, {0x110})])
+        late = _worker(2, tx_log=[], writes={0x100})
+        runtime._check_conflicts([early, late])
         cost = dbm.cost
         penalty = (cost.stm_abort_cycles + 2 * cost.stm_read_cycles
                    + 1 * cost.stm_write_cycles)
@@ -172,19 +178,78 @@ class TestLateConflictCharges:
 
     def test_commit_order_is_respected(self):
         """Writes by *earlier*-committing threads never abort a later one."""
-        dbm, runtime = self._runtime()
-        early = self._worker(1, tx_log=[], writes={0x100})
-        late = self._worker(2, tx_log=[({0x100}, set())])
-        runtime._charge_stm_late_conflicts([early, late])
+        dbm, runtime = _runtime()
+        early = _worker(1, tx_log=[], writes={0x100})
+        late = _worker(2, tx_log=[({0x100}, set())])
+        runtime._check_conflicts([early, late])
         assert runtime.stm.stats.aborts == 0
 
     def test_late_conflict_emits_instant(self):
         recorder = set_recorder(Recorder(label="test"))
-        _dbm, runtime = self._runtime()
-        early = self._worker(1, tx_log=[({0x100}, set())])
-        late = self._worker(2, tx_log=[], writes={0x100})
-        runtime._charge_stm_late_conflicts([early, late])
+        _dbm, runtime = _runtime()
+        early = _worker(1, tx_log=[({0x100}, set())])
+        late = _worker(2, tx_log=[], writes={0x100})
+        runtime._check_conflicts([early, late])
         aborts = [e for e in recorder.events if e["name"] == "stm.abort"]
         assert len(aborts) == 1
         assert aborts[0]["args"] == {"thread": 1, "reads": 1, "writes": 0,
                                      "late_conflict": True}
+
+    def test_descriptor_summarised_writer(self):
+        """Only member words of a younger worker's stride descriptor
+        abort an older transaction, not every word of its extent."""
+        from repro.dbm.shadow import StrideDescriptor
+
+        first = 0x1000
+        for read, aborts in ((first + 16 * 3, 1), (first + 8, 0)):
+            _dbm, runtime = _runtime()
+            early = _worker(1, tx_log=[({read}, set())])
+            late = _worker(2, tx_log=[], descriptors=[
+                StrideDescriptor(first, 16, 8, 1, True)])
+            runtime._check_conflicts([early, late])
+            assert runtime.stm.stats.aborts == aborts
+
+
+WORD_ADDR = 0x2000
+
+
+class TestTransactionCoveredWords:
+    """Words a finished transaction read or wrote were validated by the
+    STM: the same raw conflict is a violation only without the tx."""
+
+    # (older raw accesses, older tx_log, younger raw accesses,
+    # younger tx_log).
+    CASES = {
+        # The older worker writes the word raw; the younger worker reads
+        # it raw and its finished transaction read it too.
+        "younger_tx_read": (dict(writes={WORD_ADDR}), [],
+                            dict(reads={WORD_ADDR}),
+                            [({WORD_ADDR}, set())]),
+        # The older worker reads the word raw and its own finished
+        # transaction wrote it; the younger worker writes it raw.
+        "older_tx_write": (dict(reads={WORD_ADDR}),
+                           [(set(), {WORD_ADDR})],
+                           dict(writes={WORD_ADDR}), []),
+    }
+
+    def _pair(self, case, with_tx):
+        older, older_tx, younger, younger_tx = self.CASES[case]
+        return [_worker(1, older_tx if with_tx else [], **older),
+                _worker(2, younger_tx if with_tx else [], **younger)]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_covered_word_is_not_a_violation(self, case):
+        _dbm, runtime = _runtime()
+        runtime._check_conflicts(self._pair(case, with_tx=True))
+        assert runtime.stm.stats.aborts == 0
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_uncovered_word_is_a_violation(self, case):
+        from repro.dbm.rtcalls import DependenceViolationError
+
+        _dbm, runtime = _runtime()
+        with pytest.raises(DependenceViolationError) as err:
+            runtime._check_conflicts(self._pair(case, with_tx=False))
+        assert str(err.value) == (
+            f"cross-thread conflict on {WORD_ADDR:#x} between threads 1 "
+            f"and 2 in loop 7")
