@@ -336,6 +336,9 @@ _JIT_TIERS = (("fast", "jit_fast"),
 
 
 def _cmd_jit_dump(args) -> int:
+    from repro.dbm.interp import Interpreter
+    from repro.dbm.jit import compile_block_fn
+    from repro.dbm.machine import Machine
     from repro.workloads import compile_workload, get_workload
 
     try:
@@ -361,9 +364,14 @@ def _cmd_jit_dump(args) -> int:
               f"({len(cache)} blocks)", file=sys.stderr)
         return 1
     pcs = sorted(cache) if target is None else [target]
+    # A block entered only once ran through the reference dispatch and
+    # has no runner: compile it as its second entry would have.
+    interp = Interpreter(Machine(), process)
     shown = 0
     for pc in pcs:
         block = cache[pc]
+        if block.entered and block.jit_fast is None:
+            block.jit_fast = compile_block_fn(block, interp, None)
         for tier, attr in _JIT_TIERS:
             source = getattr(getattr(block, attr), "__jit_source__", None)
             if source is None:

@@ -11,13 +11,17 @@ own RTCALLs.  Two kinds of entry exist:
   pseudo-instruction inserted before a profiled access at translation
   time, its operand decoded once into a :class:`RecordSite`.  Sites are
   compiled into every runner (block and superblock), so the profiled run
-  stays on the fast tiers.
+  stays on the fast tiers; a profiled loop's superblock also calls the
+  profiler's loop-iteration bracket in line, which drains the entries
+  in program order.
 * ``(ACCESS, pc, is_write, lanes)`` — an application access recorded
   while ``Interpreter.recording`` is set (an external-call window or an
   oracle replay window; the fast block runner re-reads the flag at entry
   and after each RTCALL, and no superblock runs meanwhile): every
   Mem-operand read or write (one entry per packed access, at its base
-  address), never the stack words PUSH/POP/CALL/RET move.
+  address), never the stack words PUSH/POP/CALL/RET move.  A block's
+  first entry runs through the reference dispatch, which appends the
+  same entries.
 
 ``address`` is the effective address; a consumer expands ``lanes`` into
 the words ``address + 8*k``.  Between two drains neither the consumer's
@@ -60,8 +64,10 @@ class AccessLog:
     itself.  ``private`` = ``(low, high)`` leaves every access to an
     address in ``(low, high]`` out of the window (the oracle's own stack,
     which each parallel worker would have to itself).  The runners bind
-    ``entries.append`` and ``private`` at compile time, so a consumer
-    empties ``entries`` in place and never replaces either.
+    ``entries.append`` and the ``private`` bounds (by name, ``(0, 0)``
+    when there are none, so one source serves every log) at compile
+    time, so a consumer empties ``entries`` in place and never replaces
+    either.
     """
 
     site_cycles: int = 0

@@ -43,6 +43,10 @@ class Block:
     # Only ever entered from the dispatcher's fast path.
     jit_super: object = field(default=None, repr=False, compare=False)
     jit_super_shadow: object = field(default=None, repr=False, compare=False)
+    # Set by the dispatcher's sink-less path at the first entry, which runs
+    # through the reference dispatch: ``jit_fast`` is compiled only when
+    # the block is entered again (repro.dbm.tracecache).
+    entered: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.cost:
@@ -67,34 +71,32 @@ def discover_block(process, pc: int, stop_addresses=frozenset()) -> Block:
 
     Decoding stops after the first control-transfer instruction, or *before*
     any address in ``stop_addresses`` (the DBM splits blocks at addresses
-    that carry rewrite rules targeting block entries).  The decode is
-    memoised per image (:func:`~repro.dbm.jit.translation_memo`).
+    that carry rewrite rules targeting block entries).  Each instruction
+    is decoded once per image (:func:`~repro.dbm.jit.translation_memo`),
+    whatever stop addresses a run splits its blocks at.
     """
     data, base = process.code_at(pc)
     memo = translation_memo(process)
-    # frozenset() of a frozenset is the same object: O(1) for the DBM,
-    # which passes one frozenset for the whole run.
-    key = ("decode", data, base, pc, frozenset(stop_addresses))
-    decoded = memo.get(key)
-    if decoded is None:
-        instructions: list[Instruction] = []
-        addr = pc
-        while True:
+    instructions: list[Instruction] = []
+    cost = 0
+    addr = pc
+    while True:
+        # The decoded instructions themselves are never mutated (a
+        # BlockEditor inserts new ones into its copy of the list), so the
+        # memo shares them between blocks.
+        key = ("ins", base, addr)
+        decoded = memo.get(key)
+        if decoded is None:
             ins = decode_instruction(data, addr - base, addr)
-            instructions.append(ins)
-            addr += ins.size
-            if ins.is_control:
-                break
-            if addr in stop_addresses:
-                break
-            if addr - base >= len(data):
-                break
-        block = Block(start=pc, instructions=instructions, end=addr)
-        memo[key] = (tuple(instructions), addr, block.cost)
-        return block
-    # A fresh Block over a fresh list: translation edits and runner slots
-    # never reach the memo (the decoded instructions themselves are
-    # never mutated; a BlockEditor inserts new ones into its copy).
-    instructions, end, cost = decoded
-    return Block(start=pc, instructions=list(instructions), end=end,
-                 cost=cost)
+            decoded = memo[key] = (ins, instruction_cycles(ins))
+        ins, cycles = decoded
+        instructions.append(ins)
+        cost += cycles
+        addr += ins.size
+        if ins.is_control:
+            break
+        if addr in stop_addresses:
+            break
+        if addr - base >= len(data):
+            break
+    return Block(start=pc, instructions=instructions, end=addr, cost=cost)

@@ -72,6 +72,10 @@ class Interpreter:
         self.process = process
         # Hook invoked for RTCALL pseudo-instructions: f(ctx, hid, arg) -> pc|None
         self.rtcall_handler = None
+        # RTCALL ids whose handlers were registered inline
+        # (JanusDBM.register_rtcall): the only RTCALLs a superblock may
+        # contain.
+        self.inline_rtcalls: set[int] = set()
         # The run's access log (repro.dbm.accesslog), attached before the
         # run by profiling and the oracle; ``recording`` (toggled only by
         # their RTCALL handlers) adds every Mem-operand access to it.
@@ -199,8 +203,8 @@ class Interpreter:
 
     # -- block execution -------------------------------------------------------
 
-    def execute_block_reference(self, ctx: ThreadContext,
-                                block: Block) -> int | None:
+    def execute_block_reference(self, ctx: ThreadContext, block: Block,
+                                lookup=None):
         """Execute one block through the reference per-instruction dispatch.
 
         Return the next pc, or ``None`` when halted.  Cycle cost is
@@ -210,6 +214,13 @@ class Interpreter:
         truth the compiled tiers are pinned against (tests/dbm/test_jit.py,
         tests/dbm/test_shadow_diff.py) and the path the dispatcher takes
         under ``force_reference``.
+
+        With the dispatcher's ``lookup`` the successor comes back as the
+        block's compiled runner would return it
+        (:func:`repro.dbm.jit.compile_block_fn`): the looked-up
+        :class:`Block` for a transfer the runner links, the ``int`` pc an
+        RTCALL redirects to, ``-1`` on halt.  The dispatcher runs a
+        block's first entry this way.
         """
         ctx.cycles += block.cost
         ctx.entry_instructions = ctx.instructions
@@ -218,9 +229,11 @@ class Interpreter:
             transfer = self._exec(ctx, ins)
             if transfer is not None:
                 if transfer == -1:  # halted
-                    return None
-                return transfer
-        return block.end
+                    return None if lookup is None else -1
+                if lookup is None or ins.opcode is Opcode.RTCALL:
+                    return transfer
+                return lookup(transfer, ctx)
+        return block.end if lookup is None else lookup(block.end, ctx)
 
     # -- instruction semantics --------------------------------------------------
 

@@ -11,8 +11,10 @@ Python bytecode with no per-instruction dispatch.
 
 Each block has one runner per tier:
 
-* the **fast** runner (``Block.jit_fast``) reads and writes machine
-  memory directly; it may *link*: a terminator resolves its successor's
+* the **fast** runner (``Block.jit_fast``), compiled at a block's second
+  entry (the first runs through the reference dispatch; see
+  :mod:`repro.dbm.tracecache`), reads and writes machine memory
+  directly; it may *link*: a terminator resolves its successor's
   compiled :class:`~repro.dbm.blocks.Block` once through the dispatcher's
   ``lookup`` and caches it, so the dispatch loop skips the code-cache
   lookup.  A self-looping block links to itself like any other
@@ -135,9 +137,10 @@ _MEMO_SLOT: list = [None, {}]
 def translation_memo(process) -> dict:
     """The memo of pure translation products for ``process``'s image.
 
-    Entries are content-keyed and image-independent in meaning:
-    ``("decode", section bytes, section base, pc, stop addresses)`` ->
-    ``(instructions, end, cost)`` (:func:`~repro.dbm.blocks.discover_block`),
+    Every entry is a pure function of its key within the image:
+    ``("ins", section base, address)`` -> ``(instruction, cycles)``
+    (:func:`~repro.dbm.blocks.discover_block`; one entry per instruction,
+    whatever stop addresses a run splits its blocks at),
     ``("code", source, filename)`` -> code object (block runners) and
     ``("super", pre-strip source, filename)`` -> ``(stripped source, code
     object)`` (:mod:`repro.dbm.superblock`).  Only the image translated
@@ -232,6 +235,9 @@ class _BlockCompiler:
         self.rec = self.log is not None and not shadow
         if self.log is not None:
             self.ns["_lg"] = self.log.entries.append
+            # The oracle's private-stack bounds are names, not literals,
+            # so profiler and oracle runs of one image share each source.
+            self.ns["_plo"], self.ns["_phi"] = self.log.private or (0, 0)
         memory = interp.machine.memory
         self.ns["_mr"] = memory.read
         self.ns["_mw"] = memory.write
@@ -292,11 +298,8 @@ class _BlockCompiler:
         """Append one access-log entry (the key folds to a constant)."""
         key = (ACCESS, ins.address, is_write, lanes)
         self.uses_rc = True
-        cond = "rc"
-        if self.log.private is not None:
-            low, high = self.log.private
-            cond += f" and not {low} < {var} <= {high}"
-        self.emit(f"if {cond}: _lg(({key!r}, {var}))")
+        self.emit(f"if rc and not _plo < {var} <= _phi: "
+                  f"_lg(({key!r}, {var}))")
 
     def record_site(self, site) -> None:
         """A ``RECORD`` pseudo-instruction: charge, then log the site."""

@@ -105,8 +105,23 @@ class JanusDBM:
 
     # -- rtcall plumbing -----------------------------------------------------
 
-    def register_rtcall(self, rtcall_id: int, handler) -> None:
-        self.rtcall_handlers[int(rtcall_id)] = handler
+    def register_rtcall(self, rtcall_id: int, handler,
+                        inline: bool = False) -> None:
+        """Route RTCALL ``rtcall_id`` to ``handler(ctx, arg)``.
+
+        ``inline=True`` declares that the handler returns ``None``, leaves
+        ``recording``, ``active_tx``, registers, flags and
+        ``ctx.instructions`` untouched, and only adds to ``ctx.cycles``.
+        Superblocks may then contain the RTCALL and call the handler in
+        line (:mod:`repro.dbm.superblock`); any other RTCALL ends
+        superblock formation.
+        """
+        rtcall_id = int(rtcall_id)
+        self.rtcall_handlers[rtcall_id] = handler
+        if inline:
+            self.interp.inline_rtcalls.add(rtcall_id)
+        else:
+            self.interp.inline_rtcalls.discard(rtcall_id)
 
     def _dispatch_rtcall(self, ctx: ThreadContext, rtcall_id: int, arg: int):
         handler = self.rtcall_handlers.get(rtcall_id)

@@ -29,10 +29,14 @@ DynamoRIO's trace building, PyPy's bridges, in miniature:
   blocks actually entered — folded to constants per exit site) before
   returning to the block tier.  Superblocks are fast-path-only: the
   dispatcher's fast-path test (no open transaction; a recording window
-  only opens at an RTCALL, which no superblock contains) is re-checked at
-  every loop back edge, and a violation deopts to the block tier at a
-  clean block boundary.  So unlike the block runners, a superblock never
-  branches on a transaction or appends to the access log.
+  only opens at an RTCALL) is re-checked at every loop back edge, and a
+  violation deopts to the block tier at a clean block boundary.  The
+  only RTCALLs a superblock contains are those registered inline
+  (``JanusDBM.register_rtcall(..., inline=True)``: the profiler's
+  loop-iteration bracket), whose handlers return ``None`` and change no
+  window, transaction, register, flag or instruction count; they compile
+  to a bare handler call.  So unlike the block runners, a superblock
+  never branches on a transaction or records window accesses.
 
 Exit kinds and their contracts (DESIGN.md section 5):
 
@@ -182,12 +186,13 @@ def _walk(head, interp, lookup, ctx, last_succ, shadow=False):
     * ``("ret", expected)`` — pop and guard the return address.
 
     ``None`` when the path is not a single-entry loop the tier can
-    compile: indirect terminators, SYSCALL/RTCALL blocks, unobserved
-    edges, interior cycles, another loop head's territory, or the size
-    budget.
+    compile: indirect terminators, blocks with a SYSCALL or an RTCALL not
+    registered inline (``interp.inline_rtcalls``), unobserved edges,
+    interior cycles, another loop head's territory, or the size budget.
     """
     process = interp.process
     resolve = process.resolve_target if process is not None else _identity
+    inline = interp.inline_rtcalls
     segments: list = []
     seen: set[int] = set()
     call_stack: list[int] = []
@@ -200,7 +205,10 @@ def _walk(head, interp, lookup, ctx, last_succ, shadow=False):
         if block is not head and slot is not None:
             return None  # interior of another hot loop: its own tier owns it
         for ins in block.instructions:
-            if ins.opcode in (Opcode.SYSCALL, Opcode.RTCALL):
+            op = ins.opcode
+            if op is Opcode.SYSCALL or (
+                    op is Opcode.RTCALL
+                    and ins.operands[0].value not in inline):
                 return None
         seen.add(block.start)
         total += len(block.instructions)
@@ -358,7 +366,8 @@ class _SuperblockCompiler(_BlockCompiler):
         self.segments = segments
         # Superblocks run only where the fast path is legal (no open
         # transaction, no live recording window) and contain no RTCALL
-        # to change either: no log appends, no transaction branches.
+        # that changes either (only inline ones): no window recording, no
+        # transaction branches.
         self.rec = self.tx_guarded = False
         self.ns["_sb"] = interp.sb_stats
         self.ns["_self"] = head
@@ -720,6 +729,13 @@ class _SuperblockCompiler(_BlockCompiler):
     def stmt(self, ins, k) -> None:
         op = ins.opcode
         ops = ins.operands
+        if op is Opcode.RTCALL:
+            # Registered inline: the handler returns None and touches no
+            # register, flag, instruction count or window, so nothing is
+            # spilled or re-read around it.
+            arg = ops[1].value if len(ops) > 1 else 0
+            self.emit(f"_rt(ctx, {ops[0].value}, {arg})")
+            return
         self._site_record = self.shadow \
             and self.addr_of(ins) not in self.summarised
         dst = ops[0] if ops else None

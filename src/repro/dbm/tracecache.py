@@ -10,16 +10,25 @@ Each block has one runner per tier (:mod:`repro.dbm.jit`): the *fast*
 runner, or — when a :class:`~repro.dbm.shadow.ShadowSink` is installed
 (parallel workers) — the *shadow* runner, which links like the fast
 runner while recording filtered raw events into the sink; shadow
-superblocks form exactly like fast ones.  Neither runner needs the dispatcher to know about
+superblocks form exactly like fast ones.  On the sink-less path a
+block's fast runner is compiled only when the block is entered a second
+time: the first entry runs through the reference dispatch
+(``Interpreter.execute_block_reference`` with this loop's ``lookup``),
+which returns the successor exactly as the runner would — a linked
+``Block``, an ``int`` after an RTCALL redirect, ``-1`` on halt — so heat
+counting and superblock formation cannot tell the two apart.  Many
+blocks run once, and they are never compiled.
+
+Neither runner needs the dispatcher to know about
 recording windows or transactions: in a run with an access log attached
 (:mod:`repro.dbm.accesslog`: training and the DOALL oracle) the fast
 runner re-reads the window state at entry and after each RTCALL, the
 only instruction whose handler opens or closes a window, and the shadow
 runner does the same with the open transaction (only parallel workers
 open one).  Outside the windows, profiling runs execute exactly like
-plain runs — superblocks and inline ``RECORD`` sites included; loop
-coverage is attributed from ``ctx.instructions`` by the bracket RTCALLs,
-not here.
+plain runs — superblocks, inline ``RECORD`` sites and the profiler's
+inline loop-iteration brackets included; loop coverage is attributed
+from ``ctx.instructions`` by the bracket RTCALLs, not here.
 
 Under ``interp.force_reference`` every block runs through the reference
 per-instruction dispatch instead, which feeds the same access log and
@@ -42,6 +51,8 @@ in this loop at clean block boundaries.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.dbm.blocks import Block
 from repro.dbm.jit import compile_block_fn
 from repro.dbm.superblock import maybe_form_superblock
@@ -59,8 +70,10 @@ def run_loop(interp, ctx, pc: int, lookup,
     ``max_instructions`` is crossed (checked at block boundaries; a
     superblock bails out at least every ``interp.trace_budget``
     iterations, bounding the overshoot).  The overshoot never crosses an
-    RTCALL, and while a recording window is live no superblock runs, so
-    everything an access-log consumer observes stops at the same block
+    RTCALL other than an inline one (a profiler's loop-iteration bracket;
+    a profiling run that hits its limit raises and returns no profile),
+    and while a recording window is live no superblock runs, so
+    everything the DOALL oracle observes stops at the same block
     boundary as under per-block dispatch.
     """
     from repro.dbm.interp import ExecutionLimitExceeded
@@ -96,8 +109,15 @@ def run_loop(interp, ctx, pc: int, lookup,
             if run is None:
                 run = block.jit_fast
                 if run is None:
-                    run = block.jit_fast = compile_block_fn(
-                        block, interp, lookup)
+                    if block.entered:
+                        run = block.jit_fast = compile_block_fn(
+                            block, interp, lookup)
+                    else:
+                        # First entry: most blocks run once, so only a
+                        # re-entered block is compiled.
+                        block.entered = True
+                        run = partial(interp.execute_block_reference,
+                                      block=block, lookup=lookup)
         else:
             run = block.jit_super_shadow if fast else None
             if run is None:

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.dbm.executor import ExecutionResult, run_native
+from repro.isa.costs import DEFAULT_COST_MODEL
 from repro.jbin.loader import load
 from repro.jcc import CompileOptions
 from repro.pipeline import Janus, JanusConfig, SelectionMode
@@ -303,7 +304,10 @@ class EvalHarness:
 
         Only Fig. 6 needs this (per-category execution-time fractions);
         the schedule is independent of the training stage because training
-        never reclassifies a loop as incompatible.
+        never reclassifies a loop as incompatible.  For a binary with no
+        bracketable incompatible loop it is the training's coverage
+        schedule, and a training already run in this harness serves the
+        profile (:meth:`_training_coverage`).
         """
         options = options or CompileOptions()
         key = (name, _options_key(options))
@@ -317,21 +321,42 @@ class EvalHarness:
             if profile is not None:
                 self._profiles[key] = profile
                 return profile
-        analysis = self.janus_for(name, options).analysis
-        schedule = generate_profile_schedule(analysis,
+        janus = self.janus_for(name, options)
+        schedule = generate_profile_schedule(janus.analysis,
                                              include_incompatible=True)
-        workload = get_workload(name)
-        process = load(self.image(name, options),
-                       inputs=list(workload.train_inputs))
-        with get_recorder().span("exec.fig6profile", cat="exec",
-                                 lane=lane_label("fig6profile", name),
-                                 benchmark=name):
-            profile, _ = run_profiling(process, schedule,
-                                       max_instructions=MAX_INSTRUCTIONS)
+        profile = self._training_coverage(key, janus, schedule)
+        if profile is None:
+            workload = get_workload(name)
+            process = load(janus.image, inputs=list(workload.train_inputs))
+            with get_recorder().span("exec.fig6profile", cat="exec",
+                                     lane=lane_label("fig6profile", name),
+                                     benchmark=name):
+                profile, _ = run_profiling(process, schedule,
+                                           max_instructions=MAX_INSTRUCTIONS)
         self._profiles[key] = profile
         if entry is not None:
             self._disk_put(*entry, profile)
         return profile
+
+    def _training_coverage(self, key: tuple, janus: Janus,
+                           schedule) -> ProfileResult | None:
+        """The memoised training's coverage profile, if it is this run.
+
+        Both runs load ``janus.image`` with the workload's training
+        inputs.  When the Fig. 6 schedule also serialises to the coverage
+        pass's bytes, under the same instruction limit and cost model,
+        the two runs are one run, so its profile is returned.  ``None``
+        when training has not run in this harness or anything differs.
+        """
+        training = self._trainings.get(key)
+        config = janus.config
+        if training is None \
+                or config.max_instructions != MAX_INSTRUCTIONS \
+                or config.cost_model != DEFAULT_COST_MODEL \
+                or janus.coverage_schedule().serialize() \
+                != schedule.serialize():
+            return None
+        return training.coverage
 
     def speedup(self, name: str, mode: SelectionMode,
                 options: CompileOptions | None = None,

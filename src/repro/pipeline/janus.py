@@ -99,13 +99,15 @@ class Janus:
             span.set(dependence_pass=training.dependence is not None)
         return training
 
+    def coverage_schedule(self) -> RewriteSchedule:
+        """The schedule of the training's coverage pass."""
+        return generate_profile_schedule(self.analysis, stage=COVERAGE_STAGE)
+
     def _train(self, train_inputs: list[int] | None) -> TrainingData:
         analysis = self.analysis
-        coverage_schedule = generate_profile_schedule(analysis,
-                                                      stage=COVERAGE_STAGE)
         process = load(self.image, inputs=train_inputs)
         coverage, _ = run_profiling(
-            process, coverage_schedule,
+            process, self.coverage_schedule(),
             cost_model=self.config.cost_model.copy(),
             max_instructions=self.config.max_instructions)
 

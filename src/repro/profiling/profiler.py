@@ -5,7 +5,11 @@ Profiling runs execute on the ordinary *fast* compiled tiers
 is instrumented per block or per access:
 
 * loop **coverage** is attributed from ``ctx.instructions`` by the
-  bracket RTCALLs themselves (:meth:`Profiler._attribute`);
+  bracket RTCALLs themselves (:meth:`Profiler._attribute`); the
+  loop-iteration bracket, which only counts the iteration and drains the
+  log, is registered inline, so a profiled hot loop's superblock calls it
+  in line and never leaves compiled code (the start, finish and window
+  RTCALLs end superblock formation);
 * each PROF_MEM site is a ``RECORD`` pseudo-instruction that the block
   runner compiles into an inline append of the site's address to the
   run's ordered access log (:mod:`repro.dbm.accesslog`), charging
@@ -126,7 +130,10 @@ class Profiler(IterationShadowChecker):
         # Coverage is attributed up to this instruction count.
         self._attributed = 0
         dbm.register_rtcall(RTCallID.PROF_LOOP_START, self._loop_start)
-        dbm.register_rtcall(RTCallID.PROF_LOOP_ITER, self._loop_iter)
+        # The iteration bracket only counts and drains: superblocks call
+        # it in line, so profiled loops stay on the hot-loop tier.
+        dbm.register_rtcall(RTCallID.PROF_LOOP_ITER, self._loop_iter,
+                            inline=True)
         dbm.register_rtcall(RTCallID.PROF_LOOP_FINISH, self._loop_finish)
         dbm.register_rtcall(RTCallID.PROF_EXCALL_START, self._excall_start)
         dbm.register_rtcall(RTCallID.PROF_EXCALL_FINISH, self._excall_finish)

@@ -209,18 +209,23 @@ def _check_ssa(cfg: FunctionCFG, dom: DominatorInfo, ssa,
         for phi in phis:
             def_counts.setdefault((phi.var, phi.dest), []).append(
                 ("phi", block))
-    for name, sites in sorted(def_counts.items(), key=repr):
+    # Findings are nearly always absent: walk unsorted and order only
+    # what is found, by the (name, sites) repr.
+    keyed: list[tuple] = []
+    for name, sites in def_counts.items():
         if len(sites) > 1:
-            findings.append(_finding(
+            keyed.append((repr((name, sites)), _finding(
                 "ssa.single-def", f"{where} {name!r}",
-                f"SSA name defined at {len(sites)} sites: {sites}"))
+                f"SSA name defined at {len(sites)} sites: {sites}")))
             continue
         recorded = ssa.def_sites.get(name)
         if recorded is not None and recorded[0] != "entry" \
                 and tuple(recorded) != sites[0]:
-            findings.append(_finding(
+            keyed.append((repr((name, sites)), _finding(
                 "ssa.def-site", f"{where} {name!r}",
-                f"def_sites records {recorded}, actual def at {sites[0]}"))
+                f"def_sites records {recorded}, actual def at {sites[0]}")))
+    findings.extend(finding for _key, finding in sorted(
+        keyed, key=lambda pair: pair[0]))
 
     # Phi arity: one incoming version per CFG predecessor.
     for block, phis in ssa.phis.items():
@@ -234,9 +239,10 @@ def _check_ssa(cfg: FunctionCFG, dom: DominatorInfo, ssa,
                     f"phi sources {sorted(map(hex, sources))} != "
                     f"predecessors {sorted(map(hex, preds))}"))
 
-    # Definitions dominate uses.
-    for (block, index), fact in sorted(ssa.facts.items()):
-        for var, version in sorted(fact.uses.items(), key=repr):
+    # Definitions dominate uses (findings ordered by site, then use repr).
+    keyed = []
+    for (block, index), fact in ssa.facts.items():
+        for var, version in fact.uses.items():
             site = ssa.def_sites.get((var, version))
             if site is None or site[0] == "entry":
                 continue  # live-in: defined before the function body
@@ -246,11 +252,13 @@ def _check_ssa(cfg: FunctionCFG, dom: DominatorInfo, ssa,
                 _, db, di = site
                 ok = (di < index) if db == block else dom.dominates(db, block)
             if not ok:
-                findings.append(_finding(
+                keyed.append(((block, index, repr((var, version))), _finding(
                     "ssa.def-dominates-use",
                     f"{where} block {block:#x} ins {index}",
                     f"use of {(var, version)!r} not dominated by its "
-                    f"definition at {site}"))
+                    f"definition at {site}")))
+    findings.extend(finding for _key, finding in sorted(
+        keyed, key=lambda pair: pair[0]))
     # Phi incoming values must be defined on the incoming edge: the def
     # site has to dominate the predecessor block.
     for block, phis in ssa.phis.items():

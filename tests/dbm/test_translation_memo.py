@@ -1,7 +1,7 @@
 """The per-image translation memo (``repro.dbm.jit.translation_memo``).
 
-Decoded blocks, block-runner code objects and stripped superblocks are
-content-keyed and shared by every translation of one image.  The contract
+Decoded instructions, block-runner code objects and stripped superblocks
+are memoised per image and shared by every translation of it.  The contract
 is that a memo hit is invisible: a run with a warm memo is identical —
 outputs, simulated cycles, exit code and every stats counter — to one
 that translates everything from scratch.
@@ -14,6 +14,7 @@ from repro.dbm.blocks import discover_block
 from repro.dbm.editor import BlockEditor
 from repro.dbm.modifier import JanusDBM
 from repro.dbm.runtime import ParallelRuntime
+from repro.isa.costs import instruction_cycles
 from repro.isa.instructions import Instruction, Opcode
 from repro.jbin.loader import load
 from repro.pipeline import Janus, JanusConfig, SelectionMode
@@ -90,6 +91,22 @@ def test_editor_insert_does_not_leak_into_memo():
     assert (again.end, again.cost) == (edited.end, block.cost)
 
 
+def test_decode_is_shared_across_stop_addresses():
+    """Each instruction is decoded once per image, wherever a run's stop
+    addresses split its blocks."""
+    process = load(compile_workload("470.lbm"))
+    # The entry block calls main; main's first block is longer.
+    call = discover_block(process, process.entry).terminator
+    main = process.resolve_target(call.operands[0].value)
+    whole = discover_block(process, main)
+    assert len(whole) >= 2
+    split = discover_block(process, main, stop_addresses=frozenset(
+        {whole.instructions[1].address}))
+    assert len(split) == 1 and split.end == whole.instructions[1].address
+    assert split.instructions[0] is whole.instructions[0]
+    assert split.cost == instruction_cycles(whole.instructions[0])
+
+
 def test_switching_images_drops_previous_entries():
     lbm = load(compile_workload("470.lbm"))
     milc = load(compile_workload("433.milc"))
@@ -102,8 +119,11 @@ def test_switching_images_drops_previous_entries():
     assert jit._MEMO_SLOT[0] is milc.image
     fresh = jit.translation_memo(milc)
     assert fresh is not memo
-    lbm_text = lbm.image.text.data
-    assert not any(key[1] is lbm_text for key in fresh)
+    lbm_decoded = {id(value[0]) for key, value in memo.items()
+                   if key[0] == "ins"}
+    assert lbm_decoded
+    assert not any(id(value[0]) in lbm_decoded
+                   for key, value in fresh.items() if key[0] == "ins")
     assert jit.translation_memo(None) == {}
 
 

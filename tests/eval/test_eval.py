@@ -48,6 +48,26 @@ class TestHarnessCaching:
                                SelectionMode.DBM_ONLY) <= 1.0
 
 
+class TestFig6Profile:
+    def test_training_coverage_reused_when_schedules_match(self):
+        # 470.lbm has no bracketable incompatible loop: the Fig. 6
+        # schedule is the coverage pass's, so training's run serves it.
+        harness = EvalHarness()
+        training = harness.training("470.lbm")
+        assert harness.fig6_profile("470.lbm") is training.coverage
+        fresh = EvalHarness().fig6_profile("470.lbm")
+        assert fresh is not training.coverage
+        assert fresh == training.coverage
+
+    def test_incompatible_loops_get_their_own_run(self):
+        # 473.astar brackets incompatible loops for Fig. 6 only.
+        harness = EvalHarness()
+        training = harness.training("473.astar")
+        profile = harness.fig6_profile("473.astar")
+        assert profile != training.coverage
+        assert set(profile.loops) > set(training.coverage.loops)
+
+
 class TestDiskCache:
     def test_native_roundtrip(self, tmp_path):
         cache = str(tmp_path / "cache")

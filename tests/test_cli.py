@@ -129,6 +129,11 @@ def test_jit_dump_command(capsys):
     assert "[superblock]" in captured.out
     assert "def _jsb_" in captured.out
     assert "compiled runners printed" in captured.err
+    # Every block in the code cache prints its fast runner, including the
+    # blocks entered only once, which the run itself never compiled.
+    blocks = int(captured.err.split("[jit-dump] ")[1].split()[0])
+    assert sum(1 for line in captured.out.splitlines()
+               if line.startswith("-- ") and "[fast]" in line) == blocks
 
     # --pc narrows the dump to one block (here: the superblock head).
     head = next(line.split()[1] for line in captured.out.splitlines()

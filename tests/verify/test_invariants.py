@@ -137,3 +137,40 @@ class TestNeverRaises:
         findings = check_analysis(analysis)
         assert "internal.exception" in checks(findings)
         assert all(f.severity in tuple(Severity) for f in findings)
+
+
+class TestCorruptedSSA:
+    def test_findings_order_is_pinned(self):
+        """SSA findings come out sorted by the (name, sites) repr, then by
+        (block, index, use repr), whatever order the facts iterate in."""
+        from repro.analysis.ssa import InstructionSSA
+
+        analysis = analyze_image(nested_image())
+        fa = next(iter(analysis.functions.values()))
+        ssa = fa.ssa
+        entry, outer, inner, latch, _exit = sorted(fa.cfg.blocks)
+        # Two names defined twice: (2, 1) is met first, (10, 1) sorts first.
+        ssa.facts[(outer, 0)].defs[2] = 1
+        ssa.facts[(latch, 1)].defs[2] = 1
+        ssa.facts[(inner, 2)].defs[10] = 1
+        ssa.facts[(latch, 2)].defs[10] = 1
+        # def_sites disagrees with the one real def of (6, 3).
+        ssa.def_sites[(6, 3)] = ("ins", latch, 1)
+        # Undominated uses: one in the inner header, and two at a fact
+        # inserted last that sorts second, its uses out of repr order.
+        ssa.facts[(inner, 0)].uses[6] = 3
+        ssa.facts[(entry, 1)] = InstructionSSA(uses={1: 4, 0: 3}, defs={})
+        got = [(f.check, f.location) for f in check_function(fa)]
+        fn = f"fn {entry:#x}"
+        assert got == [
+            ("ssa.single-def", f"{fn} (10, 1)"),
+            ("ssa.single-def", f"{fn} (2, 1)"),
+            ("ssa.def-site", f"{fn} (6, 3)"),
+            ("ssa.def-dominates-use", f"{fn} block {entry:#x} ins 1"),
+            ("ssa.def-dominates-use", f"{fn} block {entry:#x} ins 1"),
+            ("ssa.def-dominates-use", f"{fn} block {inner:#x} ins 0"),
+            ("ssa.def-dominates-use", f"{fn} block {latch:#x} ins 1"),
+        ]
+        uses = [f.message.split(" not ")[0] for f in check_function(fa)
+                if f.check == "ssa.def-dominates-use"]
+        assert uses[:2] == ["use of (0, 3)", "use of (1, 4)"]
