@@ -60,7 +60,7 @@ class ExecutionResult:
 
         low_stack = layout.STACK_TOP - 64 * layout.THREAD_STACK_SIZE
         return {addr: value
-                for addr, value in self.machine.memory.words.items()
+                for addr, value in self.machine.memory.items()
                 if value != 0 and not low_stack <= addr <= layout.STACK_TOP
                 and not layout.TLS_BASE <= addr < low_stack}
 

@@ -241,6 +241,7 @@ class _BlockCompiler:
         memory = interp.machine.memory
         self.ns["_mr"] = memory.read
         self.ns["_mw"] = memory.write
+        self.ns["_rf"] = memory.read_f64
 
         def _rt(ctx, hid, arg, _interp=interp, _error=error_type):
             handler = _interp.rtcall_handler
@@ -347,42 +348,51 @@ class _BlockCompiler:
         return (f"ctx.stack_top - {layout.THREAD_STACK_SIZE} < {addr}"
                 f" <= ctx.stack_top")
 
-    def word_load(self, addr: str) -> str:
-        """The word at ``addr``: read through an open transaction unless
-        it lies on the thread's own stack."""
+    def word_load(self, addr: str, f64: bool = False) -> str:
+        """The word at ``addr``, as a double with ``f64``: read through
+        an open transaction unless it lies on the thread's own stack.
+        A transaction logs int bits, so its value-based validation
+        compares bit patterns."""
+        load = f"_rf({addr})" if f64 else f"_mr({addr})"
         if not self.tx_guarded:
-            return f"_mr({addr})"
+            return load
         self.uses_tx = True
-        return (f"(_mr({addr}) if tx is None or {self.own_stack(addr)}"
-                f" else tx.read({addr}))")
+        tx_load = f"_i2f(tx.read({addr}))" if f64 else f"tx.read({addr})"
+        return (f"({load} if tx is None or {self.own_stack(addr)}"
+                f" else {tx_load})")
 
-    def emit_word_store(self, addr: str, value: str) -> None:
+    def emit_word_store(self, addr: str, value: str,
+                        f64: bool = False) -> None:
+        """Store ``value`` (a double with ``f64``) at ``addr``: memory
+        keeps it in the form given; an open transaction buffers bits."""
         if not self.tx_guarded:
             self.emit(f"_mw({addr}, {value})")
             return
         self.uses_tx = True
         self.emit(f"if tx is None or {self.own_stack(addr)}:")
         self.emit(f"    _mw({addr}, {value})")
+        bits = f"_f2i({value})" if f64 else value
         self.emit("else:")
-        self.emit(f"    tx.write({addr}, {value})")
+        self.emit(f"    tx.write({addr}, {bits})")
 
-    def mem_load(self, op: Mem, ins: Instruction) -> str:
+    def mem_load(self, op: Mem, ins: Instruction, f64: bool = False) -> str:
         """Expression reading Mem operand ``op``, with the access recorded."""
         if not (self.rec or self.shadow):
-            return f"_mr({self.ea(op)})"
+            return f"{'_rf' if f64 else '_mr'}({self.ea(op)})"
         sa = self.addr_temp()
         self.emit(f"{sa} = {self.ea(op)}")
         self.record(sa, ins, False, 1)
-        return self.word_load(sa)
+        return self.word_load(sa, f64)
 
-    def mem_store(self, op: Mem, ins: Instruction, value: str) -> None:
+    def mem_store(self, op: Mem, ins: Instruction, value: str,
+                  f64: bool = False) -> None:
         if not (self.rec or self.shadow):
             self.emit(f"_mw({self.ea(op)}, {value})")
             return
         sa = self.addr_temp()
         self.emit(f"{sa} = {self.ea(op)}")
         self.record(sa, ins, True, 1)
-        self.emit_word_store(sa, value)
+        self.emit_word_store(sa, value, f64)
 
     # -- operand access -------------------------------------------------------
 
@@ -403,13 +413,13 @@ class _BlockCompiler:
     def fread(self, op, k: int, ins: Instruction) -> str:
         if type(op) is Reg:
             return f"x[{(op.id - XMM_BASE) * 4}]"
-        return f"_i2f({self.mem_load(op, ins)})"
+        return self.mem_load(op, ins, f64=True)
 
     def fstore(self, op, k: int, ins: Instruction, value: str) -> None:
         if type(op) is Reg:
             self.emit(f"x[{(op.id - XMM_BASE) * 4}] = {value}")
         else:
-            self.mem_store(op, ins, f"_f2i({value})")
+            self.mem_store(op, ins, value, f64=True)
 
     def wrap(self, var: str = "t") -> None:
         self.emit(f"if {var} > {_I64_MAX} or {var} < {_I64_MIN}:")
@@ -713,7 +723,8 @@ class _BlockCompiler:
             self.record("a", ins, False, lanes)
             for lane in range(lanes):
                 offset = f" + {8 * lane}" if lane else ""
-                self.emit(f"s{lane} = _i2f({self.word_load('a' + offset)})")
+                load = self.word_load("a" + offset, f64=True)
+                self.emit(f"s{lane} = {load}")
         if is_move:
             results = [f"s{lane}" for lane in range(lanes)]
         else:
@@ -742,8 +753,7 @@ class _BlockCompiler:
             self.record("a2", ins, True, lanes)
             for lane in range(lanes):
                 offset = f" + {8 * lane}" if lane else ""
-                self.emit_word_store(f"a2{offset}",
-                                     f"_f2i({results[lane]})")
+                self.emit_word_store(f"a2{offset}", results[lane], f64=True)
 
     # -- terminators ---------------------------------------------------------
 

@@ -688,7 +688,7 @@ class ParallelRuntime:
                                          memory.read)
             if group.kind == "reduce":
                 if group.is_float:
-                    total = i64_to_f64(memory.read(addr))
+                    total = memory.read_f64(addr)
                     for worker in workers:
                         total += memory.read_f64(
                             worker.ctx.tls_base + WORD * group.tls_slot)
@@ -724,7 +724,8 @@ class ParallelRuntime:
 
         # Reductions: initial value plus every thread's partial.  The
         # accumulator may be an xmm register, a GPR, or a spilled stack
-        # slot; float slots hold IEEE bit patterns.
+        # slot; a float slot is read and written as a double, and the
+        # initial value arrives as int bits (``_get_var``).
         for red, init_bits in zip(meta.reductions, reduction_inits):
             var = decode_var(red.var)
             if red.is_float:
@@ -735,12 +736,11 @@ class ParallelRuntime:
                     else:
                         worker_rsp0 = worker.ctx.stack_top - (
                             layout.STACK_TOP - main_rsp) - meta.delta_header
-                        total_f += i64_to_f64(
-                            memory.read(worker_rsp0 + var[1]))
+                        total_f += memory.read_f64(worker_rsp0 + var[1])
                 if isinstance(var, int):
                     ctx.fregs[(var - XMM_BASE) * 4] = total_f
                 else:
-                    memory.write(rsp0 + var[1], f64_to_i64(total_f))
+                    memory.write_f64(rsp0 + var[1], total_f)
                 continue
             total = init_bits
             for worker in workers:

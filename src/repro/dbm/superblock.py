@@ -110,10 +110,11 @@ _REG0_WRITERS = frozenset((
 
 _NO = object()
 
-# Bound struct codecs for inline f64<->i64 bit-casts: the generated hot
-# path calls these C-level methods directly instead of going through the
-# Python-level wrappers in repro.dbm.memory (one frame per access adds up
-# at superblock iteration rates).
+# Bound struct codecs for the inline bit-cast a load makes when it finds
+# a word in the other form than it needs (repro.dbm.memory keeps each
+# word in the form it was last written in): the generated code calls
+# these C-level methods directly instead of the Python-level wrappers
+# in repro.dbm.memory, one frame fewer per cast.
 _PACK_Q = struct.Struct("<q").pack
 _UNPACK_D = struct.Struct("<d").unpack
 _PACK_D = struct.Struct("<d").pack
@@ -380,9 +381,9 @@ class _SuperblockCompiler(_BlockCompiler):
         # False outside shadow mode.
         self._site_record = False
         # Inline memory fast path: C-level dict methods and struct codecs.
-        # The checked Python-level helpers (_mr/_mw) remain the fallback
-        # wherever 8-alignment is not statically provable, preserving the
-        # block tier's MemoryFault semantics exactly.
+        # The checked Python-level helpers (_mr/_mw/_rf) remain the
+        # fallback wherever 8-alignment is not statically provable,
+        # preserving the block tier's MemoryFault semantics exactly.
         memory = interp.machine.memory
         self.ns["_wg"] = memory.words.get
         self.ns["_ws"] = memory.words.__setitem__
@@ -424,9 +425,10 @@ class _SuperblockCompiler(_BlockCompiler):
         self.const: dict[int, int] = {}
         self.copies: dict[int, int] = {}
         # Redundant-load elimination: folded address expression -> local
-        # temp holding the loaded value (separate maps for the raw i64
-        # and the bit-cast f64 view).  Cleared at every memory write and
-        # whenever a register named in the key changes.
+        # temp holding the loaded value (separate maps for the int bits
+        # and the double).  Cleared at every memory write and whenever a
+        # register named in the key changes; a double load's write-back
+        # stores the same bits, so it clears nothing.
         self._iloads: dict[str, str] = {}
         self._floads: dict[str, str] = {}
         self.flag_live: list[bool] = []
@@ -453,7 +455,7 @@ class _SuperblockCompiler(_BlockCompiler):
             return super().fread(op, k, ins)
         expr, aligned = self.mem_ref(op)
         if not aligned:
-            return f"_uD(_pQ({self.mem_read(op)}))[0]"
+            return self._unaligned_load(expr, f64=True)
         return self._fload(expr, record=self._site_record)
 
     def _fload(self, key: str, record: bool = False) -> str:
@@ -461,15 +463,46 @@ class _SuperblockCompiler(_BlockCompiler):
         if name is None:
             name = f"mf{self._n_addr}"
             self._n_addr += 1
+            addr = key
             if record:
-                sa = self.addr_temp()
-                self.emit(f"{sa} = {key}")
-                self.emit_record(sa, f"_re({sa})")
-                self.emit(f"{name} = _uD(_pQ(_wg({sa}, 0)))[0]")
-            else:
-                self.emit(f"{name} = _uD(_pQ(_wg({key}, 0)))[0]")
+                addr = self.addr_temp()
+                self.emit(f"{addr} = {key}")
+                self.emit_record(addr, f"_re({addr})")
+            self.emit(f"{name} = _wg({addr}, 0.0)")
+            self._emit_as_float(name, addr)
             self._floads[key] = name
         return name
+
+    def _emit_as_float(self, name: str, addr: str) -> None:
+        """Cast an int word loaded into ``name`` to its double and write
+        the float form back (same bits), so the next load finds it."""
+        self.emit(f"if {name}.__class__ is not float:")
+        self.emit(f"    {name} = _uD(_pQ({name}))[0]")
+        self.emit(f"    _ws({addr}, {name})")
+
+    def _emit_as_int(self, name: str) -> None:
+        self.emit(f"if {name}.__class__ is float: "
+                  f"{name} = _uQ(_pD({name}))[0]")
+
+    def _unaligned_load(self, expr: str, f64: bool) -> str:
+        """A load whose address is not provably 8-aligned: the inline
+        dict path behind the ``& 7`` test, and the checked helper (which
+        raises ``MemoryFault``) when it fails."""
+        name = f"am{self._n_addr}"
+        self._n_addr += 1
+        self.emit(f"{name} = {expr}")
+        if self._site_record:
+            self.emit_record(name, f"_re({name})")
+        value = f"m{name}"
+        if f64:
+            self.emit(f"{value} = _wg({name}, 0.0) if not {name} & 7"
+                      f" else _rf({name})")
+            self._emit_as_float(value, name)
+        else:
+            self.emit(f"{value} = _wg({name}, 0) if not {name} & 7"
+                      f" else _mr({name})")
+            self._emit_as_int(value)
+        return value
 
     def packed(self, ins, k) -> None:
         # Lane-promoted, inline-memory re-emission of the packed ops; the
@@ -504,7 +537,7 @@ class _SuperblockCompiler(_BlockCompiler):
                     offset = f" + {8 * i}" if i else ""
                     name = f"mf{self._n_addr}"
                     self._n_addr += 1
-                    self.emit(f"{name} = _i2f(_mr(a2{offset}))")
+                    self.emit(f"{name} = _rf(a2{offset})")
                     svals.append(name)
         if is_move:
             results = svals
@@ -537,14 +570,14 @@ class _SuperblockCompiler(_BlockCompiler):
                 expr = sa
             for i in range(lanes):
                 addr = expr if i == 0 else f"{expr} + {8 * i}"
-                self.emit(f"_ws({addr}, _uQ(_pD({results[i]}))[0])")
+                self.emit(f"_ws({addr}, {results[i]})")
         else:
             self.emit(f"a2 = {expr}")
             if self._site_record:
                 self.emit_record("a2", f"_pwe((a2, {lanes}))")
             for i in range(lanes):
                 offset = f" + {8 * i}" if i else ""
-                self.emit(f"_mw(a2{offset}, _uQ(_pD({results[i]}))[0])")
+                self.emit(f"_mw(a2{offset}, {results[i]})")
 
     def fstore(self, op, k, ins, value) -> None:
         if type(op) is Reg:
@@ -554,7 +587,7 @@ class _SuperblockCompiler(_BlockCompiler):
                 return
             super().fstore(op, k, ins, value)
             return
-        self.mem_write(op, f"_uQ(_pD({value}))[0]")
+        self.mem_write(op, value)
 
     # -- constant / copy environment ----------------------------------------
 
@@ -660,14 +693,10 @@ class _SuperblockCompiler(_BlockCompiler):
                     self.emit(f"{name} = _wg({sa}, 0)")
                 else:
                     self.emit(f"{name} = _wg({expr}, 0)")
+                self._emit_as_int(name)
                 self._iloads[expr] = name
             return name
-        name = f"am{self._n_addr}"
-        self._n_addr += 1
-        self.emit(f"{name} = {expr}")
-        if self._site_record:
-            self.emit_record(name, f"_re({name})")
-        return f"(_wg({name}, 0) if not {name} & 7 else _mr({name}))"
+        return self._unaligned_load(expr, f64=False)
 
     def mem_write(self, m: Mem, value: str) -> None:
         # Any store may alias any cached load (the tier proves nothing

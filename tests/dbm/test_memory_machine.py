@@ -70,6 +70,47 @@ class TestMemory:
         memory.write(0x1008, 0)
         assert memory.snapshot() == {0x1000: 5}
 
+    def test_read_of_float_word_returns_int_bits(self):
+        memory = Memory()
+        memory.write_f64(0x2000, -2.5)
+        assert memory.read(0x2000) == f64_to_i64(-2.5)
+        assert memory.words[0x2000] == -2.5     # stored as written
+
+    def test_read_f64_of_int_word_returns_float(self):
+        memory = Memory()
+        memory.write(0x2000, f64_to_i64(0.1))
+        assert memory.read_f64(0x2000) == 0.1
+        # The float form is written back; the bits are unchanged.
+        assert memory.words[0x2000].__class__ is float
+        assert memory.read(0x2000) == f64_to_i64(0.1)
+        assert memory.read_f64(0x3000) == 0.0
+        assert 0x3000 not in memory.words     # unmapped stays unmapped
+
+    def test_snapshot_keeps_negative_zero(self):
+        memory = Memory()
+        memory.write_f64(0x1000, -0.0)
+        memory.write_f64(0x1008, 0.0)
+        memory.write_f64(0x1010, 1.5)
+        assert memory.snapshot() == {0x1000: -(2**63),
+                                     0x1010: f64_to_i64(1.5)}
+
+    @given(st.integers(min_value=-(2**63), max_value=2**63 - 1))
+    def test_both_forms_hold_the_same_bits(self, bits):
+        memory = Memory()
+        memory.write(0x1000, bits)
+        value = memory.read_f64(0x1000)
+        memory.write_f64(0x1008, value)
+        assert memory.read(0x1000) == memory.read(0x1008) == bits
+        assert memory.snapshot() == ({0x1000: bits, 0x1008: bits}
+                                     if bits else {})
+
+    def test_misaligned_float_access_faults(self):
+        memory = Memory()
+        with pytest.raises(MemoryFault):
+            memory.read_f64(0x1004)
+        with pytest.raises(MemoryFault):
+            memory.write_f64(0x1002, 1.0)
+
 
 class TestThreadContext:
     def test_stack_and_tls_are_per_thread(self):

@@ -3,7 +3,7 @@
 from hypothesis import given, strategies as st
 
 from repro.dbm.machine import ThreadContext
-from repro.dbm.memory import Memory
+from repro.dbm.memory import Memory, i64_to_f64
 from repro.isa.costs import CostModel
 from repro.stm import STMManager, Transaction
 
@@ -53,6 +53,25 @@ class TestTransaction:
         assert not tx.validate()
         # Value-based: restoring the same bits revalidates (JudoSTM-style).
         memory.write(0x100, 5)
+        assert tx.validate()
+
+    def test_validation_compares_bits_of_float_words(self):
+        """Words written as doubles are checked by bit pattern: -0.0
+        over +0.0 is a change, the same NaN payload rewritten is not."""
+        memory = make_memory()
+        memory.write_f64(0x100, 0.0)
+        tx = Transaction(memory=memory)
+        assert tx.read(0x100) == 0
+        memory.write_f64(0x100, -0.0)   # == 0.0 as a double
+        assert not tx.validate()
+
+        nan = i64_to_f64(0x7FF8000000000123)
+        memory.write_f64(0x108, nan)
+        tx = Transaction(memory=memory)
+        assert tx.read(0x108) == 0x7FF8000000000123
+        memory.write_f64(0x108, i64_to_f64(0x7FF8000000000123))
+        assert tx.validate()            # nan != nan as a double
+        memory.write(0x108, 0x7FF8000000000123)   # same bits as an int
         assert tx.validate()
 
 
