@@ -7,13 +7,17 @@ full Janus system with both dispatches:
 
 * ``reference`` — the per-instruction reference dispatch
                   (``Interpreter.force_reference``): workers return to
-                  the dispatcher at every block boundary and every
-                  memory access is filtered and appended to the
-                  worker's shadow sink one by one,
+                  the dispatcher at every block boundary, and every
+                  memory access at a site that is not summarised is
+                  filtered and appended to the worker's shadow sink one
+                  by one,
 * ``compiled``  — the generated shadow runners: workers stay on the
-                  linked/superblock JIT tiers and every access in these
-                  kernels is summarised into per-chunk stride
-                  descriptors, so recording costs nothing per access.
+                  linked/superblock JIT tiers.
+
+Both dispatches skip the summarised sites, which the runtime covers
+with per-chunk stride descriptors, and record the same raw events for
+the rest, so the ratio measures dispatch and execution, not what is
+recorded.
 
 The two runs must produce identical outputs (the differential sweep in
 ``tests/dbm/test_shadow_diff.py`` additionally proves identical shadow

@@ -331,7 +331,7 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-_JIT_TIERS = (("fast", "jit_fast"),
+_JIT_TIERS = (("fast", "jit"),
               ("superblock", "jit_super"))
 
 
@@ -370,8 +370,8 @@ def _cmd_jit_dump(args) -> int:
     shown = 0
     for pc in pcs:
         block = cache[pc]
-        if block.entered and block.jit_fast is None:
-            block.jit_fast = compile_block_fn(block, interp, None)
+        if block.entered and block.jit is None:
+            block.jit = compile_block_fn(block, interp, None)
         for tier, attr in _JIT_TIERS:
             source = getattr(getattr(block, attr), "__jit_source__", None)
             if source is None:

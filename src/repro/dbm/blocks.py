@@ -25,27 +25,22 @@ class Block:
     instructions: list[Instruction]
     end: int  # fall-through address (address after the last instruction)
     cost: int = 0
-    # Trace-cache tier runners (see repro.dbm.jit.compile_block_fn),
-    # never compared.  The fast runner may link; in a run with an access
-    # log it also appends every Mem-operand access while a recording
-    # window is live.
-    jit_fast: object = field(default=None, repr=False, compare=False)
-    # Shadow runner: fast-tier codegen with the parallel runtime's
-    # shadow-memory filter inlined and raw events appended to the
-    # worker's ShadowSink (repro.dbm.shadow); it also runs the block
-    # inside an open transaction.  Built per worker thread (the filter
-    # bounds and the sink are bound in the runner's namespace; the source
-    # and its code object are shared across workers), so this slot lives
-    # in the per-thread cache's blocks only.
-    jit_shadow: object = field(default=None, repr=False, compare=False)
+    # Trace-cache tier runners, never compared.  A code cache serves one
+    # tier (repro.dbm.tracecache): ``jit`` is the block runner
+    # (repro.dbm.jit.compile_block_fn) — the fast runner in the main
+    # thread's cache, which in a run with an access log also appends
+    # every Mem-operand access while a recording window is live; the
+    # shadow runner in a parallel worker's cache, which records raw
+    # events into the worker's ShadowSink (repro.dbm.shadow) and also
+    # runs the block inside an open transaction.
+    jit: object = field(default=None, repr=False, compare=False)
     # Superblock tier runner (repro.dbm.superblock): the whole hot loop
-    # body stitched into one compiled function with side-exit guards.
-    # Only ever entered from the dispatcher's fast path.
+    # body stitched into one compiled function with side-exit guards,
+    # of the same tier as ``jit``.  Only ever entered from the
+    # dispatcher's fast path.
     jit_super: object = field(default=None, repr=False, compare=False)
-    jit_super_shadow: object = field(default=None, repr=False, compare=False)
-    # Set by the dispatcher's sink-less path at the first entry, which runs
-    # through the reference dispatch: ``jit_fast`` is compiled only when
-    # the block is entered again (repro.dbm.tracecache).
+    # Set at the first entry, which runs through the reference dispatch:
+    # ``jit`` is compiled only when the block is entered again.
     entered: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

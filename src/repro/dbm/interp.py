@@ -20,14 +20,14 @@ set every Mem-operand access is appended too (never the stack words
 PUSH/POP/CALL/RET move) — the same entries the compiled fast runners
 append while their window flag is set.  With a
 :class:`~repro.dbm.shadow.ShadowSink` installed (``shadow_sink``, a
-parallel worker) every Mem-operand access outside an open transaction
-whose base address passes the sink's own-stack/TLS filter is appended to
-it, one event per packed access — the same events the compiled shadow
-runners record (they branch on the open transaction per access, as
-``_mem_read``/``_mem_write`` do), except that this dispatch records
-statically summarised sites raw (the runtime records no stride
-descriptors under ``force_reference``).  This per-instruction dispatch is
-therefore the oracle for both recording paths.
+parallel worker) every Mem-operand access outside an open transaction,
+at a site not statically summarised (``shadow_summarised``: the runtime
+covers those with stride descriptors), whose base address passes the
+sink's own-stack/TLS filter is appended to it, one event per packed
+access — the same events the compiled shadow runners record (they branch
+on the open transaction per access, as ``_mem_read``/``_mem_write`` do).
+This per-instruction dispatch is therefore the oracle for both recording
+paths.
 """
 
 from __future__ import annotations
@@ -84,10 +84,10 @@ class Interpreter:
         # Active software transaction for the currently executing thread.
         self.active_tx = None
         # Shadow tracking (repro.dbm.shadow): a parallel worker installs
-        # its ShadowSink here and the dispatcher selects the shadow JIT
-        # runners.  Sites in shadow_summarised are statically proven
-        # affine and covered by per-chunk stride descriptors — the shadow
-        # runners skip them.
+        # its ShadowSink here and the dispatcher compiles shadow runners.
+        # Sites in shadow_summarised are statically proven affine and
+        # covered by per-chunk stride descriptors — no event is recorded
+        # for them.
         self.shadow_sink = None
         self.shadow_summarised = frozenset()
         # Force the reference per-instruction dispatch (differential tests).
@@ -123,26 +123,15 @@ class Interpreter:
         addr = self.ea(ctx, m)
         if self.recording:
             self._record(ins, addr, False, 1)
-        tx = self.active_tx
-        if tx is not None:
-            if not self._is_own_stack(ctx, addr):
-                return tx.read(addr)
-        elif self.shadow_sink is not None:
-            self.shadow_sink.record(addr, False)
-        return self.machine.memory.read(addr)
+        self._shadow(ins, addr, False, 1)
+        return self._mem_read_at(ctx, addr)
 
     def _mem_write(self, ctx: ThreadContext, ins, m: Mem, value: int) -> None:
         addr = self.ea(ctx, m)
         if self.recording:
             self._record(ins, addr, True, 1)
-        tx = self.active_tx
-        if tx is not None:
-            if not self._is_own_stack(ctx, addr):
-                tx.write(addr, value)
-                return
-        elif self.shadow_sink is not None:
-            self.shadow_sink.record(addr, True)
-        self.machine.memory.write(addr, value)
+        self._shadow(ins, addr, True, 1)
+        self._mem_write_at(ctx, addr, value)
 
     def _record(self, ins, addr: int, is_write: bool, lanes: int) -> None:
         log = self.access_log
@@ -151,6 +140,14 @@ class Interpreter:
             if low < addr <= high:
                 return
         log.entries.append(((ACCESS, ins.address, is_write, lanes), addr))
+
+    def _shadow(self, ins, addr: int, is_write: bool, lanes: int) -> None:
+        """Give the installed sink its event for this access, unless a
+        transaction is open or the site is summarised."""
+        sink = self.shadow_sink
+        if sink is not None and self.active_tx is None \
+                and ins.address not in self.shadow_summarised:
+            sink.record(addr, is_write, lanes)
 
     def _record_site(self, ctx: ThreadContext, site) -> None:
         log = self.access_log
@@ -212,15 +209,15 @@ class Interpreter:
         dynamic-cost cases (syscalls, RTCALL runtime work) charge their
         own extras inside their handlers.  This is the semantic ground
         truth the compiled tiers are pinned against (tests/dbm/test_jit.py,
-        tests/dbm/test_shadow_diff.py) and the path the dispatcher takes
-        under ``force_reference``.
+        tests/dbm/test_shadow_diff.py).
 
         With the dispatcher's ``lookup`` the successor comes back as the
         block's compiled runner would return it
         (:func:`repro.dbm.jit.compile_block_fn`): the looked-up
         :class:`Block` for a transfer the runner links, the ``int`` pc an
         RTCALL redirects to, ``-1`` on halt.  The dispatcher runs a
-        block's first entry this way.
+        block's first entry this way, and every entry under
+        ``force_reference``.
         """
         ctx.cycles += block.cost
         ctx.entry_instructions = ctx.instructions
@@ -495,8 +492,7 @@ class Interpreter:
             addr = self.ea(ctx, src)
             if self.recording:
                 self._record(ins, addr, False, lanes)
-            if self.active_tx is None and self.shadow_sink is not None:
-                self.shadow_sink.record(addr, False, lanes)
+            self._shadow(ins, addr, False, lanes)
             values = [i64_to_f64(self._mem_read_at(ctx, addr + 8 * k))
                       for k in range(lanes)]
         if op in (Opcode.MOVAPD, Opcode.VMOVAPD):
@@ -523,8 +519,7 @@ class Interpreter:
             addr = self.ea(ctx, dst)
             if self.recording:
                 self._record(ins, addr, True, lanes)
-            if self.active_tx is None and self.shadow_sink is not None:
-                self.shadow_sink.record(addr, True, lanes)
+            self._shadow(ins, addr, True, lanes)
             for k, value in enumerate(results):
                 self._mem_write_at(ctx, addr + 8 * k, f64_to_i64(value))
 

@@ -9,15 +9,15 @@ branch targets are resolved once at translation time, and the generated
 source is ``exec``-compiled so steady-state execution is straight-line
 Python bytecode with no per-instruction dispatch.
 
-Each block has one runner per tier:
+A code cache serves one tier, so a block's runner (``Block.jit``) is
+one of two kinds, compiled at the block's second entry (the first runs
+through the reference dispatch; see :mod:`repro.dbm.tracecache`):
 
-* the **fast** runner (``Block.jit_fast``), compiled at a block's second
-  entry (the first runs through the reference dispatch; see
-  :mod:`repro.dbm.tracecache`), reads and writes machine memory
-  directly; it may *link*: a terminator resolves its successor's
-  compiled :class:`~repro.dbm.blocks.Block` once through the dispatcher's
-  ``lookup`` and caches it, so the dispatch loop skips the code-cache
-  lookup.  A self-looping block links to itself like any other
+* the **fast** runner, in the main thread's cache, reads and writes
+  machine memory directly; it may *link*: a terminator resolves its
+  successor's compiled :class:`~repro.dbm.blocks.Block` once through the
+  dispatcher's ``lookup`` and caches it, so the dispatch loop skips the
+  code-cache lookup.  A self-looping block links to itself like any other
   successor; hot loops (self-loops included) are promoted by the
   superblock tier (:mod:`repro.dbm.superblock`), the analogue of
   DynamoRIO's traces.  ``RECORD`` sites (PROF_MEM, see
@@ -29,8 +29,8 @@ Each block has one runner per tier:
   ``interp.recording`` (an external-call window or an oracle replay
   window is live), read at entry and again after every RTCALL, the only
   instruction whose handler opens or closes a window.
-* the **shadow** runner (``Block.jit_shadow``, ``shadow=True``; selected
-  by the dispatcher when ``interp.shadow_sink`` is installed) links like
+* the **shadow** runner (``shadow=True``), in a parallel worker's cache,
+  which only runs with ``interp.shadow_sink`` installed, links like
   the fast runner and additionally records shadow events for the
   parallel runtime: the worker's stack/TLS filter bounds are bound in
   the runner's namespace (``_flo``, ``_slo``, ``_shi``, ``_tlo``,

@@ -343,12 +343,9 @@ class ParallelRuntime:
             iv_bases[repr(var)] = self._get_var(ctx, memory, rsp0, var)
         # Affine base addresses are loop-invariant: evaluate each
         # summarised site's base once per invocation against the entry
-        # context; chunk setup then derives descriptors in O(1).  The
-        # reference dispatch records every site raw: no descriptors.
+        # context; chunk setup then derives descriptors in O(1).
         affine_bases = []
-        affine = () if self.dbm.interp.force_reference \
-            else self._affine_by_loop.get(meta.loop_id, ())
-        for desc in affine:
+        for desc in self._affine_by_loop.get(meta.loop_id, ()):
             affine_bases.append((desc, evaluate_runtime_poly(
                 desc.base_form, read_var, memory.read)))
         for worker in workers:
@@ -527,8 +524,9 @@ class ParallelRuntime:
                     affine_bases: list) -> None:
         interp = self.dbm.interp
         self._current_worker = worker
-        # The dispatcher sees the sink and keeps the worker on the shadow
-        # JIT/superblock tiers (or the reference dispatch records into it).
+        # The dispatcher sees the sink and compiles the worker's cache
+        # for the shadow tier; first entries record through the
+        # reference dispatch.
         worker.sink.clear()
         interp.shadow_sink = worker.sink
         with get_recorder().span("runtime.worker", cat="runtime",

@@ -9,16 +9,16 @@ records are two representations deep, both held by the worker's
   (``repro.dbm.jit`` / ``repro.dbm.superblock``) append raw addresses to
   them behind an inlined filter on the worker's own stack/TLS bounds,
   which the runner's namespace binds per worker (the source is shared by
-  all workers); the reference dispatch (``Interpreter.force_reference``)
-  appends the same events through :meth:`ShadowSink.record`.
+  all workers); the reference dispatch (a block's first entry, and every
+  entry under ``Interpreter.force_reference``) appends the same events
+  through :meth:`ShadowSink.record`.
 * :class:`StrideDescriptor` — one ``(first, stride, trips, lanes)`` record
   summarising every execution of a statically-proven affine access site
-  for one chunk.  The compiled runners skip these sites entirely; the
-  runtime materialises the descriptor from loop metadata
-  (``LoopMeta.affine_accesses``) at chunk setup, in O(1).  Under
-  ``force_reference`` the runtime records no descriptors and the
-  reference records those sites raw, so the differential test pins the
-  descriptor math against exact per-access recording.
+  for one chunk.  Both dispatches skip these sites entirely; the runtime
+  materialises the descriptor from loop metadata
+  (``LoopMeta.affine_accesses``) at chunk setup, in O(1).  The
+  differential test pins the descriptor math against exact per-access
+  recording by withholding the summaries in a third run.
 
 Conflict detection queries the sink: merged interval extents are a
 conservative prefilter, and only when another worker's extent actually

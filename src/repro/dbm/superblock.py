@@ -156,12 +156,11 @@ def maybe_form_superblock(head, interp, lookup, ctx, last_succ,
 
     With ``shadow=True`` the runner additionally records shadow events
     into ``interp.shadow_sink`` (compiled shadow tracking for parallel
-    workers; see :mod:`repro.dbm.shadow`) and lands in the block's
-    ``jit_super_shadow`` slot.
+    workers; see :mod:`repro.dbm.shadow`).
     """
     from repro.dbm.interp import JXRuntimeError
 
-    segments = _walk(head, interp, lookup, ctx, last_succ, shadow)
+    segments = _walk(head, interp, lookup, ctx, last_succ)
     if segments is None:
         interp.sb_stats.formation_failures += 1
         return None
@@ -172,7 +171,7 @@ def maybe_form_superblock(head, interp, lookup, ctx, last_succ,
     return fn
 
 
-def _walk(head, interp, lookup, ctx, last_succ, shadow=False):
+def _walk(head, interp, lookup, ctx, last_succ):
     """Walk the biased path from ``head`` until it closes back on the head.
 
     Returns ``[(block, plan), ...]`` where ``plan`` describes what the
@@ -202,8 +201,7 @@ def _walk(head, interp, lookup, ctx, last_succ, shadow=False):
     while True:
         if block.start in seen or len(segments) >= MAX_SUPERBLOCK_BLOCKS:
             return None
-        slot = block.jit_super_shadow if shadow else block.jit_super
-        if block is not head and slot is not None:
+        if block is not head and block.jit_super is not None:
             return None  # interior of another hot loop: its own tier owns it
         for ins in block.instructions:
             op = ins.opcode
@@ -934,8 +932,7 @@ class _SuperblockCompiler(_BlockCompiler):
         legality = "_in.active_tx is not None"
         if self.shadow:
             # The sink the events land in was bound at compile time: a
-            # swapped (or removed) sink must deopt to the dispatcher,
-            # which re-selects the correct runner.
+            # swapped (or removed) sink must deopt to the dispatcher.
             legality += " or _in.shadow_sink is not _sk"
         self.emit(f"if {legality}:")
         self.indent += 1

@@ -6,18 +6,24 @@ halt, or a superblock exit.  A runner may return the *compiled
 successor block itself* (a link), in which case the loop re-enters compiled
 code immediately — no code-cache lookup.
 
-Each block has one runner per tier (:mod:`repro.dbm.jit`): the *fast*
-runner, or — when a :class:`~repro.dbm.shadow.ShadowSink` is installed
-(parallel workers) — the *shadow* runner, which links like the fast
-runner while recording filtered raw events into the sink; shadow
-superblocks form exactly like fast ones.  On the sink-less path a
-block's fast runner is compiled only when the block is entered a second
-time: the first entry runs through the reference dispatch
+A code cache serves one tier, so each block has one runner slot: the
+main thread's cache holds *fast* runners; a parallel worker's cache
+(thread ids >= 1), which only runs while the worker's
+:class:`~repro.dbm.shadow.ShadowSink` is installed, holds *shadow*
+runners, which link like fast ones while recording filtered raw events
+into the sink (:mod:`repro.dbm.jit`); shadow superblocks form exactly
+like fast ones.  The dispatcher reads which tier it compiles for once
+per call.  A block's runner is compiled only when the block is entered a
+second time: the first entry runs through the reference dispatch
 (``Interpreter.execute_block_reference`` with this loop's ``lookup``),
 which returns the successor exactly as the runner would — a linked
-``Block``, an ``int`` after an RTCALL redirect, ``-1`` on halt — so heat
-counting and superblock formation cannot tell the two apart.  Many
-blocks run once, and they are never compiled.
+``Block``, an ``int`` after an RTCALL redirect, ``-1`` on halt — and
+records the same access-log entries and shadow events, so heat counting,
+superblock formation and the recorded footprints cannot tell the two
+apart.  Many blocks run once, and they are never compiled.  Under
+``interp.force_reference`` every entry takes that path: nothing is
+compiled and no heat is counted, which makes the run the oracle the
+compiled tiers are tested against.
 
 Neither runner needs the dispatcher to know about
 recording windows or transactions: in a run with an access log attached
@@ -29,10 +35,6 @@ open one).  Outside the windows, profiling runs execute exactly like
 plain runs — superblocks, inline ``RECORD`` sites and the profiler's
 inline loop-iteration brackets included; loop coverage is attributed
 from ``ctx.instructions`` by the bracket RTCALLs, not here.
-
-Under ``interp.force_reference`` every block runs through the reference
-per-instruction dispatch instead, which feeds the same access log and
-shadow sink: it is the oracle the compiled tiers are tested against.
 
 On top of the block tier, the dispatcher drives **superblock promotion**
 (:mod:`repro.dbm.superblock`).  The fast path, the only place
@@ -81,8 +83,12 @@ def run_loop(interp, ctx, pc: int, lookup,
     # Only a run with an access log can open a recording window: in a
     # plain run one local flag short-circuits the window test.
     plain = interp.access_log is None
+    # Only a parallel worker installs a sink, and only around its own
+    # code cache: the whole call compiles for one tier.
+    shadow = interp.shadow_sink is not None
+    reference = interp.force_reference
     threshold = interp.superblock_threshold
-    counting = threshold > 0
+    counting = threshold > 0 and not reference
     # Loop-head heat and most-recently-taken successors, both keyed by
     # block start; scoped to this invocation like the code cache itself.
     hot: dict[int, int] = {}
@@ -90,41 +96,22 @@ def run_loop(interp, ctx, pc: int, lookup,
 
     block = lookup(pc, ctx)
     while True:
-        if interp.force_reference:
-            nxt = interp.execute_block_reference(ctx, block)
-            if max_instructions is not None \
-                    and ctx.instructions > max_instructions:
-                raise ExecutionLimitExceeded(
-                    f"exceeded {max_instructions} instructions")
-            if nxt is None:
-                return
-            block = lookup(nxt, ctx)
-            continue
         # Superblocks run only where the fast path is legal: no open
         # transaction and no live recording window.
         fast = interp.active_tx is None and (plain or not interp.recording)
-        sink = interp.shadow_sink
-        if sink is None:
-            run = block.jit_super if fast else None
+        run = block.jit_super if fast else None
+        if run is None:
+            run = block.jit
             if run is None:
-                run = block.jit_fast
-                if run is None:
-                    if block.entered:
-                        run = block.jit_fast = compile_block_fn(
-                            block, interp, lookup)
-                    else:
-                        # First entry: most blocks run once, so only a
-                        # re-entered block is compiled.
-                        block.entered = True
-                        run = partial(interp.execute_block_reference,
-                                      block=block, lookup=lookup)
-        else:
-            run = block.jit_super_shadow if fast else None
-            if run is None:
-                run = block.jit_shadow
-                if run is None:
-                    run = block.jit_shadow = compile_block_fn(
-                        block, interp, lookup, shadow=True)
+                if block.entered and not reference:
+                    run = block.jit = compile_block_fn(
+                        block, interp, lookup, shadow=shadow)
+                else:
+                    # First entry: most blocks run once, so only a
+                    # re-entered block is compiled.
+                    block.entered = True
+                    run = partial(interp.execute_block_reference,
+                                  block=block, lookup=lookup)
         nxt = run(ctx)
         if max_instructions is not None \
                 and ctx.instructions > max_instructions:
@@ -134,19 +121,13 @@ def run_loop(interp, ctx, pc: int, lookup,
             if fast and counting:
                 start = nxt.start
                 last_succ[block.start] = start
-                slot = (nxt.jit_super_shadow if sink is not None
-                        else nxt.jit_super)
-                if slot is None and start <= block.start:
+                if nxt.jit_super is None and start <= block.start:
                     count = hot.get(start, 0) + 1
                     hot[start] = count
                     if count == threshold:
-                        formed = maybe_form_superblock(
+                        nxt.jit_super = maybe_form_superblock(
                             nxt, interp, lookup, ctx, last_succ,
-                            shadow=sink is not None)
-                        if sink is not None:
-                            nxt.jit_super_shadow = formed
-                        else:
-                            nxt.jit_super = formed
+                            shadow=shadow)
             block = nxt
         elif nxt == -1:
             return

@@ -22,8 +22,9 @@ is instrumented per block or per access:
 The shared :class:`~repro.profiling.shadow.IterationShadowChecker` drains
 the log in program order at every bracket and window RTCALL, so the
 profiles come out exactly as if every access had been checked on the
-spot.  The reference interpreter (``force_reference``) appends the same
-entries one instruction at a time.
+spot.  The reference dispatch (a block's first entry, and every entry
+under ``force_reference``) appends the same entries one instruction at a
+time.
 """
 
 from __future__ import annotations

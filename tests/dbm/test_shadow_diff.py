@@ -2,13 +2,16 @@
 
 Parallel workers record their memory accesses for conflict detection and
 the false-sharing model (:mod:`repro.dbm.shadow`).  The compiled tier
-records through generated shadow runners and stride descriptors; the
-reference per-instruction dispatch (``force_reference``) records every
-access raw into the same sink, with no descriptors.  The contract is
-*observational equivalence*: for every parallelised workload and both
-scheduling policies, the shadow sets, line counters, conflict verdicts,
-outputs, final memory and every counter outside the JIT tier and
-``runtime.shadow.*`` must be identical.
+records through generated shadow runners; the reference per-instruction
+dispatch (``force_reference``) records every access one by one into the
+same sink.  Both skip the statically summarised sites, which the runtime
+covers with stride descriptors.  The contract is *observational
+equivalence*: for every parallelised workload and both scheduling
+policies, the shadow sets, line counters, conflict verdicts, outputs,
+final memory and every counter outside the JIT tier must be identical.
+A third run withholds the summaries, so the reference records every
+access raw: its expanded sets pin the descriptor math against exact
+per-access recording.
 """
 
 from collections import Counter
@@ -25,9 +28,10 @@ from repro.pipeline import Janus, JanusConfig, SelectionMode
 from repro.workloads import FIG7_BENCHMARKS, compile_workload, get_workload
 
 # Counters that legitimately differ between the two dispatches: the JIT
-# tier's (the reference compiles nothing) and the shadow recorder's own
-# (the reference records summarised sites raw instead of as descriptors).
-VARYING_PREFIXES = ("jit.", "runtime.shadow.")
+# tier's (the reference compiles nothing).  Withholding the summaries
+# also changes the shadow recorder's own.
+VARYING_PREFIXES = ("jit.",)
+EXACT_VARYING_PREFIXES = ("jit.", "runtime.shadow.")
 
 WORD = 8
 
@@ -50,11 +54,15 @@ def _capture_detect(captures):
     return original, wrapper
 
 
-def run_dispatch(image, workload, schedule, scheduling, reference):
+def run_dispatch(image, workload, schedule, scheduling, reference,
+                 summaries=True):
     dbm = JanusDBM(load(image, inputs=list(workload.train_inputs)),
                    schedule=schedule, n_threads=4, scheduling=scheduling)
     dbm.interp.force_reference = reference
-    ParallelRuntime(dbm)
+    runtime = ParallelRuntime(dbm)
+    if not summaries:
+        runtime._affine_by_loop = {}
+        dbm.interp.shadow_summarised = frozenset()
     captures: list = []
     original, wrapper = _capture_detect(captures)
     ParallelRuntime._check_conflicts = wrapper
@@ -82,9 +90,9 @@ def trained():
     return get
 
 
-def _stable(counters):
+def _stable(counters, varying=VARYING_PREFIXES):
     return {key: value for key, value in counters.items()
-            if not key.startswith(VARYING_PREFIXES)}
+            if not key.startswith(varying)}
 
 
 @pytest.mark.parametrize("scheduling", ["chunk", "round_robin"])
@@ -99,14 +107,26 @@ def test_compiled_matches_hook(trained, name, scheduling):
     assert comp.outputs == ref.outputs
     assert comp.exit_code == ref.exit_code
     assert comp.data_snapshot() == ref.data_snapshot()
-    # Identical shadow sets, per invocation, per worker — and the
-    # reference really recorded them access by access.
+    # Identical shadow sets, per invocation, per worker.
     assert comp_caps == ref_caps
     assert ref_caps, f"{name} never entered parallel detection"
-    assert ref_counters.get("runtime.shadow.events", 0) > 0
-    assert ref_counters.get("runtime.shadow.summarised", 0) == 0
-    # Identical counters outside the JIT tier and the shadow recorder.
+    assert ref_counters.get("runtime.shadow.summarised", 0) > 0
+    # Identical counters outside the JIT tier.
     assert _stable(comp_counters) == _stable(ref_counters)
+    # With the summaries withheld the reference records every access
+    # raw: the descriptors must expand to exactly the same sets and line
+    # counts.
+    exact, exact_caps, exact_counters = run_dispatch(
+        image, workload, schedule, scheduling, reference=True,
+        summaries=False)
+    assert exact_caps == ref_caps
+    assert exact_counters.get("runtime.shadow.events", 0) > 0
+    assert exact.outputs == ref.outputs
+    assert exact.exit_code == ref.exit_code
+    assert exact.data_snapshot() == ref.data_snapshot()
+    assert exact_counters.get("runtime.shadow.summarised", 0) == 0
+    assert _stable(exact_counters, EXACT_VARYING_PREFIXES) \
+        == _stable(ref_counters, EXACT_VARYING_PREFIXES)
     # Outputs also match a native run (the oracle's base truth).
     native = run_native(load(image, inputs=list(workload.train_inputs)))
     assert comp.exit_code == native.exit_code

@@ -64,8 +64,8 @@ def test_workers_share_shadow_code(trained):
         if thread_id == 0:
             continue
         for pc, block in cache.items():
-            if block.jit_shadow is not None:
-                runners.setdefault(pc, []).append(block.jit_shadow)
+            if block.jit is not None:
+                runners.setdefault(pc, []).append(block.jit)
     shared = {pc: fns for pc, fns in runners.items() if len(fns) > 1}
     assert shared, "no block ran on two workers"
     for fns in shared.values():
@@ -83,11 +83,11 @@ def test_editor_insert_does_not_leak_into_memo():
     edited = editor.finish()
     assert len(edited) == len(original) + 1
     block.instructions.append(Instruction(Opcode.NOP))
-    block.jit_fast = object()
+    block.jit = object()
     again = discover_block(process, process.entry)
     assert again is not block
     assert again.instructions == original
-    assert again.jit_fast is None
+    assert again.jit is None
     assert (again.end, again.cost) == (edited.end, block.cost)
 
 

@@ -60,8 +60,8 @@ def per_block_coverage(image, schedule) -> dict:
     counts = defaultdict(lambda: [0, 0])
     execute = interp.execute_block_reference
 
-    def listener(ctx, block):
-        nxt = execute(ctx, block)
+    def listener(ctx, block, lookup=None):
+        nxt = execute(ctx, block, lookup)
         frames = profiler.frames
         if frames:
             for loop_id in {frame.loop_id for frame in frames}:
