@@ -21,22 +21,25 @@ DynamoRIO's trace building, PyPy's bridges, in miniature:
 * :class:`_SuperblockCompiler` emits ONE Python function for the whole
   stitched body: general-purpose registers live in Python locals for the
   superblock's lifetime, constants and copies propagate across the
-  stitched block boundaries, and flag stores that are overwritten before
-  any read are dropped;
+  stitched block boundaries, and flag stores and promoted-local stores
+  that are overwritten before any read are dropped;
 * every place control can leave the superblock is a **guarded exit** that
   restores full architectural state (spills the promoted registers,
   ``ctx.flags``, and the cycle/instruction charge for the iterations and
   blocks actually entered — folded to constants per exit site) before
   returning to the block tier.  Superblocks are fast-path-only: the
-  dispatcher's fast-path test (no open transaction; a recording window
-  only opens at an RTCALL) is re-checked at every loop back edge, and a
-  violation deopts to the block tier at a clean block boundary.  The
-  only RTCALLs a superblock contains are those registered inline
+  dispatcher enters one only while no transaction is open and no
+  recording window is live, and nothing a superblock runs can change
+  either, so the back edge re-checks no legality.  The only RTCALLs a
+  superblock contains are those registered inline
   (``JanusDBM.register_rtcall(..., inline=True)``: the profiler's
   loop-iteration bracket), whose handlers return ``None`` and change no
   window, transaction, register, flag or instruction count; they compile
-  to a bare handler call.  So unlike the block runners, a superblock
-  never branches on a transaction or records window accesses.
+  to a bare handler call.  A shadow superblock lives in one worker's code
+  cache, and the runtime hands that worker the same sink at every
+  invocation, so the sink methods bound at compile time stay the live
+  ones.  So unlike the block runners, a superblock never branches on a
+  transaction or records window accesses.
 
 Exit kinds and their contracts (DESIGN.md section 5):
 
@@ -47,11 +50,6 @@ Exit kinds and their contracts (DESIGN.md section 5):
     the trace budget (``Interpreter.trace_budget``) ran out; state is
     spilled and the head block itself is returned so the dispatcher can
     re-check instruction limits.
-``deopts``
-    the legality predicate failed at a back edge (a transaction opened
-    mid-superblock, or a shadow superblock's sink was swapped or
-    removed); identical contract to a bailout — the dispatcher
-    re-dispatches the head on the correct tier.
 
 Raising instructions (division by zero, negative sqrt) spill all promoted
 state *before* raising, so a ``JXRuntimeError`` observes the same
@@ -60,7 +58,7 @@ architectural state the block tier would leave.
 
 from __future__ import annotations
 
-import re
+import operator
 import struct
 
 from repro.isa.instructions import CONDITION_OF, Opcode
@@ -108,6 +106,12 @@ _REG0_WRITERS = frozenset((
     Opcode.NEG, Opcode.NOT, Opcode.POP, Opcode.CVTTSD2SI,
 )) | _CMOV
 
+# Integer ops folded when the destination and the source are known
+# constants (INC and DEC add or subtract an implicit 1).
+_FOLDS = {Opcode.ADD: operator.add, Opcode.SUB: operator.sub,
+          Opcode.IMUL: operator.mul, Opcode.INC: operator.add,
+          Opcode.DEC: operator.sub}
+
 _NO = object()
 
 # Bound struct codecs for the inline bit-cast a load makes when it finds
@@ -135,7 +139,7 @@ class SuperblockStats(RegistryView):
 
     _NAMESPACE = "jit.superblock"
     _FIELDS = ("formed", "formation_failures", "entries", "side_exits",
-               "deopts", "bailouts")
+               "bailouts")
 
     def as_dict(self) -> dict[str, int]:
         counters = self._registry.counters
@@ -277,8 +281,7 @@ def _flag_liveness(segments) -> list[bool]:
     A flag store is dead when the next flag event on the (single) path is
     another pure store — no branch guard, conditional move, raising
     instruction, return guard or superblock exit in between.  The value is
-    always live across the loop back edge (the bailout/deopt exits spill
-    it).
+    always live across the loop back edge (the budget bailout spills it).
     """
     ops = [ins for block, _plan in segments for ins in block.instructions]
     live = [True] * len(ops)
@@ -293,12 +296,25 @@ def _flag_liveness(segments) -> list[bool]:
     return live
 
 
-# A promoted-local store whose right-hand side is pure (a bare local,
-# hoisted register-file cell, or literal) — the only stores the dead-store
-# pass may delete.
-_PURE_STORE = re.compile(
-    r"^(?:    |        )([rx]\d+) = "
-    r"(?:[rx]\d+|t|g\[\d+\]|x\[\d+\]|-?\d+(?:\.\d+)?)$")
+# Every ASCII non-word character, mapped to a space: a translated line
+# splits into the words a ``\b``-delimited search sees, so ``r1`` never
+# matches inside ``r10`` or ``0x1f``.
+_WORD_BREAKS = str.maketrans({c: " " for c in map(chr, range(128))
+                              if not (c.isalnum() or c == "_")})
+
+
+def _is_local(word: str) -> bool:
+    """Whether ``word`` names a promoted local (``r<id>`` or ``x<lane>``)."""
+    return word[:1] in ("r", "x") and word[1:].isdecimal()
+
+
+def _is_pure(rhs: str) -> bool:
+    """A bare local, a hoisted register-file cell, ``t`` or a literal."""
+    whole, dot, frac = rhs.removeprefix("-").partition(".")
+    return (_is_local(rhs) or rhs == "t"
+            or (rhs[:2] in ("g[", "x[") and rhs[-1:] == "]"
+                and rhs[2:-1].isdecimal())
+            or (whole.isdecimal() and (not dot or frac.isdecimal())))
 
 
 def _strip_dead_stores(lines: list[str]) -> list[str]:
@@ -307,38 +323,43 @@ def _strip_dead_stores(lines: list[str]) -> list[str]:
     Register promotion plus copy propagation leaves stores like
     ``r3 = r5`` whose destination is rewritten by the next ALU result
     before anything reads it (every later *use* of the value was folded
-    to its source).  A store is provably dead when the next occurrence
-    of its local — scanning forward in emission order — is another
-    unconditional assignment to it on the superblock's straight-line
-    path (8-space indent; deeper indents are conditional guard/wrap
-    bodies and count as reads).  Such an assignment dominates all
+    to its source).  A pure store (4- or 8-space indent, right-hand side
+    pure per :func:`_is_pure`) is provably dead when the next mention of
+    its local among the lines kept below it is an unconditional
+    assignment to it on the superblock's straight-line path (8-space
+    indent; deeper indents are conditional guard/wrap bodies and count
+    as reads) that does not read it.  Such an assignment dominates all
     later reads, including next-iteration reads across the back edge.
     Anything else (a read, a conditional write, reaching the end of the
-    function) keeps the store.  Runs to a fixed point so copy chains
-    collapse entirely.
+    function) keeps the store.
+
+    One backward pass decides every store: ``overwritten`` holds, per
+    local, whether its next mention below is such an overwrite.  A
+    dropped line mentions nothing, so it updates nothing, and copy
+    chains collapse in the same pass.
     """
-    changed = True
-    while changed:
-        changed = False
-        dead: set[int] = set()
-        for i, line in enumerate(lines):
-            m = _PURE_STORE.match(line)
-            if m is None:
-                continue
-            name = m.group(1)
-            occurrence = re.compile(rf"\b{name}\b")
-            kill = f"        {name} = "
-            for j in range(i + 1, len(lines)):
-                if occurrence.search(lines[j]):
-                    if lines[j].startswith(kill) and not occurrence.search(
-                            lines[j][len(kill):]):
-                        dead.add(i)
-                    break
-        if dead:
-            changed = True
-            lines = [line for i, line in enumerate(lines)
-                     if i not in dead]
-    return lines
+    overwritten: dict[str, bool] = {}
+    kept: list[str] = []
+    for line in reversed(lines):
+        body = line.lstrip(" ")
+        indent = len(line) - len(body)
+        name, eq, rhs = body.partition(" = ")
+        if not (eq and _is_local(name)):
+            name = None
+        elif indent in (4, 8) and overwritten.get(name) and _is_pure(rhs):
+            continue
+        kept.append(line)
+        text = line
+        if name is not None and indent == 8:
+            # An unconditional overwrite, unless its right-hand side
+            # reads the local too.
+            overwritten[name] = True
+            text = rhs
+        for word in text.translate(_WORD_BREAKS).split():
+            if word[0] in "rx" and word[1:].isdecimal():  # _is_local
+                overwritten[word] = False
+    kept.reverse()
+    return kept
 
 
 class _SuperblockCompiler(_BlockCompiler):
@@ -370,10 +391,6 @@ class _SuperblockCompiler(_BlockCompiler):
         self.rec = self.tx_guarded = False
         self.ns["_sb"] = interp.sb_stats
         self.ns["_self"] = head
-        if shadow:
-            # The back-edge legality check compares against the sink the
-            # runner was compiled for.
-            self.ns["_sk"] = interp.shadow_sink
         # Per-instruction recording flag, set at the top of stmt(): False
         # at summarised sites (covered by stride descriptors) and always
         # False outside shadow mode.
@@ -422,13 +439,14 @@ class _SuperblockCompiler(_BlockCompiler):
         self.fp_set = frozenset(lanes)
         self.const: dict[int, int] = {}
         self.copies: dict[int, int] = {}
-        # Redundant-load elimination: folded address expression -> local
-        # temp holding the loaded value (separate maps for the int bits
-        # and the double).  Cleared at every memory write and whenever a
-        # register named in the key changes; a double load's write-back
-        # stores the same bits, so it clears nothing.
-        self._iloads: dict[str, str] = {}
-        self._floads: dict[str, str] = {}
+        # Redundant-load elimination: folded address expression -> (local
+        # temp holding the loaded value, ids of the registers the
+        # expression names), separate maps for the int bits and the
+        # double.  Cleared at every memory write; an entry goes whenever a
+        # register it names changes.  A double load's write-back stores
+        # the same bits, so it clears nothing.
+        self._iloads: dict[str, tuple[str, frozenset[int]]] = {}
+        self._floads: dict[str, tuple[str, frozenset[int]]] = {}
         self.flag_live: list[bool] = []
         self._flags_live = True
         # (prefix cycles, prefix instructions) charged by an exit inside
@@ -451,14 +469,15 @@ class _SuperblockCompiler(_BlockCompiler):
             if lane in self.fp_set:
                 return f"x{lane}"
             return super().fread(op, k, ins)
-        expr, aligned = self.mem_ref(op)
+        expr, aligned, regs = self.mem_ref(op)
         if not aligned:
-            return self._unaligned_load(expr, f64=True)
-        return self._fload(expr, record=self._site_record)
+            return self._unaligned_load(expr, True, record=self._site_record)
+        return self._fload(expr, regs, record=self._site_record)
 
-    def _fload(self, key: str, record: bool = False) -> str:
-        name = self._floads.get(key)
-        if name is None:
+    def _fload(self, key: str, regs: frozenset[int],
+               record: bool = False) -> str:
+        hit = self._floads.get(key)
+        if hit is None:
             name = f"mf{self._n_addr}"
             self._n_addr += 1
             addr = key
@@ -468,8 +487,8 @@ class _SuperblockCompiler(_BlockCompiler):
                 self.emit_record(addr, f"_re({addr})")
             self.emit(f"{name} = _wg({addr}, 0.0)")
             self._emit_as_float(name, addr)
-            self._floads[key] = name
-        return name
+            hit = self._floads[key] = (name, regs)
+        return hit[0]
 
     def _emit_as_float(self, name: str, addr: str) -> None:
         """Cast an int word loaded into ``name`` to its double and write
@@ -482,14 +501,14 @@ class _SuperblockCompiler(_BlockCompiler):
         self.emit(f"if {name}.__class__ is float: "
                   f"{name} = _uQ(_pD({name}))[0]")
 
-    def _unaligned_load(self, expr: str, f64: bool) -> str:
+    def _unaligned_load(self, expr: str, f64: bool, record: bool) -> str:
         """A load whose address is not provably 8-aligned: the inline
         dict path behind the ``& 7`` test, and the checked helper (which
         raises ``MemoryFault``) when it fails."""
         name = f"am{self._n_addr}"
         self._n_addr += 1
         self.emit(f"{name} = {expr}")
-        if self._site_record:
+        if record:
             self.emit_record(name, f"_re({name})")
         value = f"m{name}"
         if f64:
@@ -502,10 +521,26 @@ class _SuperblockCompiler(_BlockCompiler):
             self._emit_as_int(value)
         return value
 
+    def _unaligned_store(self, expr: str, value: str,
+                         event: str | None) -> None:
+        """A store whose address is not provably 8-aligned: the inline
+        dict store, behind the ``& 7`` test that sends a misaligned
+        address to the checked helper (which raises ``MemoryFault``).
+        ``event``, if given, is the shadow record call for ``ad``."""
+        self.emit(f"ad = {expr}")
+        if event is not None:
+            self.emit_record("ad", event)
+        self.emit("if ad & 7:")
+        self.emit(f"    _mw(ad, {value})")
+        self.emit(f"_ws(ad, {value})")
+
     def packed(self, ins, k) -> None:
         # Lane-promoted, inline-memory re-emission of the packed ops; the
         # base compiler's version addresses ``ctx.fregs`` by index/slice
-        # and reads memory through the checked Python helpers.
+        # and reads memory through the checked Python helpers.  Lanes
+        # land in the promoted lane locals either way (the base path
+        # writes ctx.fregs, which the locals would never observe), and a
+        # lane address not provably 8-aligned takes the scalar path.
         op = ins.opcode
         lanes = ins.lanes
         dst, src = ins.operands
@@ -514,29 +549,20 @@ class _SuperblockCompiler(_BlockCompiler):
             sbase = (src.id - XMM_BASE) * 4
             svals = [self.flane(sbase + i) for i in range(lanes)]
         else:
-            expr, aligned = self.mem_ref(src)
+            expr, aligned, regs = self.mem_ref(src)
             if self._site_record:
                 # One base-filtered packed event covers all lanes (the
                 # lane loads below must not raw-record individually).
                 sa = self.addr_temp()
                 self.emit(f"{sa} = {expr}")
                 self.emit_record(sa, f"_pre(({sa}, {lanes}))")
+            addrs = [expr if i == 0 else f"{expr} + {8 * i}"
+                     for i in range(lanes)]
             if aligned:
-                svals = [self._fload(expr if i == 0 else f"{expr} + {8 * i}")
-                         for i in range(lanes)]
+                svals = [self._fload(addr, regs) for addr in addrs]
             else:
-                # Not provably 8-aligned: load through the checked helper,
-                # but still land in the promoted lane locals.  The base
-                # compiler's packed path writes ctx.fregs directly, which
-                # the locals would never observe (stale-lane corruption).
-                self.emit(f"a2 = {expr}")
-                svals = []
-                for i in range(lanes):
-                    offset = f" + {8 * i}" if i else ""
-                    name = f"mf{self._n_addr}"
-                    self._n_addr += 1
-                    self.emit(f"{name} = _rf(a2{offset})")
-                    svals.append(name)
+                svals = [self._unaligned_load(addr, True, record=False)
+                         for addr in addrs]
         if is_move:
             results = svals
         else:
@@ -559,23 +585,21 @@ class _SuperblockCompiler(_BlockCompiler):
             for i in range(lanes):
                 self.emit(f"{self.flane(dbase + i)} = {results[i]}")
             return
-        expr, aligned = self.mem_ref(dst)
-        if aligned:
-            if self._site_record:
-                sa = self.addr_temp()
-                self.emit(f"{sa} = {expr}")
-                self.emit_record(sa, f"_pwe(({sa}, {lanes}))")
-                expr = sa
-            for i in range(lanes):
-                addr = expr if i == 0 else f"{expr} + {8 * i}"
+        expr, aligned, _regs = self.mem_ref(dst)
+        record = self._site_record
+        if aligned and record:
+            sa = self.addr_temp()
+            self.emit(f"{sa} = {expr}")
+            self.emit_record(sa, f"_pwe(({sa}, {lanes}))")
+            expr = sa
+        for i in range(lanes):
+            addr = expr if i == 0 else f"{expr} + {8 * i}"
+            if aligned:
                 self.emit(f"_ws({addr}, {results[i]})")
-        else:
-            self.emit(f"a2 = {expr}")
-            if self._site_record:
-                self.emit_record("a2", f"_pwe((a2, {lanes}))")
-            for i in range(lanes):
-                offset = f" + {8 * i}" if i else ""
-                self.emit(f"_mw(a2{offset}, {results[i]})")
+            else:
+                # Lane 0's store records the one packed event.
+                event = f"_pwe((ad, {lanes}))" if record and not i else None
+                self._unaligned_store(addr, results[i], event)
 
     def fstore(self, op, k, ins, value) -> None:
         if type(op) is Reg:
@@ -595,10 +619,10 @@ class _SuperblockCompiler(_BlockCompiler):
         stale = [dst for dst, src in self.copies.items() if src == rid]
         for dst in stale:
             del self.copies[dst]
-        # Cached loads whose address mentions the register are stale too.
-        mention = re.compile(rf"\br{rid}\b")
+        # Cached loads whose address names the register are stale too.
         for cache in (self._iloads, self._floads):
-            for key in [k for k in cache if mention.search(k)]:
+            for key in [key for key, (_name, regs) in cache.items()
+                        if rid in regs]:
                 del cache[key]
 
     def _set_const(self, rid: int, value: int) -> None:
@@ -645,12 +669,14 @@ class _SuperblockCompiler(_BlockCompiler):
             return
         super().istore(op, k, ins, value)
 
-    def mem_ref(self, m: Mem) -> tuple[str, bool]:
-        """The folded address expression, and whether it is provably
-        8-aligned (every surviving term a multiple of eight)."""
+    def mem_ref(self, m: Mem) -> tuple[str, bool, frozenset[int]]:
+        """The folded address expression, whether it is provably
+        8-aligned (every surviving term a multiple of eight), and the ids
+        of the registers it names."""
         # Constant base/index registers fold into the displacement and
         # copies read through, so stitched address arithmetic simplifies.
         parts: list[str] = []
+        regs: set[int] = set()
         disp = m.disp
         aligned = True
         for rid, scale in ((m.base, 1), (m.index, m.scale)):
@@ -660,7 +686,9 @@ class _SuperblockCompiler(_BlockCompiler):
             if value is not _NO:
                 disp += value * scale
                 continue
-            name = self.greg(self.copies.get(rid, rid))
+            rid = self.copies.get(rid, rid)
+            regs.add(rid)
+            name = self.greg(rid)
             parts.append(name if scale == 1 else f"{name}*{scale}")
             if scale % 8:
                 aligned = False
@@ -668,16 +696,16 @@ class _SuperblockCompiler(_BlockCompiler):
             aligned = False
         if disp or not parts:
             parts.append(str(disp))
-        return " + ".join(parts), aligned
+        return " + ".join(parts), aligned, frozenset(regs)
 
     def ea(self, m: Mem) -> str:
         return self.mem_ref(m)[0]
 
     def mem_read(self, m: Mem) -> str:
-        expr, aligned = self.mem_ref(m)
+        expr, aligned, regs = self.mem_ref(m)
         if aligned:
-            name = self._iloads.get(expr)
-            if name is None:
+            hit = self._iloads.get(expr)
+            if hit is None:
                 name = f"mi{self._n_addr}"
                 self._n_addr += 1
                 if self._site_record:
@@ -692,16 +720,16 @@ class _SuperblockCompiler(_BlockCompiler):
                 else:
                     self.emit(f"{name} = _wg({expr}, 0)")
                 self._emit_as_int(name)
-                self._iloads[expr] = name
-            return name
-        return self._unaligned_load(expr, f64=False)
+                hit = self._iloads[expr] = (name, regs)
+            return hit[0]
+        return self._unaligned_load(expr, False, record=self._site_record)
 
     def mem_write(self, m: Mem, value: str) -> None:
         # Any store may alias any cached load (the tier proves nothing
         # about address disjointness).
         self._iloads.clear()
         self._floads.clear()
-        expr, aligned = self.mem_ref(m)
+        expr, aligned, _regs = self.mem_ref(m)
         if aligned:
             if self._site_record:
                 # Writes record per execution (the false-sharing charge
@@ -714,12 +742,8 @@ class _SuperblockCompiler(_BlockCompiler):
             else:
                 self.emit(f"_ws({expr}, {value})")
             return
-        self.emit(f"ad = {expr}")
-        if self._site_record:
-            self.emit_record("ad", "_we(ad)")
-        self.emit("if ad & 7:")
-        self.emit(f"    _mw(ad, {value})")
-        self.emit(f"_ws(ad, {value})")
+        self._unaligned_store(expr, value,
+                              "_we(ad)" if self._site_record else None)
 
     # -- exit-aware emission overrides --------------------------------------
 
@@ -780,29 +804,12 @@ class _SuperblockCompiler(_BlockCompiler):
             else:
                 self._invalidate(dst.id)
             return
-        if op in (Opcode.ADD, Opcode.SUB, Opcode.IMUL) and dst_gpr:
+        if op in _FOLDS and dst_gpr:
             a = self.const.get(dst.id, _NO)
-            b = self._const_of(ops[1])
+            b = 1 if op in (Opcode.INC, Opcode.DEC) \
+                else self._const_of(ops[1])
             if a is not _NO and b is not _NO:
-                if op is Opcode.ADD:
-                    t = a + b
-                elif op is Opcode.SUB:
-                    t = a - b
-                else:
-                    t = a * b
-                t = s64(t)
-                self.emit(f"{self.greg(dst.id)} = {t!r}")
-                if self._flags_live:
-                    self.emit(f"f = {_sign(t)}")
-                self._set_const(dst.id, t)
-                return
-            super().stmt(ins, k)
-            self._invalidate(dst.id)
-            return
-        if op in (Opcode.INC, Opcode.DEC) and dst_gpr:
-            a = self.const.get(dst.id, _NO)
-            if a is not _NO:
-                t = s64(a + 1 if op is Opcode.INC else a - 1)
+                t = s64(_FOLDS[op](a, b))
                 self.emit(f"{self.greg(dst.id)} = {t!r}")
                 if self._flags_live:
                     self.emit(f"f = {_sign(t)}")
@@ -916,28 +923,17 @@ class _SuperblockCompiler(_BlockCompiler):
                 self.emit("return t")
                 self.indent -= 1
             # "jmp" falls through into the next segment: nothing to emit.
-        # Loop back edge: the contract point.  Budget and legality are
-        # re-checked; both failures spill and hand the head back to the
-        # dispatcher, which re-dispatches on the correct tier.  The
-        # decrement precedes these exits, so their iteration is complete
-        # and the charge prefix is zero.
+        # Loop back edge: the budget is re-checked; when it runs out, the
+        # superblock spills and hands the head back to the dispatcher,
+        # which re-checks the instruction limit.  The decrement precedes
+        # the exit, so its iteration is complete and the charge prefix is
+        # zero.
         self._prefix = (0, 0)
         self.emit("n -= 1")
         self.emit("if n == 0:")
         self.indent += 1
         self.emit_spill()
         self.emit("_sb.bailouts += 1")
-        self.emit("return _self")
-        self.indent -= 1
-        legality = "_in.active_tx is not None"
-        if self.shadow:
-            # The sink the events land in was bound at compile time: a
-            # swapped (or removed) sink must deopt to the dispatcher.
-            legality += " or _in.shadow_sink is not _sk"
-        self.emit(f"if {legality}:")
-        self.indent += 1
-        self.emit_spill()
-        self.emit("_sb.deopts += 1")
         self.emit("return _self")
         self.indent -= 1
         if self.n_slots:

@@ -46,9 +46,9 @@ one, so a single long invocation of a one-block loop is promoted too).
 When a head crosses ``interp.superblock_threshold`` the superblock
 former stitches the biased loop body into one compiled function; from
 then on the head's ``jit_super`` runner is preferred whenever the fast
-path is legal.
-Superblock side exits, budget bailouts and legality deopts all land back
-in this loop at clean block boundaries.
+path is legal.  Nothing a superblock runs can open a transaction or a
+window, so the test is made only here, at entry; superblock side exits
+and budget bailouts land back in this loop at clean block boundaries.
 """
 
 from __future__ import annotations

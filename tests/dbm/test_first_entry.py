@@ -142,7 +142,7 @@ def _superblock(formed, entries):
     return {"superblock_formed": formed,
             "superblock_formation_failures": 0,
             "superblock_entries": entries, "superblock_side_exits": entries,
-            "superblock_deopts": 0, "superblock_bailouts": 0}
+            "superblock_bailouts": 0}
 
 
 # Superblock counters as the block tier alone produced them.  At the

@@ -317,3 +317,58 @@ def test_misaligned_double_load_faults_in_every_tier():
                             ("superblock", False)):
         with pytest.raises(MemoryFault):
             run_tier(image, tier, reference=reference)
+
+
+def _packed_copy(load_strides, store_strides):
+    """A loop copying one packed pair per iteration through base
+    registers, each pointer advanced by its own stride table."""
+    n = len(load_strides)
+    a = Assembler()
+    a.word("ls", *load_strides)
+    a.word("ss", *store_strides)
+    a.word("src", *(PATTERNS * (n // 2 + 1))[:2 * n + 2])
+    a.space("dst", 8 * (2 * n + 2))
+    a.label("_start")
+    a.emit(O.MOV, Reg(R.rsi), Label("src"))
+    a.emit(O.MOV, Reg(R.rdi), Label("dst"))
+    a.emit(O.MOV, Reg(R.rcx), Imm(n - 1))
+    a.label("loop")
+    a.emit(O.MOVAPD, Reg(R.xmm0), Mem(base=R.rsi))
+    a.emit(O.MOVAPD, Mem(base=R.rdi), Reg(R.xmm0))
+    a.emit(O.ADD, Reg(R.rsi), Mem(index=R.rcx, scale=8, disp=Label("ls")))
+    a.emit(O.ADD, Reg(R.rdi), Mem(index=R.rcx, scale=8, disp=Label("ss")))
+    a.emit(O.DEC, Reg(R.rcx))
+    a.emit(O.CMP, Reg(R.rcx), Imm(0))
+    a.emit(O.JG, Label("loop"))
+    a.emit(O.HLT)
+    return a.assemble(entry="_start", strip=False)
+
+
+def test_packed_lanes_through_a_base_register():
+    """Packed lanes the superblock cannot prove 8-aligned take the
+    scalar lane path: every tier leaves the reference's state, and a
+    shadow superblock records one packed event per access, no lane."""
+    image = _packed_copy([16] * 40, [16] * 40)
+    assert_tiers_match(image)
+    _state, _machine, _observed, interp = run_tier(image,
+                                                   "shadow-superblock")
+    sink = interp.shadow_sink
+    assert interp.sb_stats.formed == 1
+    assert len(sink.packed_reads) == len(sink.packed_writes) == 39
+    strides = range(image.symbols["ls"], image.symbols["src"])
+    assert all(addr in strides for addr in sink.reads)
+    assert not sink.writes
+
+
+@pytest.mark.parametrize("side", ("load", "store"))
+def test_misaligned_packed_access_faults_in_every_tier(side):
+    """A packed load or store that is really misaligned faults in the
+    superblock tier, inside the compiled loop, as in the reference."""
+    bad = [16] * 40
+    bad[20] = 4
+    image = _packed_copy(bad if side == "load" else [16] * 40,
+                         bad if side == "store" else [16] * 40)
+    for tier, reference in (("fast", True), ("fast", False),
+                            ("superblock", False)):
+        with pytest.raises(MemoryFault):
+            run_tier(image, tier, reference=reference)

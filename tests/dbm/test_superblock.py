@@ -1,15 +1,14 @@
-"""Superblock tier: formation, guarded exits, deopt kinds and budget plumbing.
+"""Superblock tier: formation, guarded exits, load CSE and budget plumbing.
 
-Every way control can leave a superblock is forced at least once here:
+Both ways control can leave a superblock are forced here:
 
 * **guard side exit** — a conditional branch goes against the biased path
   (``test_guard_side_exits``);
 * **budget bailout** — the trace budget runs out mid-loop
-  (``test_budget_bailouts``);
-* **legality deopt** — a memory hook is installed between warm-up and the
-  next superblock entry, so the back-edge legality re-check must spill and
-  hand the head back to the dispatcher
-  (``test_hook_installation_deopts``).
+  (``test_budget_bailouts``).
+
+There is no back-edge legality exit; the two tests under "No legality
+exit" pin why a running superblock stays on the fast path.
 
 Each exit restores full architectural state; the tests compare against a
 superblocks-disabled twin (``superblock_threshold = 0``) or a
@@ -24,14 +23,18 @@ from repro.dbm.executor import run_native
 from repro.dbm.interp import Interpreter
 from repro.dbm.jit import _JCC
 from repro.dbm.machine import Machine, make_main_context
+from repro.dbm.modifier import JanusDBM
+from repro.dbm.rtcalls import RTCallID
+from repro.dbm.runtime import ParallelRuntime
 from repro.dbm.superblock import SUPERBLOCK_THRESHOLD
 from repro.isa import Imm, Opcode as O, Reg
-from repro.isa.operands import Label
-from repro.isa.registers import R, reg_id
+from repro.isa.operands import Label, Mem
+from repro.isa.registers import R
 from repro.jbin.asm import Assembler
 from repro.jbin.loader import load
 from repro.jcc import CompileOptions, compile_source
-from repro.stm.transaction import Transaction
+from repro.pipeline import Janus, JanusConfig, SelectionMode
+from repro.verify import run_doall_oracle
 
 BRANCHY = """
 double xs[256];
@@ -128,10 +131,8 @@ def test_formation_and_counters():
     assert stats["superblock_entries"] > 0
     # The stitched loop spins inside compiled code: entries are bounded by
     # exits (each entry ends in exactly one exit of some kind).
-    exits = (stats["superblock_side_exits"] + stats["superblock_bailouts"]
-             + stats["superblock_deopts"])
+    exits = stats["superblock_side_exits"] + stats["superblock_bailouts"]
     assert exits == stats["superblock_entries"]
-    assert stats["superblock_deopts"] == 0  # no hook was ever installed
 
 
 def test_superblock_state_matches_disabled_tier():
@@ -215,89 +216,107 @@ def test_budget_is_baked_into_generated_code():
 
 
 # ---------------------------------------------------------------------------
-# Exit kind 3: legality deopt (a transaction opened mid-run)
+# No legality exit: what keeps a running superblock on the fast path
 # ---------------------------------------------------------------------------
 
-def _two_block_loop_image():
-    """A pure-register two-block loop: ADD/guard block + DEC/back-edge block.
+def test_each_worker_keeps_one_sink_across_invocations(monkeypatch):
+    """A shadow superblock binds its worker's sink at compile time.
 
-    No memory traffic inside the loop, so a reference twin can replay an
-    iteration from any register state without sharing the machine.
+    The worker's code cache outlives one parallel invocation, so every
+    invocation of the loop must hand each thread id the same sink object
+    (and the runtime's own ``_sinks`` entry) for the bound appends to
+    stay the live ones.
     """
+    seen: dict[int, list] = {}
+    run_worker = ParallelRuntime._run_worker
+
+    def spy(self, worker, *args):
+        assert self._sinks[worker.thread_id] is worker.sink
+        seen.setdefault(worker.thread_id, []).append(worker.sink)
+        return run_worker(self, worker, *args)
+
+    monkeypatch.setattr(ParallelRuntime, "_run_worker", spy)
+    janus = Janus(_image("xs[i] > 0.5"),
+                  JanusConfig(n_threads=2, coverage_threshold=0.0))
+    result = janus.run(SelectionMode.JANUS, training=janus.train())
+    assert result.stats["loop_invocations_parallel"] >= 2
+    assert len(seen) == 2
+    for sinks in seen.values():
+        assert len(sinks) >= 2
+        assert all(sink is sinks[0] for sink in sinks)
+
+
+def test_only_the_profiler_iteration_bracket_is_inline(monkeypatch):
+    """Superblocks contain no RTCALL that can open a transaction.
+
+    Only RTCALLs registered ``inline=True`` are stitched into
+    superblocks; over training, a parallel run and the DOALL oracle,
+    the only one is the profiler's loop-iteration bracket, whose handler
+    opens no transaction and no recording window.
+    """
+    registered: list[tuple[int, bool]] = []
+    register = JanusDBM.register_rtcall
+
+    def spy(self, rtcall_id, handler, inline=False):
+        registered.append((int(rtcall_id), inline))
+        return register(self, rtcall_id, handler, inline=inline)
+
+    monkeypatch.setattr(JanusDBM, "register_rtcall", spy)
+    image = _image("xs[i] > 0.5")
+    janus = Janus(image, JanusConfig(n_threads=2, coverage_threshold=0.0))
+    janus.run(SelectionMode.JANUS, training=janus.train())
+    run_doall_oracle(image, janus.analysis)
+    assert {rid for rid, _inline in registered} >= {
+        int(RTCallID.PROF_LOOP_ITER), int(RTCallID.LOOP_ENTER),
+        int(RTCallID.TX_START)}
+    assert {rid for rid, inline in registered if inline} == {
+        int(RTCallID.PROF_LOOP_ITER)}
+
+
+# ---------------------------------------------------------------------------
+# Load CSE
+# ---------------------------------------------------------------------------
+
+def test_register_write_invalidates_only_loads_naming_it():
+    """Writing r1 drops the cached ``arr[r1]`` load, not ``arr[r10]``.
+
+    Both loads are provably 8-aligned (scaled index), so both are CSE'd;
+    after ``add r1, 0`` only the load naming r1 is emitted again.
+    """
+    r1, r10 = Reg(R.rcx), Reg(R.r10)
+    assert (r1.id, r10.id) == (1, 10)
     a = Assembler()
+    a.word("arr", 3, 5, 7, 11)
     a.label("_start")
-    a.emit(O.MOV, Reg(R.rcx), Imm(200))
-    a.emit(O.MOV, Reg(R.rax), Imm(0))
+    a.emit(O.MOV, r1, Imm(1))
+    a.emit(O.MOV, r10, Imm(2))
+    a.emit(O.MOV, Reg(R.r8), Imm(50))
+    a.emit(O.MOV, Reg(R.rdx), Imm(0))
     a.label("loop")
-    a.emit(O.ADD, Reg(R.rax), Reg(R.rcx))
-    a.emit(O.CMP, Reg(R.rax), Imm(1000000))
-    a.emit(O.JG, Label("escape"))        # never taken: the guarded exit
-    a.emit(O.DEC, Reg(R.rcx))
-    a.emit(O.CMP, Reg(R.rcx), Imm(0))
-    a.emit(O.JG, Label("loop"))          # the back edge
-    a.label("escape")
+    at_r1 = Mem(index=r1.id, scale=8, disp=Label("arr"))
+    at_r10 = Mem(index=r10.id, scale=8, disp=Label("arr"))
+    a.emit(O.MOV, Reg(R.rax), at_r1)
+    a.emit(O.MOV, Reg(R.rbx), at_r10)
+    a.emit(O.ADD, r1, Imm(0))
+    a.emit(O.ADD, Reg(R.rax), at_r1)
+    a.emit(O.ADD, Reg(R.rbx), at_r10)
+    a.emit(O.ADD, Reg(R.rdx), Reg(R.rax))
+    a.emit(O.ADD, Reg(R.rdx), Reg(R.rbx))
+    a.emit(O.DEC, Reg(R.r8))
+    a.emit(O.CMP, Reg(R.r8), Imm(0))
+    a.emit(O.JG, Label("loop"))
     a.emit(O.HLT)
-    return a.assemble(entry="_start")
-
-
-def test_open_transaction_deopts():
-    """A transaction opened after warm-up deopts at the first back edge.
-
-    The dispatcher would never enter a superblock with a transaction open
-    (the fast path is illegal), but one can appear *while* a superblock
-    spins — modelled here by opening one between entries and invoking the
-    warm runner directly.  The superblock must complete exactly one
-    iteration, spill everything and return the head block for the
-    dispatcher to re-dispatch on the transactional tier.
-    """
-    image = _two_block_loop_image()
-    ctx, _machine, interp, cache = _run(image, threshold=4)
-    heads = [block for block in cache.values()
-             if block.jit_super is not None]
-    assert len(heads) == 1
-    head = heads[0]
-    assert interp.sb_stats.deopts == 0
-
-    rax, rcx = reg_id("rax"), reg_id("rcx")
-
-    def prime(target_ctx):
-        target_ctx.gregs[rax] = 5
-        target_ctx.gregs[rcx] = 37
-        target_ctx.flags = 1          # as left by the back-edge JG
-        target_ctx.cycles = 0
-        target_ctx.instructions = 0
-
-    # The mid-run transaction: any open one makes the fast path illegal.
-    interp.active_tx = Transaction(memory=interp.machine.memory)
-    prime(ctx)
-    entries = interp.sb_stats.entries
-    returned = head.jit_super(ctx)
-
-    assert returned is head
-    assert interp.sb_stats.deopts == 1
-    assert interp.sb_stats.entries == entries + 1
-    # The loop body touches registers only: the transaction saw nothing.
-    assert not interp.active_tx.read_log
-    assert not interp.active_tx.write_buffer
-
-    # Reference twin: one loop iteration from the same register state.
-    process = load(image)
-    machine2 = Machine()
-    machine2.memory.load_words(process.initial_data())
-    interp2 = Interpreter(machine2, process)
-    ctx2 = make_main_context(head.start, machine2.memory)
-    prime(ctx2)
-    pc = head.start
-    while True:
-        pc = interp2.execute_block_reference(
-            ctx2, discover_block(process, pc))
-        if pc == head.start:
-            break
-
-    assert list(ctx.gregs) == list(ctx2.gregs)
-    assert ctx.flags == ctx2.flags
-    assert ctx.cycles == ctx2.cycles
-    assert ctx.instructions == ctx2.instructions
+    image = a.assemble(entry="_start")
+    ctx, machine, interp, cache = _run(image, threshold=2)
+    sources = [block.jit_super.__jit_source__
+               for block in cache.values() if block.jit_super is not None]
+    assert len(sources) == 1
+    assert sources[0].count("= _wg(r1*8 + ") == 2
+    assert sources[0].count("= _wg(r10*8 + ") == 1
+    assert interp.sb_stats.entries >= 1
+    ref_ctx, ref_machine, _ri, _rc = _run(image, reference=True)
+    assert _state(ctx, machine) == _state(ref_ctx, ref_machine)
+    assert ctx.gregs[R.rdx] == 50 * (2 * 5 + 2 * 7)
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,7 @@ LEGACY_JIT_KEYS = [
 
 SUPERBLOCK_KEYS = [
     "superblock_formed", "superblock_formation_failures",
-    "superblock_entries", "superblock_side_exits", "superblock_deopts",
-    "superblock_bailouts",
+    "superblock_entries", "superblock_side_exits", "superblock_bailouts",
 ]
 
 
