@@ -15,20 +15,14 @@ import argparse
 import tempfile
 import time
 
-from repro.eval import figures, scheduler
+from repro.eval import scheduler
 from repro.eval.harness import EvalHarness
+from repro.eval.reporting import FIGURES
 
 # A representative subset: enough cells to keep 8 workers busy, small
 # enough that jobs=1 stays in benchmark territory.
 DEFAULT_BENCHMARKS = ("410.bwaves", "433.milc", "462.libquantum",
                       "470.lbm", "482.sphinx3")
-
-PRODUCERS = {
-    "fig6": figures.fig6_classification,
-    "fig7": figures.fig7_speedups,
-    "fig8": figures.fig8_breakdown,
-    "fig9": figures.fig9_scaling,
-}
 
 
 def timed_regeneration(figure: str, benchmarks, jobs: int):
@@ -37,18 +31,16 @@ def timed_regeneration(figure: str, benchmarks, jobs: int):
     with tempfile.TemporaryDirectory() as cache:
         started = time.perf_counter()
         scheduler.execute(cells, cache, jobs=jobs)
-        harness = EvalHarness(cache_dir=cache, jobs=jobs)
-        if figure == "fig6":
-            rows = PRODUCERS[figure](harness, benchmarks=benchmarks)
-        else:
-            rows = PRODUCERS[figure](harness)
+        produce, _render = FIGURES[figure]
+        rows = produce(EvalHarness(cache_dir=cache, jobs=jobs),
+                       benchmarks=benchmarks)
         elapsed = time.perf_counter() - started
     return elapsed, len(cells), rows
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--figure", default="fig7", choices=sorted(PRODUCERS))
+    parser.add_argument("--figure", default="fig7", choices=sorted(FIGURES))
     parser.add_argument("--jobs", type=int, nargs="*", default=(1, 2, 4, 8))
     args = parser.parse_args()
 

@@ -18,7 +18,7 @@ BENCH = "436.cactusADM"
 
 
 def main() -> None:
-    harness = EvalHarness(n_threads=8)
+    harness = EvalHarness()
 
     gcc = CompileOptions(opt_level=3, personality="gcc")
     gcc_par = CompileOptions(opt_level=3, personality="gcc", parallel=True)

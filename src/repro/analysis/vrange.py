@@ -783,12 +783,12 @@ class FunctionRanges:
     @staticmethod
     def _flag_setter(block):
         """The last flag-writing instruction before the terminator."""
-        from repro.isa.instructions import _FLAG_WRITERS
+        from repro.isa.instructions import FLAG_WRITERS
 
         for index in range(len(block.instructions) - 2, -1, -1):
             ins = block.instructions[index]
             if ins.opcode is Opcode.CMP:
                 return ins, index
-            if ins.opcode in _FLAG_WRITERS:
+            if ins.opcode in FLAG_WRITERS:
                 return None, -1  # some other ALU op set the flags: give up
         return None, -1

@@ -160,35 +160,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_figures(args) -> int:
-    from repro.eval import figures, reporting
     from repro.eval.harness import EvalHarness
+    from repro.eval.reporting import FIGURES
 
     cache_dir = None if args.no_cache else args.cache_dir
-    harness = EvalHarness(cache_dir=cache_dir, jobs=args.jobs,
-                          telemetry=args.telemetry)
+    harness = EvalHarness(cache_dir=cache_dir, jobs=args.jobs)
     benchmarks = None
     if args.benchmarks:
         benchmarks = [name.strip()
                       for name in args.benchmarks.split(",") if name.strip()]
-    producers = {
-        "fig6": (figures.fig6_classification, reporting.render_fig6),
-        "fig7": (figures.fig7_speedups, reporting.render_fig7),
-        "fig8": (figures.fig8_breakdown, reporting.render_fig8),
-        "fig9": (figures.fig9_scaling, reporting.render_fig9),
-        "fig10": (figures.fig10_schedule_size, reporting.render_fig10),
-        "fig11": (figures.fig11_compiler_comparison,
-                  reporting.render_fig11),
-        "fig12": (figures.fig12_opt_levels, reporting.render_fig12),
-        "table1": (figures.table1_bounds_checks, reporting.render_table1),
-        "table2": (lambda _h=None, benchmarks=None:
-                   figures.table2_features(),
-                   reporting.render_table2),
-        "verify": (figures.verify_rows, reporting.render_verify),
-    }
-    # The default is every figure and table; the verifier runs only when
-    # named.
-    names = args.which or [n for n in sorted(producers) if n != "verify"]
-    unknown = [name for name in names if name not in producers]
+    names = args.which or sorted(FIGURES)
+    unknown = [name for name in names if name not in FIGURES]
     if unknown:
         print(f"unknown figures: {', '.join(unknown)}", file=sys.stderr)
         return 2
@@ -206,16 +188,11 @@ def _cmd_figures(args) -> int:
     # cache hits, bit-identical to a serial run.  Telemetry rides along:
     # workers flush recorder dumps beside the cache and the parent merges
     # them below, so figure *output* is unchanged by tracing.
-    harness.warm([name for name in names if name not in ("table2", "verify")],
-                 benchmarks=benchmarks)
-    verify_confirmed = 0
+    harness.warm(names, benchmarks=benchmarks)
     for name in names:
-        produce, render = producers[name]
-        rows = produce(harness, benchmarks=benchmarks)
-        print(render(rows))
+        produce, render = FIGURES[name]
+        print(render(produce(harness, benchmarks=benchmarks)))
         print()
-        if name == "verify":
-            verify_confirmed += sum(row["confirmed_unsound"] for row in rows)
 
     if recorder is not None:
         from repro.telemetry import aggregate, core, export
@@ -228,7 +205,7 @@ def _cmd_figures(args) -> int:
               f"{len(trace['metrics']['counters'])} counters",
               file=sys.stderr)
         core.disable()
-    return 1 if verify_confirmed else 0
+    return 0
 
 
 def _cmd_verify(args) -> int:
@@ -313,7 +290,7 @@ def _cmd_trace(args) -> int:
     from repro.telemetry import aggregate, core, export
 
     recorder = core.enable(label="trace")
-    harness = EvalHarness(n_threads=args.threads)
+    harness = EvalHarness()
     mode = SelectionMode(args.mode)
     if mode is SelectionMode.NATIVE:
         result = harness.native(args.workload)
@@ -522,10 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("figures", help="regenerate paper figures/tables")
     f.add_argument("which", nargs="*",
-                   help="fig6..fig12, table1, table2 (default: all), or "
-                        "verify: run the soundness verifier over the "
-                        "benchmarks and print its summary table (exit 1 "
-                        "on confirmed unsoundness)")
+                   help="fig6..fig12, table1, table2 (default: all)")
     f.add_argument("--cache-dir", default=".repro-cache",
                    help="directory for persisted run results")
     f.add_argument("--no-cache", action="store_true",

@@ -34,7 +34,14 @@ from __future__ import annotations
 
 import math
 
-from repro.isa.instructions import CONDITION_OF, Instruction, Opcode
+from repro.isa.instructions import (
+    CMOV_OPCODES,
+    COND_BRANCHES,
+    CONDITION_OF,
+    PACKED_LANES,
+    Instruction,
+    Opcode,
+)
 from repro.isa.operands import Imm, Mem, Reg
 from repro.isa.registers import NUM_GPR, RET_REG, STACK_REG, XMM_BASE
 from repro.jbin import layout, syscalls
@@ -293,7 +300,7 @@ class Interpreter:
                 diff = (self._int_value(ctx, ins, lhs)
                         - self._int_value(ctx, ins, rhs))
             ctx.flags = 1 if diff > 0 else (-1 if diff < 0 else 0)
-        elif op in _JCC:
+        elif op in COND_BRANCHES:
             if _COND_CHECK[CONDITION_OF[op]](ctx.flags):
                 return self.process.resolve_target(ops[0].value)
         elif op is Opcode.JMP:
@@ -373,7 +380,7 @@ class Interpreter:
         elif op is Opcode.TEST:
             ctx.flags = _sign(s64(self._int_value(ctx, ins, ops[0])
                                   & self._int_value(ctx, ins, ops[1])))
-        elif op in _CMOV:
+        elif op in CMOV_OPCODES:
             if _COND_CHECK[CONDITION_OF[op]](ctx.flags):
                 self._int_store(ctx, ins, ops[0],
                                 self._int_value(ctx, ins, ops[1]))
@@ -458,7 +465,7 @@ class Interpreter:
                 bits = (f64_to_i64(self._f64_value(ctx, ins, ops[0]))
                         ^ f64_to_i64(self._f64_value(ctx, ins, ops[1])))
                 self._f64_store(ctx, ins, ops[0], i64_to_f64(s64(bits)))
-        elif op in _PACKED:
+        elif op in PACKED_LANES:
             self._exec_packed(ctx, ins)
         # ---- system ----------------------------------------------------------
         elif op is Opcode.SYSCALL:
@@ -554,15 +561,6 @@ class Interpreter:
             raise JXRuntimeError(f"unknown syscall {number}")
         return None
 
-
-_JCC = frozenset((Opcode.JE, Opcode.JNE, Opcode.JL,
-                  Opcode.JLE, Opcode.JG, Opcode.JGE))
-_CMOV = frozenset((Opcode.CMOVE, Opcode.CMOVNE, Opcode.CMOVL,
-                   Opcode.CMOVLE, Opcode.CMOVG, Opcode.CMOVGE))
-_PACKED = frozenset((Opcode.MOVAPD, Opcode.ADDPD, Opcode.SUBPD,
-                     Opcode.MULPD, Opcode.DIVPD, Opcode.VMOVAPD,
-                     Opcode.VADDPD, Opcode.VSUBPD, Opcode.VMULPD,
-                     Opcode.VDIVPD))
 
 _COND_CHECK = {
     "e": lambda f: f == 0,

@@ -75,7 +75,14 @@ from __future__ import annotations
 
 import math
 
-from repro.isa.instructions import CONDITION_OF, Instruction, Opcode
+from repro.isa.instructions import (
+    CMOV_OPCODES,
+    COND_BRANCHES,
+    CONDITION_OF,
+    PACKED_LANES,
+    Instruction,
+    Opcode,
+)
 from repro.isa.operands import Imm, Mem, Reg
 from repro.isa.registers import STACK_REG, XMM_BASE
 from repro.jbin import layout
@@ -101,15 +108,6 @@ _COND_EXPR = {
     "g": "f > 0",
     "ge": "f >= 0",
 }
-
-_JCC = frozenset((Opcode.JE, Opcode.JNE, Opcode.JL,
-                  Opcode.JLE, Opcode.JG, Opcode.JGE))
-_CMOV = frozenset((Opcode.CMOVE, Opcode.CMOVNE, Opcode.CMOVL,
-                   Opcode.CMOVLE, Opcode.CMOVG, Opcode.CMOVGE))
-_PACKED = frozenset((Opcode.MOVAPD, Opcode.ADDPD, Opcode.SUBPD,
-                     Opcode.MULPD, Opcode.DIVPD, Opcode.VMOVAPD,
-                     Opcode.VADDPD, Opcode.VSUBPD, Opcode.VMULPD,
-                     Opcode.VDIVPD))
 
 
 class JITStats(RegistryView):
@@ -589,7 +587,7 @@ class _BlockCompiler:
             self.emit(f"t = {self.iread(ops[0], k, ins)}"
                       f" & {self.iread(ops[1], k, ins)}")
             self.set_flags()
-        elif op in _CMOV:
+        elif op in CMOV_OPCODES:
             self.emit(f"if {_COND_EXPR[CONDITION_OF[op]]}:")
             self.indent += 1
             self.istore(ops[0], k, ins, self.iread(ops[1], k, ins))
@@ -658,7 +656,7 @@ class _BlockCompiler:
                 self.emit(f"t = _f2i({self.fread(ops[0], k, ins)})"
                           f" ^ _f2i({self.fread(ops[1], k, ins)})")
                 self.fstore(ops[0], k, ins, "_i2f(t)")
-        elif op in _PACKED:
+        elif op in PACKED_LANES:
             self.packed(ins, k)
         # ---- system ---------------------------------------------------
         elif op is Opcode.SYSCALL:
@@ -761,7 +759,7 @@ class _BlockCompiler:
         op = ins.opcode
         ops = ins.operands
 
-        if op in _JCC:
+        if op in COND_BRANCHES:
             cond = _COND_EXPR[CONDITION_OF[op]]
             taken = self.resolve(ops[0].value)
             self.emit("ctx.flags = f")

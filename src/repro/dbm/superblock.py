@@ -61,10 +61,18 @@ from __future__ import annotations
 import operator
 import struct
 
-from repro.isa.instructions import CONDITION_OF, Opcode
+from repro.isa.instructions import (
+    CMOV_OPCODES,
+    COND_BRANCHES,
+    CONDITION_OF,
+    FLAG_WRITERS,
+    NEGATED_CONDITION,
+    PACKED_LANES,
+    Opcode,
+)
 from repro.isa.operands import Imm, Mem, Reg
 from repro.isa.registers import STACK_REG, XMM_BASE
-from repro.dbm.jit import _BlockCompiler, _CMOV, _COND_EXPR, _JCC, _PACKED
+from repro.dbm.jit import _BlockCompiler, _COND_EXPR
 from repro.dbm.machine import HALT_ADDRESS
 from repro.dbm.memory import s64
 from repro.telemetry.core import RegistryView
@@ -77,22 +85,14 @@ SUPERBLOCK_THRESHOLD = 16
 MAX_SUPERBLOCK_BLOCKS = 16
 MAX_SUPERBLOCK_INSTRUCTIONS = 384
 
-_NEG_COND = {"e": "ne", "ne": "e", "l": "ge", "ge": "l", "le": "g", "g": "le"}
-
-# Opcodes that write the flags word (sign of the result).
-_FLAG_WRITERS = frozenset((
-    Opcode.ADD, Opcode.SUB, Opcode.IMUL, Opcode.AND, Opcode.OR, Opcode.XOR,
-    Opcode.SHL, Opcode.SHR, Opcode.SAR, Opcode.INC, Opcode.DEC, Opcode.NEG,
-    Opcode.CMP, Opcode.TEST, Opcode.UCOMISD,
-))
-
 # Opcodes whose generated code can raise (the raise path spills flags), so
 # a preceding flag store must not be eliminated across them.
 _RAISING = frozenset((Opcode.IDIV, Opcode.IMOD, Opcode.DIVSD, Opcode.SQRTSD,
                       Opcode.DIVPD, Opcode.VDIVPD))
 
 # Opcodes that read flags, or terminators whose guarded exits spill them.
-_FLAG_READERS = _JCC | _CMOV | _RAISING | frozenset((Opcode.RET,))
+_FLAG_READERS = (COND_BRANCHES | CMOV_OPCODES | _RAISING
+                 | frozenset((Opcode.RET,)))
 
 _STACK_OPS = frozenset((Opcode.PUSH, Opcode.POP, Opcode.CALL, Opcode.CALLI,
                         Opcode.RET))
@@ -104,7 +104,7 @@ _REG0_WRITERS = frozenset((
     Opcode.IDIV, Opcode.IMOD, Opcode.AND, Opcode.OR, Opcode.XOR,
     Opcode.SHL, Opcode.SHR, Opcode.SAR, Opcode.INC, Opcode.DEC,
     Opcode.NEG, Opcode.NOT, Opcode.POP, Opcode.CVTTSD2SI,
-)) | _CMOV
+)) | CMOV_OPCODES
 
 # Integer ops folded when the destination and the source are known
 # constants (INC and DEC add or subtract an implicit 1).
@@ -219,7 +219,7 @@ def _walk(head, interp, lookup, ctx, last_succ):
             return None
         term = block.terminator
         op = term.opcode
-        if op in _JCC:
+        if op in COND_BRANCHES:
             taken = resolve(term.operands[0].value)
             fall = block.end
             if taken == block.start:
@@ -291,7 +291,7 @@ def _flag_liveness(segments) -> list[bool]:
         live[index] = after
         if op in _FLAG_READERS:
             after = True
-        elif op in _FLAG_WRITERS:
+        elif op in FLAG_WRITERS:
             after = False
     return live
 
@@ -412,7 +412,7 @@ class _SuperblockCompiler(_BlockCompiler):
         for block, _plan in segments:
             for ins in block.instructions:
                 op = ins.opcode
-                if op in _PACKED:
+                if op in PACKED_LANES:
                     width = ins.lanes
                 elif op is Opcode.XORPD and ins.operands \
                         and ins.operands[0] == ins.operands[1]:
@@ -839,7 +839,7 @@ class _SuperblockCompiler(_BlockCompiler):
                 return
         super().stmt(ins, k)
         self._invalidate_writes(ins)
-        if op is Opcode.PUSH or (op in _PACKED
+        if op is Opcode.PUSH or (op in PACKED_LANES
                                  and type(ops[0]) is Mem):
             # These write memory inside emission paths that bypass
             # mem_write: drop every cached load.
@@ -893,7 +893,7 @@ class _SuperblockCompiler(_BlockCompiler):
             k += 1
             if kind == "jcc":
                 _kind, exit_pc, cond, biased_taken = plan
-                guard = _COND_EXPR[_NEG_COND[cond] if biased_taken
+                guard = _COND_EXPR[NEGATED_CONDITION[cond] if biased_taken
                                    else cond]
                 self.emit(f"if {guard}:")
                 self.indent += 1

@@ -298,33 +298,3 @@ def table2_features() -> list[dict]:
          "spectrum": "Affine binaries"},
         janus_row,
     ]
-
-
-# -- Verification summary (repro figures --verify) ---------------------------------------------------
-
-
-def verify_rows(harness: EvalHarness | None = None,
-                benchmarks=None) -> list[dict]:
-    """One soundness-verification row per workload (not a paper figure).
-
-    Runs all three verifier tiers (IR invariants, schedule linter, DOALL
-    oracle) via :func:`repro.verify.verify_workload`.
-    """
-    from repro.verify import Severity, verify_workload
-
-    rows = []
-    for name in benchmarks or all_benchmarks():
-        report = verify_workload(name)
-        rows.append({
-            "benchmark": name,
-            "functions": report.functions_checked,
-            "loops": report.loops_checked,
-            "rules": report.rules_linted,
-            "oracle_loops": report.oracle_loops,
-            "oracle_iterations": report.oracle_iterations,
-            "errors": len(report.errors),
-            "warnings": len(report.by_severity(Severity.WARNING)),
-            "confirmed_unsound": len(report.confirmed),
-            "report": report,
-        })
-    return rows

@@ -1,23 +1,24 @@
 """Caching execution harness for the evaluation.
 
 Every figure needs some subset of {native run, DBM-only run, training,
-Janus run at N threads} per (workload, compiler options).  The harness
-memoises all of them, so regenerating the full set of figures costs each
-execution exactly once.
+Janus run at N threads} per (workload, compiler options).  Each such
+execution is a :class:`Cell`, and :meth:`EvalHarness.result` is the one
+path every cell takes: the memo, then the disk cache, then the run
+itself under its ``exec.<kind>`` span.  Regenerating the full set of
+figures therefore costs each execution exactly once.
 
-With ``cache_dir`` set, finished ``native()``/``run()``/``training()``/
-``fig6_profile()`` results also persist on disk (pickle), keyed by
-workload name, compile options, mode, thread count and a content hash of
-the compiled image — so a recompiled or edited workload never serves a
-stale result.  ``python -m repro figures`` uses this by default;
-``--no-cache`` is the escape hatch.
+With ``cache_dir`` set, results also persist on disk (pickle), keyed by
+the cell's workload name, compile options, kind, mode, thread count and
+a content hash of the compiled image, so a recompiled or edited workload
+never serves a stale result.  ``python -m repro figures`` uses this by
+default; ``--no-cache`` is the escape hatch.
 
 With ``jobs > 1`` the disk cache doubles as the IPC medium for the
 process-parallel evaluation fan-out (:mod:`repro.eval.scheduler`):
-``warm()`` enumerates every execution cell the requested figures need,
-executes them in worker processes (each warming the shared cache with
-atomic writes), after which the parent assembles figures from warm cache
-hits.  Results are bit-identical to a serial run because every cell is
+``warm()`` plans every cell the requested figures need and executes
+them in worker processes (each warming the shared cache with atomic
+writes), after which the parent assembles figures from warm cache hits.
+Results are bit-identical to a serial run because every cell is
 deterministic and the cache key is independent of who computed it.
 """
 
@@ -76,7 +77,8 @@ def compiler_identity() -> str:
     return digest.hexdigest()
 
 
-def _options_key(options: CompileOptions) -> tuple:
+def _options_key(options: CompileOptions | None) -> tuple:
+    options = options or CompileOptions()
     return (options.opt_level, options.personality, options.mavx,
             options.parallel, options.parallel_threads)
 
@@ -89,25 +91,51 @@ def options_from_key(key: tuple) -> CompileOptions:
                           parallel_threads=parallel_threads)
 
 
+# Modes whose execution consumes the training stage's output.
+TRAINED_MODES = (SelectionMode.STATIC_PROFILE, SelectionMode.JANUS)
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One execution the evaluation needs: the harness's memo and disk key.
+
+    Picklable, so the fan-out ships cells to worker processes as is.
+    """
+
+    kind: str            # "native" | "run" | "training" | "fig6profile"
+    benchmark: str
+    options_key: tuple   # _options_key(options)
+    mode: str = ""       # SelectionMode *name*, for kind == "run"
+    threads: int = 0     # thread count, for kind == "run"
+
+    @property
+    def stage(self) -> int:
+        """Execution wave: cells needing warm training data go second."""
+        if self.kind == "run" and self.mode in (m.name
+                                                for m in TRAINED_MODES):
+            return 1
+        return 0
+
+    @property
+    def options(self) -> CompileOptions:
+        return options_from_key(self.options_key)
+
+    @property
+    def lane(self) -> str:
+        return lane_label(self.kind, self.benchmark, self.mode, self.threads)
+
+
 @dataclass
 class EvalHarness:
     """Memoised runs of the workload suite."""
 
-    n_threads: int = 8
     cache_dir: str | None = None
     # Worker-process count for the evaluation fan-out (``warm``).
     # 1 = fully serial.
     jobs: int = 1
-    # When true (and a cache_dir is set), ``warm`` threads a telemetry
-    # dump directory through the fan-out so worker spans can be merged
-    # into one trace (see repro.telemetry.aggregate).
-    telemetry: bool = False
-    _natives: dict = field(default_factory=dict)
-    _janus: dict = field(default_factory=dict)
-    _trainings: dict = field(default_factory=dict)
-    _runs: dict = field(default_factory=dict)
-    _profiles: dict = field(default_factory=dict)
-    _digests: dict = field(default_factory=dict)
+    _results: dict = field(default_factory=dict, init=False, repr=False)
+    _janus: dict = field(default_factory=dict, init=False, repr=False)
+    _digests: dict = field(default_factory=dict, init=False, repr=False)
 
     # -- building blocks -------------------------------------------------------
 
@@ -116,51 +144,101 @@ class EvalHarness:
 
     def janus_for(self, name: str,
                   options: CompileOptions | None = None) -> Janus:
-        options = options or CompileOptions()
         key = (name, _options_key(options))
         instance = self._janus.get(key)
         if instance is None:
-            config = JanusConfig(n_threads=self.n_threads,
-                                 max_instructions=MAX_INSTRUCTIONS)
+            config = JanusConfig(max_instructions=MAX_INSTRUCTIONS)
             instance = Janus(self.image(name, options), config)
             self._janus[key] = instance
         return instance
 
-    def training(self, name: str,
-                 options: CompileOptions | None = None) -> TrainingData:
-        options = options or CompileOptions()
-        key = (name, _options_key(options))
-        training = self._trainings.get(key)
-        if training is not None:
-            return training
+    # -- the cell path -----------------------------------------------------------
+
+    def result(self, cell: Cell):
+        """One cell's result: from the memo, the disk cache, or a run."""
+        body = self._BODIES.get(cell.kind)
+        if body is None:
+            raise ValueError(f"unknown cell kind {cell.kind!r}")
+        result = self._results.get(cell)
+        if result is not None:
+            return result
         entry = None
         if self.cache_dir is not None:
-            entry = self._cache_entry("training", name, options)
-            training = self._disk_get(*entry)
-            if training is not None:
-                self._replay_training(name, options, training)
-                self._trainings[key] = training
-                return training
-        workload = get_workload(name)
-        with get_recorder().span("exec.training", cat="exec",
-                                 lane=lane_label("training", name),
-                                 benchmark=name):
-            training = self.janus_for(name, options).train(
-                train_inputs=list(workload.train_inputs))
-        self._trainings[key] = training
-        if entry is not None:
-            self._disk_put(*entry, training)
-        return training
+            entry = self._cache_entry(cell)
+            result = self._disk_get(*entry)
+            if result is not None and cell.kind == "training":
+                self._replay_training(cell, result)
+        if result is None:
+            result = body(self, cell)
+            if entry is not None:
+                self._disk_put(*entry, result)
+        self._results[cell] = result
+        return result
 
-    def _replay_training(self, name: str, options: CompileOptions,
-                         training: TrainingData) -> None:
+    @staticmethod
+    def _span(cell: Cell):
+        """The ``exec.<kind>`` span the cell's execution proper runs under."""
+        args = {"mode": cell.mode, "threads": cell.threads} \
+            if cell.kind == "run" else {}
+        return get_recorder().span("exec." + cell.kind, cat="exec",
+                                   lane=cell.lane, benchmark=cell.benchmark,
+                                   **args)
+
+    def _native(self, cell: Cell) -> ExecutionResult:
+        workload = get_workload(cell.benchmark)
+        process = load(self.image(cell.benchmark, cell.options),
+                       inputs=list(workload.ref_inputs))
+        with self._span(cell) as span:
+            result = run_native(process, max_instructions=MAX_INSTRUCTIONS)
+            span.set(cycles=result.cycles,
+                     instructions=result.instructions)
+        return result
+
+    def _run(self, cell: Cell) -> ExecutionResult:
+        workload = get_workload(cell.benchmark)
+        janus = self.janus_for(cell.benchmark, cell.options)
+        mode = SelectionMode[cell.mode]
+        training = None
+        if mode in TRAINED_MODES:
+            training = self.training(cell.benchmark, cell.options)
+        with self._span(cell) as span:
+            result = janus.run(mode, inputs=list(workload.ref_inputs),
+                               training=training, n_threads=cell.threads)
+            span.set(cycles=result.cycles,
+                     instructions=result.instructions)
+        return result
+
+    def _training(self, cell: Cell) -> TrainingData:
+        workload = get_workload(cell.benchmark)
+        with self._span(cell):
+            return self.janus_for(cell.benchmark, cell.options).train(
+                train_inputs=list(workload.train_inputs))
+
+    def _fig6profile(self, cell: Cell) -> ProfileResult:
+        janus = self.janus_for(cell.benchmark, cell.options)
+        schedule = generate_profile_schedule(janus.analysis,
+                                             include_incompatible=True)
+        profile = self._training_coverage(cell, janus, schedule)
+        if profile is not None:
+            return profile
+        workload = get_workload(cell.benchmark)
+        process = load(janus.image, inputs=list(workload.train_inputs))
+        with self._span(cell):
+            profile, _ = run_profiling(process, schedule,
+                                       max_instructions=MAX_INSTRUCTIONS)
+        return profile
+
+    _BODIES = {"native": _native, "run": _run, "training": _training,
+               "fig6profile": _fig6profile}
+
+    def _replay_training(self, cell: Cell, training: TrainingData) -> None:
         """Re-apply profile annotations a cached training run made.
 
         ``Janus.train`` resolves the C/D split and records per-loop
         coverage on the live analysis; a disk hit must leave the analysis
         in exactly the state the original run did.
         """
-        analysis = self.janus_for(name, options).analysis
+        analysis = self.janus_for(cell.benchmark, cell.options).analysis
         if training.dependence is not None:
             for loop_id, profile in sorted(training.dependence.loops.items()):
                 analysis.loop(loop_id).apply_dependence_profile(
@@ -169,26 +247,47 @@ class EvalHarness:
             analysis.loop(loop_id).coverage_fraction = \
                 training.coverage.coverage(loop_id)
 
+    def _training_coverage(self, cell: Cell, janus: Janus,
+                           schedule) -> ProfileResult | None:
+        """The memoised training's coverage profile, if it is this run.
+
+        Both runs load ``janus.image`` with the workload's training
+        inputs.  When the Fig. 6 schedule also serialises to the coverage
+        pass's bytes, under the same instruction limit and cost model,
+        the two runs are one run, so its profile is returned.  ``None``
+        when training has not run in this harness or anything differs.
+        """
+        training = self._results.get(
+            Cell("training", cell.benchmark, cell.options_key))
+        config = janus.config
+        if training is None \
+                or config.max_instructions != MAX_INSTRUCTIONS \
+                or config.cost_model != DEFAULT_COST_MODEL \
+                or janus.coverage_schedule().serialize() \
+                != schedule.serialize():
+            return None
+        return training.coverage
+
     # -- on-disk persistence -----------------------------------------------------
 
-    def _image_digest(self, name: str, options: CompileOptions) -> str:
-        key = (name, _options_key(options))
+    def _image_digest(self, cell: Cell) -> str:
+        key = (cell.benchmark, cell.options_key)
         digest = self._digests.get(key)
         if digest is not None:
             return digest
         side = None
         if self.cache_dir is not None:
-            side = self._digest_path(name, options)
+            side = self._digest_path(cell)
             # A truncated or corrupt sidecar reads as None: recompute.
             digest = read_digest_file(side)
         if digest is None:
-            digest = image_digest(self.image(name, options))
+            digest = image_digest(self.image(cell.benchmark, cell.options))
             if side is not None:
                 write_digest_file(side, digest)
         self._digests[key] = digest
         return digest
 
-    def _digest_path(self, name: str, options: CompileOptions) -> str:
+    def _digest_path(self, cell: Cell) -> str:
         """Side-cache file for one workload's image digest.
 
         Keyed by the workload *source* text and the compiler's own source
@@ -196,19 +295,19 @@ class EvalHarness:
         cache hit never has to compile at all and a compiler edit misses.
         """
         source = hashlib.sha256(
-            workload_source(get_workload(name)).encode()).hexdigest()
-        tag = "|".join(("digest", str(_CACHE_FORMAT), name,
-                        repr(_options_key(options)), source,
+            workload_source(get_workload(cell.benchmark)).encode()
+        ).hexdigest()
+        tag = "|".join(("digest", str(_CACHE_FORMAT), cell.benchmark,
+                        repr(cell.options_key), source,
                         compiler_identity()))
         fname = hashlib.sha256(tag.encode()).hexdigest()[:32]
         return os.path.join(self.cache_dir, "digest-" + fname + ".txt")
 
-    def _cache_entry(self, kind: str, name: str, options: CompileOptions,
-                     mode: str = "", threads: int = 0) -> tuple[str, str]:
+    def _cache_entry(self, cell: Cell) -> tuple[str, str]:
         """(path, tag) for one persisted result; the tag detects collisions."""
-        tag = "|".join((str(_CACHE_FORMAT), kind, name,
-                        repr(_options_key(options)), mode, str(threads),
-                        self._image_digest(name, options)))
+        tag = "|".join((str(_CACHE_FORMAT), cell.kind, cell.benchmark,
+                        repr(cell.options_key), cell.mode, str(cell.threads),
+                        self._image_digest(cell)))
         fname = hashlib.sha256(tag.encode()).hexdigest()[:32]
         return os.path.join(self.cache_dir, fname + ".pkl"), tag
 
@@ -236,67 +335,17 @@ class EvalHarness:
 
     def native(self, name: str,
                options: CompileOptions | None = None) -> ExecutionResult:
-        options = options or CompileOptions()
-        key = (name, _options_key(options))
-        result = self._natives.get(key)
-        if result is not None:
-            return result
-        entry = None
-        if self.cache_dir is not None:
-            entry = self._cache_entry("native", name, options)
-            result = self._disk_get(*entry)
-            if result is not None:
-                self._natives[key] = result
-                return result
-        workload = get_workload(name)
-        process = load(self.image(name, options),
-                       inputs=list(workload.ref_inputs))
-        with get_recorder().span("exec.native", cat="exec",
-                                 lane=lane_label("native", name),
-                                 benchmark=name) as span:
-            result = run_native(process, max_instructions=MAX_INSTRUCTIONS)
-            span.set(cycles=result.cycles,
-                     instructions=result.instructions)
-        self._natives[key] = result
-        if entry is not None:
-            self._disk_put(*entry, result)
-        return result
+        return self.result(Cell("native", name, _options_key(options)))
 
     def run(self, name: str, mode: SelectionMode,
             options: CompileOptions | None = None,
-            n_threads: int | None = None) -> ExecutionResult:
-        options = options or CompileOptions()
-        threads = n_threads if n_threads is not None else self.n_threads
-        key = (name, _options_key(options), mode, threads)
-        result = self._runs.get(key)
-        if result is not None:
-            return result
-        entry = None
-        if self.cache_dir is not None:
-            entry = self._cache_entry("run", name, options,
-                                      mode=mode.name, threads=threads)
-            result = self._disk_get(*entry)
-            if result is not None:
-                self._runs[key] = result
-                return result
-        workload = get_workload(name)
-        janus = self.janus_for(name, options)
-        training = None
-        if mode in (SelectionMode.STATIC_PROFILE, SelectionMode.JANUS):
-            training = self.training(name, options)
-        with get_recorder().span("exec.run", cat="exec",
-                                 lane=lane_label("run", name, mode.name,
-                                                 threads),
-                                 benchmark=name, mode=mode.name,
-                                 threads=threads) as span:
-            result = janus.run(mode, inputs=list(workload.ref_inputs),
-                               training=training, n_threads=threads)
-            span.set(cycles=result.cycles,
-                     instructions=result.instructions)
-        self._runs[key] = result
-        if entry is not None:
-            self._disk_put(*entry, result)
-        return result
+            n_threads: int = 8) -> ExecutionResult:
+        return self.result(Cell("run", name, _options_key(options),
+                                mode.name, n_threads))
+
+    def training(self, name: str,
+                 options: CompileOptions | None = None) -> TrainingData:
+        return self.result(Cell("training", name, _options_key(options)))
 
     def fig6_profile(self, name: str,
                      options: CompileOptions | None = None) -> ProfileResult:
@@ -309,58 +358,11 @@ class EvalHarness:
         schedule, and a training already run in this harness serves the
         profile (:meth:`_training_coverage`).
         """
-        options = options or CompileOptions()
-        key = (name, _options_key(options))
-        profile = self._profiles.get(key)
-        if profile is not None:
-            return profile
-        entry = None
-        if self.cache_dir is not None:
-            entry = self._cache_entry("fig6profile", name, options)
-            profile = self._disk_get(*entry)
-            if profile is not None:
-                self._profiles[key] = profile
-                return profile
-        janus = self.janus_for(name, options)
-        schedule = generate_profile_schedule(janus.analysis,
-                                             include_incompatible=True)
-        profile = self._training_coverage(key, janus, schedule)
-        if profile is None:
-            workload = get_workload(name)
-            process = load(janus.image, inputs=list(workload.train_inputs))
-            with get_recorder().span("exec.fig6profile", cat="exec",
-                                     lane=lane_label("fig6profile", name),
-                                     benchmark=name):
-                profile, _ = run_profiling(process, schedule,
-                                           max_instructions=MAX_INSTRUCTIONS)
-        self._profiles[key] = profile
-        if entry is not None:
-            self._disk_put(*entry, profile)
-        return profile
-
-    def _training_coverage(self, key: tuple, janus: Janus,
-                           schedule) -> ProfileResult | None:
-        """The memoised training's coverage profile, if it is this run.
-
-        Both runs load ``janus.image`` with the workload's training
-        inputs.  When the Fig. 6 schedule also serialises to the coverage
-        pass's bytes, under the same instruction limit and cost model,
-        the two runs are one run, so its profile is returned.  ``None``
-        when training has not run in this harness or anything differs.
-        """
-        training = self._trainings.get(key)
-        config = janus.config
-        if training is None \
-                or config.max_instructions != MAX_INSTRUCTIONS \
-                or config.cost_model != DEFAULT_COST_MODEL \
-                or janus.coverage_schedule().serialize() \
-                != schedule.serialize():
-            return None
-        return training.coverage
+        return self.result(Cell("fig6profile", name, _options_key(options)))
 
     def speedup(self, name: str, mode: SelectionMode,
                 options: CompileOptions | None = None,
-                n_threads: int | None = None) -> float:
+                n_threads: int = 8) -> float:
         """Whole-program speedup over the native run of the same binary."""
         native = self.native(name, options)
         run = self.run(name, mode, options, n_threads)
@@ -373,18 +375,19 @@ class EvalHarness:
 
         No-op (returns 0) unless ``jobs > 1`` and a cache directory is
         configured — the disk cache is the medium through which worker
-        results reach this process.
+        results reach this process.  While a recorder is enabled the
+        workers dump their spans to :meth:`telemetry_dir` for merging
+        (see repro.telemetry.aggregate).
         """
         if self.jobs <= 1 or self.cache_dir is None:
             return 0
         from repro.eval import scheduler
-        cells = scheduler.plan(which, benchmarks=benchmarks,
-                               n_threads=self.n_threads)
+        cells = scheduler.plan(which, benchmarks=benchmarks)
         if not cells:
             return 0
-        telemetry_dir = self.telemetry_dir() if self.telemetry else None
+        telemetry_dir = self.telemetry_dir() if get_recorder().enabled \
+            else None
         scheduler.execute(cells, self.cache_dir, jobs=self.jobs,
-                          n_threads=self.n_threads,
                           telemetry_dir=telemetry_dir)
         return len(cells)
 

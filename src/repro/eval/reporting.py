@@ -1,7 +1,9 @@
-"""ASCII rendering of the evaluation figures, matching the paper's rows."""
+"""ASCII rendering of the evaluation figures, matching the paper's rows,
+and the table of every figure's producer and renderer."""
 
 from __future__ import annotations
 
+from repro.eval import figures
 from repro.eval.figures import BREAKDOWN_CATEGORIES, CATEGORY_ORDER
 
 _CAT_LABELS = {
@@ -128,20 +130,17 @@ def render_table2(rows) -> str:
     return "\n".join(lines)
 
 
-def render_verify(rows) -> str:
-    lines = ["Verification: invariants / schedule lint / DOALL oracle",
-             f"{'benchmark':18s} {'fns':>5s} {'loops':>6s} {'rules':>6s} "
-             f"{'oracle':>7s} {'iters':>7s} {'warn':>5s} {'err':>5s} "
-             f"{'unsound':>8s}"]
-    for row in rows:
-        lines.append(
-            f"{row['benchmark']:18s} {row['functions']:5d} "
-            f"{row['loops']:6d} {row['rules']:6d} "
-            f"{row['oracle_loops']:7d} {row['oracle_iterations']:7d} "
-            f"{row['warnings']:5d} {row['errors']:5d} "
-            f"{row['confirmed_unsound']:8d}")
-    total = sum(row["confirmed_unsound"] for row in rows)
-    lines.append("verdict: " + ("SOUND (no confirmed-unsound findings)"
-                                if total == 0 else
-                                f"UNSOUND ({total} confirmed findings)"))
-    return "\n".join(lines)
+# Figure name -> (producer, renderer).  A producer takes the harness and
+# an optional benchmark subset and returns the rows its renderer prints.
+FIGURES = {
+    "fig6": (figures.fig6_classification, render_fig6),
+    "fig7": (figures.fig7_speedups, render_fig7),
+    "fig8": (figures.fig8_breakdown, render_fig8),
+    "fig9": (figures.fig9_scaling, render_fig9),
+    "fig10": (figures.fig10_schedule_size, render_fig10),
+    "fig11": (figures.fig11_compiler_comparison, render_fig11),
+    "fig12": (figures.fig12_opt_levels, render_fig12),
+    "table1": (figures.table1_bounds_checks, render_table1),
+    "table2": (lambda _harness=None, benchmarks=None:
+               figures.table2_features(), render_table2),
+}

@@ -1,9 +1,12 @@
 """Process-parallel evaluation fan-out (work planner + executor).
 
 The evaluation behind the paper's figures is embarrassingly parallel
-across *execution cells* — one (kind, workload, compile options, mode,
-thread count) tuple per required execution, where kind is one of
-``native``, ``run``, ``training`` or ``fig6profile``.  This module
+across execution cells (:class:`~repro.eval.harness.Cell`): one (kind,
+workload, compile options, mode, thread count) tuple per required
+execution, where kind is one of ``native``, ``run``, ``training`` or
+``fig6profile``.  Cells are also the harness's memo and disk-cache keys,
+so a cell runs through the same ``EvalHarness.result`` path wherever it
+is executed.  This module
 
 1. **plans**: enumerates every cell the requested figures need and
    dedupes cells shared between figures (Fig. 7's Janus-at-8-threads run
@@ -26,54 +29,28 @@ warmed every training entry so no two workers redo the same training.
 
 from __future__ import annotations
 
+import functools
 import os
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
+from repro.eval.figures import FIG7_MODES
+from repro.eval.harness import TRAINED_MODES, Cell, EvalHarness, _options_key
+from repro.eval.reporting import FIGURES
 from repro.jcc import CompileOptions
 from repro.pipeline import SelectionMode
 from repro.workloads import FIG7_BENCHMARKS, all_benchmarks
-
-# Modes whose execution consumes the training stage's output.
-_TRAINED_MODES = (SelectionMode.STATIC_PROFILE, SelectionMode.JANUS)
-
-FIGURES = ("fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-           "table1", "table2")
-
-
-@dataclass(frozen=True)
-class Cell:
-    """One execution the evaluation needs, in picklable form."""
-
-    kind: str            # "native" | "run" | "training" | "fig6profile"
-    benchmark: str
-    options_key: tuple   # harness._options_key(options)
-    mode: str = ""       # SelectionMode *name*, for kind == "run"
-    threads: int = 0     # thread count, for kind == "run"
-
-    @property
-    def stage(self) -> int:
-        """Execution wave: cells needing warm training data go second."""
-        if self.kind == "run" and self.mode in (m.name
-                                                for m in _TRAINED_MODES):
-            return 1
-        return 0
 
 
 # -- planning -------------------------------------------------------------------
 
 
-def plan(which=None, benchmarks=None, n_threads: int = 8) -> list[Cell]:
+def plan(which=None, benchmarks=None) -> list[Cell]:
     """Every cell the given figures need, deduped, in a stable order.
 
     ``benchmarks`` restricts the plan to a subset of workloads (used by
-    tests and the fan-out benchmark); ``n_threads`` is the harness
-    default thread count, i.e. what ``harness.run(...)`` uses when the
-    figure does not pass one explicitly.
+    tests and the fan-out benchmark).
     """
-    from repro.eval.harness import _options_key
-
     which = list(which) if which else list(FIGURES)
     unknown = sorted(set(which) - set(FIGURES))
     if unknown:
@@ -90,9 +67,8 @@ def plan(which=None, benchmarks=None, n_threads: int = 8) -> list[Cell]:
     def add(kind, benchmark, options_key=default, mode="", threads=0):
         cells.setdefault(Cell(kind, benchmark, options_key, mode, threads))
 
-    def add_run(benchmark, mode, options_key=default, threads=None):
-        threads = n_threads if threads is None else threads
-        if mode in _TRAINED_MODES:
+    def add_run(benchmark, mode, options_key=default, threads=8):
+        if mode in TRAINED_MODES:
             add("training", benchmark, options_key)
         add("run", benchmark, options_key, mode.name, threads)
 
@@ -102,7 +78,6 @@ def plan(which=None, benchmarks=None, n_threads: int = 8) -> list[Cell]:
                 add("training", name)
                 add("fig6profile", name)
         elif figure == "fig7":
-            from repro.eval.figures import FIG7_MODES
             for name in restrict(FIG7_BENCHMARKS):
                 add("native", name)
                 for mode in FIG7_MODES:
@@ -147,35 +122,13 @@ def plan(which=None, benchmarks=None, n_threads: int = 8) -> list[Cell]:
 
 # -- execution -------------------------------------------------------------------
 
-# One harness per (cache_dir, n_threads) per worker process, so cells
-# handled by the same worker share compiled images, analyses and
-# in-memory memos on top of the shared disk cache.
-_WORKER_HARNESSES: dict = {}
 
-
-def _worker_harness(cache_dir: str, n_threads: int):
-    from repro.eval.harness import EvalHarness
-
-    key = (cache_dir, n_threads)
-    harness = _WORKER_HARNESSES.get(key)
-    if harness is None:
-        harness = EvalHarness(n_threads=n_threads, cache_dir=cache_dir)
-        _WORKER_HARNESSES[key] = harness
-    return harness
-
-
-def _execute_cell(harness, cell: Cell, options) -> None:
-    if cell.kind == "native":
-        harness.native(cell.benchmark, options)
-    elif cell.kind == "training":
-        harness.training(cell.benchmark, options)
-    elif cell.kind == "fig6profile":
-        harness.fig6_profile(cell.benchmark, options)
-    elif cell.kind == "run":
-        harness.run(cell.benchmark, SelectionMode[cell.mode], options,
-                    n_threads=cell.threads)
-    else:
-        raise ValueError(f"unknown cell kind {cell.kind!r}")
+@functools.cache
+def _worker_harness(cache_dir: str) -> EvalHarness:
+    """One harness per cache directory per process, so cells handled by
+    the same worker share compiled images, analyses and in-memory memos
+    on top of the shared disk cache."""
+    return EvalHarness(cache_dir=cache_dir)
 
 
 def _cell_recorder():
@@ -197,7 +150,7 @@ def _cell_recorder():
     return recorder
 
 
-def run_cell(cell: Cell, cache_dir: str, n_threads: int = 8,
+def run_cell(cell: Cell, cache_dir: str,
              telemetry_dir: str | None = None) -> Cell:
     """Execute one cell against the shared cache (also the worker body).
 
@@ -206,33 +159,24 @@ def run_cell(cell: Cell, cache_dir: str, n_threads: int = 8,
     directory after every cell (atomic overwrite), so the parent can
     merge worker traces even if the pool is torn down abruptly.
     """
-    from repro.eval.harness import options_from_key
-
-    harness = _worker_harness(cache_dir, n_threads)
-    options = options_from_key(cell.options_key)
+    harness = _worker_harness(cache_dir)
     if telemetry_dir is None:
-        _execute_cell(harness, cell, options)
+        harness.result(cell)
         return cell
 
     from repro.telemetry import aggregate
-    from repro.telemetry.core import lane_label
 
     recorder = _cell_recorder()
-    lane = lane_label(cell.kind, cell.benchmark, cell.mode, cell.threads)
-    with recorder.span("cell." + cell.kind, cat="cell", lane=lane,
+    with recorder.span("cell." + cell.kind, cat="cell", lane=cell.lane,
                        benchmark=cell.benchmark, mode=cell.mode,
                        threads=cell.threads):
-        _execute_cell(harness, cell, options)
+        harness.result(cell)
     aggregate.flush(recorder, telemetry_dir)
     return cell
 
 
-def _run_cell_args(args) -> Cell:
-    return run_cell(*args)
-
-
 def execute(cells, cache_dir: str, jobs: int | None = None,
-            n_threads: int = 8, telemetry_dir: str | None = None) -> int:
+            telemetry_dir: str | None = None) -> int:
     """Fan the cells out over worker processes, stage by stage.
 
     Returns the number of cells executed.  ``jobs <= 1`` degrades to an
@@ -240,18 +184,17 @@ def execute(cells, cache_dir: str, jobs: int | None = None,
     """
     jobs = jobs if jobs is not None else (os.cpu_count() or 1)
     cells = list(cells)
-    stages = sorted({cell.stage for cell in cells})
+    stages = [[cell for cell in cells if cell.stage == stage]
+              for stage in sorted({cell.stage for cell in cells})]
+    run = functools.partial(run_cell, cache_dir=cache_dir,
+                            telemetry_dir=telemetry_dir)
     if jobs <= 1:
-        for stage in stages:
-            for cell in cells:
-                if cell.stage == stage:
-                    run_cell(cell, cache_dir, n_threads,
-                             telemetry_dir=telemetry_dir)
+        for batch in stages:
+            for cell in batch:
+                run(cell)
         return len(cells)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for stage in stages:
-            batch = [(cell, cache_dir, n_threads, telemetry_dir)
-                     for cell in cells if cell.stage == stage]
+        for batch in stages:
             # list() drains the iterator so worker exceptions surface.
-            list(pool.map(_run_cell_args, batch))
+            list(pool.map(run, batch))
     return len(cells)

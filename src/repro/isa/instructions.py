@@ -149,7 +149,7 @@ NEGATED_CONDITION = {
 }
 
 # Opcodes that write the flags word.
-_FLAG_WRITERS = frozenset(
+FLAG_WRITERS = frozenset(
     (Opcode.ADD, Opcode.SUB, Opcode.IMUL, Opcode.AND, Opcode.OR, Opcode.XOR,
      Opcode.SHL, Opcode.SHR, Opcode.SAR, Opcode.INC, Opcode.DEC, Opcode.NEG,
      Opcode.CMP, Opcode.TEST, Opcode.UCOMISD)
@@ -341,7 +341,7 @@ class Instruction:
             from repro.isa.registers import RET_REG
 
             defs.add(RET_REG)
-        if op in _FLAG_WRITERS:
+        if op in FLAG_WRITERS:
             defs.add(FLAGS_REG)
         return defs
 

@@ -21,13 +21,12 @@ import struct
 from repro.dbm.blocks import discover_block
 from repro.dbm.executor import run_native
 from repro.dbm.interp import Interpreter
-from repro.dbm.jit import _JCC
 from repro.dbm.machine import Machine, make_main_context
 from repro.dbm.modifier import JanusDBM
 from repro.dbm.rtcalls import RTCallID
 from repro.dbm.runtime import ParallelRuntime
 from repro.dbm.superblock import SUPERBLOCK_THRESHOLD
-from repro.isa import Imm, Opcode as O, Reg
+from repro.isa import COND_BRANCHES, Imm, Opcode as O, Reg
 from repro.isa.operands import Label, Mem
 from repro.isa.registers import R
 from repro.jbin.asm import Assembler
@@ -170,7 +169,7 @@ def test_once_invoked_self_loop_forms_superblock():
     assert interp.sb_stats.entries >= 1
     # The promoted head is the single-block loop itself.
     assert any(block.terminator.operands[0].value == block.start
-               for block in heads if block.terminator.opcode in _JCC)
+               for block in heads if block.terminator.opcode in COND_BRANCHES)
     state = _state(ctx, machine)
     assert machine.outputs
     for kwargs in ({"threshold": 0}, {"reference": True}):

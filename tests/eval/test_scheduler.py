@@ -16,7 +16,7 @@ from repro.eval import harness as harness_mod
 from repro.eval.harness import EvalHarness, _options_key, options_from_key
 from repro.eval.scheduler import Cell
 from repro.jcc import CompileOptions
-from repro.pipeline import SelectionMode
+from repro.pipeline import Janus, SelectionMode
 from repro.workloads import FIG7_BENCHMARKS, all_benchmarks
 
 CHEAP = ["400.perlbench", "401.bzip2"]
@@ -29,7 +29,7 @@ class TestPlanning:
             == _options_key(options)
 
     def test_fig7_cells(self):
-        cells = scheduler.plan(["fig7"], n_threads=8)
+        cells = scheduler.plan(["fig7"])
         by_kind = {}
         for cell in cells:
             by_kind.setdefault(cell.kind, []).append(cell)
@@ -133,7 +133,8 @@ class TestEndToEnd:
 
         fresh = EvalHarness(cache_dir=cache)
         fresh.image = None  # any compile attempt would now blow up
-        entry = fresh._cache_entry("native", CHEAP[0], CompileOptions())
+        cell = Cell("native", CHEAP[0], _options_key(CompileOptions()))
+        entry = fresh._cache_entry(cell)
         assert fresh._disk_get(*entry) is not None
 
         # An edited compiler must not trust the old compiler's sidecar:
@@ -150,9 +151,29 @@ class TestEndToEnd:
             return real_image(*args)
 
         edited.image = counting_image
-        assert edited._cache_entry("native", CHEAP[0],
-                                   CompileOptions()) == entry
+        assert edited._cache_entry(cell) == entry
         assert len(compiled) == 1
+
+
+class TestPlanCoverage:
+    def test_figures_read_only_planned_cells(self, tmp_path, monkeypatch):
+        """After a fan-out warm, every figure assembles from the cache:
+        a cell a figure reads but the plan misses would run here."""
+        name = "482.sphinx3"  # the cheapest Fig. 7 binary
+        cache = str(tmp_path / "cache")
+        assert EvalHarness(jobs=2, cache_dir=cache).warm(
+            benchmarks=[name]) > 0
+
+        def unplanned(*args, **kwargs):
+            raise AssertionError("a figure executed an unplanned cell")
+
+        monkeypatch.setattr(harness_mod, "run_native", unplanned)
+        monkeypatch.setattr(harness_mod, "run_profiling", unplanned)
+        monkeypatch.setattr(Janus, "run", unplanned)
+        monkeypatch.setattr(Janus, "train", unplanned)
+        fresh = EvalHarness(cache_dir=cache)
+        for figure, (produce, render) in reporting.FIGURES.items():
+            assert render(produce(fresh, benchmarks=[name])), figure
 
 
 def _hammer_disk_put(args):
