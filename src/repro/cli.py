@@ -89,12 +89,13 @@ def _cmd_analyze(args) -> int:
                   f"{str(verdict.aligned):>7s} {reason}")
     elif args.mode == "prefetch":
         from repro.rewrite import generate_prefetch_schedule
+        from repro.rewrite.metadata import payload
 
         schedule = generate_prefetch_schedule(analysis)
         by_loop: dict[int, int] = {}
         for rule in schedule.rules:
-            record = schedule.record(rule.data)
-            by_loop[record[1]] = by_loop.get(record[1], 0) + 1
+            loop_id = payload(schedule, rule).loop_id
+            by_loop[loop_id] = by_loop.get(loop_id, 0) + 1
         print()
         print(f"prefetch: {len(schedule.rules)} hint rules across "
               f"{len(by_loop)} loops")

@@ -7,8 +7,9 @@ are thread-aware: the same rule produces different code in the main thread's
 cache and in a pool thread's cache ("independent interpretation of rewrite
 rules to specialise computation for each thread", paper section II-E).
 
-TLS layout (offsets from r15): word 0 = main thread's rsp, word 1 = this
-thread's patched loop bound, words 2+ = privatised storage.
+Handlers address thread-local storage (r15) by the slot layout of
+:mod:`repro.jbin.layout`, and read their payloads through
+:func:`repro.rewrite.metadata.payload`.
 """
 
 from __future__ import annotations
@@ -21,11 +22,9 @@ from repro.isa.registers import SCRATCH_REG, STACK_REG, TLS_REG
 from repro.dbm.accesslog import RecordSite
 from repro.dbm.editor import BlockEditor
 from repro.dbm.rtcalls import RTCallID
+from repro.jbin.layout import TLS_BOUND_SLOT, TLS_MAIN_RSP_SLOT, WORD
+from repro.rewrite.metadata import decode_operand, payload
 from repro.rewrite.rules import RewriteRule, RuleID
-
-TLS_MAIN_RSP = 0
-TLS_BOUND = 1
-WORD = 8
 
 
 @dataclass
@@ -39,9 +38,6 @@ class TranslationContext:
     @property
     def is_main(self) -> bool:
         return self.thread_id == 0
-
-    def record(self, index: int):
-        return self.dbm.schedule.record(index)
 
 
 # -- parallelisation handlers ---------------------------------------------------
@@ -75,15 +71,13 @@ def _h_loop_update_bound(editor: BlockEditor, rule: RewriteRule,
                          tctx: TranslationContext) -> None:
     if tctx.worker is None:
         return
-    from repro.rewrite.metadata import LoopMeta
-
-    meta = LoopMeta.from_record(tctx.record(rule.data))
+    meta = payload(tctx.dbm.schedule, rule)
     cmp_ins = editor.instruction_at(meta.cmp_address)
     bound_position = 1 - meta.iv_operand_index
     # Each thread reads its own chunk bound from TLS, so the cached block
     # stays valid across loop invocations with different bounds.
     new_ops = list(cmp_ins.operands)
-    new_ops[bound_position] = Mem(base=TLS_REG, disp=WORD * TLS_BOUND)
+    new_ops[bound_position] = Mem(base=TLS_REG, disp=WORD * TLS_BOUND_SLOT)
     editor.replace(meta.cmp_address,
                    Instruction(cmp_ins.opcode, tuple(new_ops)))
 
@@ -107,14 +101,14 @@ def _h_mem_main_stack(editor: BlockEditor, rule: RewriteRule,
                       tctx: TranslationContext) -> None:
     if tctx.worker is None:
         return
-    record = tctx.record(rule.data)  # ("ms", disp)
-    disp = record[1]
+    disp = payload(tctx.dbm.schedule, rule).disp
     # Fig. 2b: load the main thread's stack pointer into the scratch
     # register once per block, then redirect the read through it.
     editor.ensure_prelude(
         "main_rsp",
         Instruction(Opcode.MOV, (Reg(SCRATCH_REG),
-                                 Mem(base=TLS_REG, disp=WORD * TLS_MAIN_RSP))))
+                                 Mem(base=TLS_REG,
+                                     disp=WORD * TLS_MAIN_RSP_SLOT))))
     target = editor.instruction_at(rule.address)
     new_ops = []
     for operand in target.operands:
@@ -130,8 +124,7 @@ def _h_mem_privatise(editor: BlockEditor, rule: RewriteRule,
                      tctx: TranslationContext) -> None:
     if tctx.worker is None:
         return
-    record = tctx.record(rule.data)  # ("mp", tls_slot)
-    tls_slot = record[1]
+    tls_slot = payload(tctx.dbm.schedule, rule).tls_slot
     target = editor.instruction_at(rule.address)
     new_ops = []
     replaced = False
@@ -162,26 +155,16 @@ def _h_tx_finish(editor: BlockEditor, rule: RewriteRule,
 
 def _h_mem_spill_reg(editor: BlockEditor, rule: RewriteRule,
                      tctx: TranslationContext) -> None:
+    """Spill (MEM_SPILL_REG) or recover (MEM_RECOVER_REG) the registers
+    through consecutive TLS slots, before the triggering instruction."""
     if tctx.worker is None:
         return
-    record = tctx.record(rule.data)  # ("spill", [reg ids], base slot)
-    _, regs, base_slot = record
-    for offset, reg in enumerate(regs):
-        editor.insert_before(rule.address, Instruction(
-            Opcode.MOV,
-            (Mem(base=TLS_REG, disp=WORD * (base_slot + offset)), Reg(reg))))
-
-
-def _h_mem_recover_reg(editor: BlockEditor, rule: RewriteRule,
-                       tctx: TranslationContext) -> None:
-    if tctx.worker is None:
-        return
-    record = tctx.record(rule.data)
-    _, regs, base_slot = record
-    for offset, reg in enumerate(regs):
-        editor.insert_before(rule.address, Instruction(
-            Opcode.MOV,
-            (Reg(reg), Mem(base=TLS_REG, disp=WORD * (base_slot + offset)))))
+    spill = payload(tctx.dbm.schedule, rule)
+    for offset, reg in enumerate(spill.regs):
+        slot = Mem(base=TLS_REG, disp=WORD * (spill.base_slot + offset))
+        operands = (slot, Reg(reg)) if rule.rule_id == RuleID.MEM_SPILL_REG \
+            else (Reg(reg), slot)
+        editor.insert_before(rule.address, Instruction(Opcode.MOV, operands))
 
 
 # -- vectorisation handlers (main thread only; vector mode never spawns) --------
@@ -205,9 +188,8 @@ def _h_vect_bound(editor: BlockEditor, rule: RewriteRule,
     if not tctx.is_main:
         return
     from repro.jbin.layout import vector_scratch_address
-    from repro.rewrite.metadata import VectorMeta
 
-    meta = VectorMeta.from_record(tctx.record(rule.data))
+    meta = payload(tctx.dbm.schedule, rule)
     cmp_ins = editor.instruction_at(meta.cmp_address)
     bound_position = 1 - meta.iv_operand_index
     new_ops = list(cmp_ins.operands)
@@ -276,9 +258,8 @@ class EditorUnsupportedRule(Exception):
 def _h_mem_prefetch(editor: BlockEditor, rule: RewriteRule,
                     tctx: TranslationContext) -> None:
     from repro.isa.costs import PREFETCH_SAVINGS_CYCLES
-    from repro.rewrite.metadata import PrefetchDesc
 
-    desc = PrefetchDesc.from_record(tctx.record(rule.data))
+    desc = payload(tctx.dbm.schedule, rule)
     target = editor.instruction_at(rule.address)
     mem = next((op for op in target.operands if isinstance(op, Mem)), None)
     if mem is None:
@@ -317,11 +298,9 @@ def _h_prof_mem_access(editor, rule, tctx) -> None:
     # once; the block runner appends the site's address to the access
     # log inline (repro.dbm.accesslog).
     if tctx.is_main:
-        from repro.rewrite.metadata import decode_operand
-
-        _, loop_id, operand, is_write, lanes = tctx.record(rule.data)
-        site = RecordSite(loop_id, decode_operand(tuple(operand)),
-                          bool(is_write), lanes)
+        desc = payload(tctx.dbm.schedule, rule)
+        site = RecordSite(desc.loop_id, decode_operand(desc.operand),
+                          bool(desc.is_write), desc.lanes)
         editor.insert_before(rule.address,
                              Instruction(Opcode.RECORD, (site,)))
 
@@ -351,7 +330,7 @@ HANDLERS = {
     RuleID.TX_START: _h_tx_start,
     RuleID.TX_FINISH: _h_tx_finish,
     RuleID.MEM_SPILL_REG: _h_mem_spill_reg,
-    RuleID.MEM_RECOVER_REG: _h_mem_recover_reg,
+    RuleID.MEM_RECOVER_REG: _h_mem_spill_reg,
     RuleID.VECT_INIT: _h_vect_init,
     RuleID.VECT_BOUND: _h_vect_bound,
     RuleID.VECT_CONVERT: _h_vect_convert,

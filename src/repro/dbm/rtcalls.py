@@ -27,7 +27,7 @@ class RTCallID(IntEnum):
     PROF_LOOP_ITER = 11   # arg: loop id
     PROF_LOOP_FINISH = 12  # arg: loop id
     # (PROF_MEM sites are RECORD pseudo-instructions, not traps.)
-    PROF_EXCALL_START = 14  # arg: record index ("pe", loop, name)
+    PROF_EXCALL_START = 14  # arg: ExCallDesc record index
     PROF_EXCALL_FINISH = 15  # arg: record index
 
 

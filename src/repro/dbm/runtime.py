@@ -54,21 +54,19 @@ from repro.dbm.tracecache import run_loop
 from repro.isa.operands import Imm, Mem, Reg
 from repro.isa.registers import SCRATCH_REG, STACK_REG, TLS_REG, XMM_BASE
 from repro.jbin import layout
+from repro.jbin.layout import TLS_BOUND_SLOT, TLS_MAIN_RSP_SLOT, WORD
 from repro.rewrite.metadata import (
-    BoundsCheckDesc,
     LoopMeta,
     VectorMeta,
     decode_operand,
+    decode_payloads,
     decode_var,
     evaluate_runtime_poly,
 )
 from repro.rewrite.rules import RuleID
+from repro.rewrite.schedule import RewriteSchedule
 from repro.stm.stm import STMManager, STMStats
 from repro.telemetry.core import get_recorder
-
-WORD = 8
-TLS_MAIN_RSP = 0
-TLS_BOUND = 1
 
 
 # Refuse to parallelise invocations with fewer iterations than this:
@@ -123,6 +121,15 @@ class ParallelRuntime:
         self.pending_checks: list[int] = []
         self.active_workers: list[WorkerState] = []
         self._current_worker: WorkerState | None = None
+        # The payloads the traps read, decoded once per pool index (an
+        # rtcall's argument is the index its rule carried).
+        schedule = dbm.schedule or RewriteSchedule()
+        self._loop_metas: dict[int, LoopMeta] = decode_payloads(
+            schedule, RuleID.LOOP_INIT)
+        self._bounds_checks = decode_payloads(schedule,
+                                              RuleID.MEM_BOUNDS_CHECK)
+        self._vector_metas: dict[int, VectorMeta] = decode_payloads(
+            schedule, RuleID.VECT_INIT, RuleID.VECT_FINISH)
         # Shadow tracking: persistent per-thread event sinks (the
         # generated runners bind their list-append methods at compile
         # time, so one sink serves every invocation on that thread) and
@@ -130,17 +137,12 @@ class ParallelRuntime:
         # all summarised addresses parameterises shadow codegen via
         # ``interp.shadow_summarised``.
         self._sinks: dict[int, ShadowSink] = {}
-        self._affine_by_loop: dict[int, list] = {}
-        if dbm.schedule is not None:
-            summarised: set[int] = set()
-            for rec in dbm.schedule.pool:
-                if rec and rec[0] == "loop":
-                    lm = LoopMeta.from_record(rec)
-                    if lm.affine_accesses:
-                        self._affine_by_loop[lm.loop_id] = lm.affine_accesses
-                        summarised.update(
-                            a.address for a in lm.affine_accesses)
-            dbm.interp.shadow_summarised = frozenset(summarised)
+        self._affine_by_loop: dict[int, list] = {
+            meta.loop_id: meta.affine_accesses
+            for meta in self._loop_metas.values() if meta.affine_accesses}
+        dbm.interp.shadow_summarised = frozenset(
+            access.address for accesses in self._affine_by_loop.values()
+            for access in accesses)
         dbm.register_rtcall(RTCallID.BOUNDS_CHECK, self._rt_bounds_check)
         dbm.register_rtcall(RTCallID.LOOP_ENTER, self._rt_loop_enter)
         dbm.register_rtcall(RTCallID.THREAD_YIELD, self._rt_thread_yield)
@@ -201,7 +203,7 @@ class ParallelRuntime:
     # -- vectorisation rtcalls ---------------------------------------------
 
     def _rt_vector_enter(self, ctx, arg):
-        meta = VectorMeta.from_record(self.dbm.schedule.record(arg))
+        meta = self._vector_metas[arg]
         with get_recorder().span("runtime.vector_loop", cat="runtime",
                                  loop=meta.loop_id) as span:
             return self._vector_enter(ctx, meta, span)
@@ -251,7 +253,7 @@ class ParallelRuntime:
         return None
 
     def _rt_vector_epilogue(self, ctx, arg):
-        meta = VectorMeta.from_record(self.dbm.schedule.record(arg))
+        meta = self._vector_metas[arg]
         pending = self._vector_pending.pop(meta.loop_id, None)
         if pending is None:
             # Reached without an armed packed pass (scalar fallback, or
@@ -292,7 +294,7 @@ class ParallelRuntime:
     # -- the main event ------------------------------------------------------
 
     def _rt_loop_enter(self, ctx, arg):
-        meta = LoopMeta.from_record(self.dbm.schedule.record(arg))
+        meta = self._loop_metas[arg]
         with get_recorder().span("runtime.loop", cat="runtime",
                                  loop=meta.loop_id) as span:
             return self._loop_enter(ctx, meta, span)
@@ -380,7 +382,7 @@ class ParallelRuntime:
         theta_first = init
         theta_last = init + meta.step * max(trips - 1, 0)
         for index in checks:
-            desc = BoundsCheckDesc.from_record(self.dbm.schedule.record(index))
+            desc = self._bounds_checks[index]
             ctx.cycles += cost.bounds_check_pair_cycles
             self.dbm.stats.check_cycles += cost.bounds_check_pair_cycles
             if not evaluate_bounds_check(desc, read_var, theta_first,
@@ -459,7 +461,7 @@ class ParallelRuntime:
                     self._set_var(wctx, memory, worker_rsp0, var, 0)
 
             tls = wctx.tls_base
-            memory.write(tls + WORD * TLS_MAIN_RSP, main_rsp)
+            memory.write(tls + WORD * TLS_MAIN_RSP_SLOT, main_rsp)
             read_var = make_read_var(ctx, memory, rsp0)
             for group in meta.priv_groups:
                 addr = evaluate_runtime_poly(group.address_form, read_var,
@@ -499,7 +501,7 @@ class ParallelRuntime:
             var = decode_var(derived.var)
             self._set_var(wctx, memory, worker_rsp0, var,
                           iv_bases[repr(var)] + derived.step * start)
-        memory.write(wctx.tls_base + WORD * TLS_BOUND, bound_value)
+        memory.write(wctx.tls_base + WORD * TLS_BOUND_SLOT, bound_value)
 
     @staticmethod
     def _get_var(ctx, memory, rsp0, var) -> int:

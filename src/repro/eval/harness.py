@@ -303,11 +303,12 @@ class EvalHarness:
         fname = hashlib.sha256(tag.encode()).hexdigest()[:32]
         return os.path.join(self.cache_dir, "digest-" + fname + ".txt")
 
-    def _cache_entry(self, cell: Cell) -> tuple[str, str]:
+    def _cache_entry(self, cell: Cell,
+                     digest: str | None = None) -> tuple[str, str]:
         """(path, tag) for one persisted result; the tag detects collisions."""
         tag = "|".join((str(_CACHE_FORMAT), cell.kind, cell.benchmark,
                         repr(cell.options_key), cell.mode, str(cell.threads),
-                        self._image_digest(cell)))
+                        digest or self._image_digest(cell)))
         fname = hashlib.sha256(tag.encode()).hexdigest()[:32]
         return os.path.join(self.cache_dir, fname + ".pkl"), tag
 
@@ -371,18 +372,20 @@ class EvalHarness:
     # -- parallel fan-out ---------------------------------------------------------
 
     def warm(self, which=None, benchmarks=None) -> int:
-        """Execute the cells the given figures need, ``jobs`` at a time.
+        """Execute the cells the given figures need and the disk cache
+        lacks, ``jobs`` at a time; returns how many were executed.
 
         No-op (returns 0) unless ``jobs > 1`` and a cache directory is
         configured — the disk cache is the medium through which worker
-        results reach this process.  While a recorder is enabled the
-        workers dump their spans to :meth:`telemetry_dir` for merging
-        (see repro.telemetry.aggregate).
+        results reach this process.  On a warm cache no pool starts.
+        While a recorder is enabled the workers dump their spans to
+        :meth:`telemetry_dir` for merging (see repro.telemetry.aggregate).
         """
         if self.jobs <= 1 or self.cache_dir is None:
             return 0
         from repro.eval import scheduler
-        cells = scheduler.plan(which, benchmarks=benchmarks)
+        cells = [cell for cell in scheduler.plan(which, benchmarks=benchmarks)
+                 if not self._on_disk(cell)]
         if not cells:
             return 0
         telemetry_dir = self.telemetry_dir() if get_recorder().enabled \
@@ -390,6 +393,13 @@ class EvalHarness:
         scheduler.execute(cells, self.cache_dir, jobs=self.jobs,
                           telemetry_dir=telemetry_dir)
         return len(cells)
+
+    def _on_disk(self, cell: Cell) -> bool:
+        """Whether the cache holds a result file for ``cell``, decided
+        without compiling: a cell whose digest sidecar is unread is not."""
+        digest = read_digest_file(self._digest_path(cell))
+        return digest is not None \
+            and os.path.exists(self._cache_entry(cell, digest)[0])
 
     def telemetry_dir(self) -> str | None:
         """Where worker recorder dumps live (beside the disk cache)."""

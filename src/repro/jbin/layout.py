@@ -28,6 +28,14 @@ THREAD_STACK_SIZE = 0x10_0000  # 1 MiB per thread stack
 
 WORD = 8
 
+# Thread-local storage slots (words from a thread's TLS base, which the
+# runtime keeps in r15): the parallel rewrites redirect main-stack reads
+# through slot 0 and patched loop compares through slot 1; the schedule
+# generator hands out privatised words from slot 2 on.
+TLS_MAIN_RSP_SLOT = 0  # the main thread's rsp
+TLS_BOUND_SLOT = 1  # this thread's patched loop bound
+TLS_FIRST_PRIVATE_SLOT = 2
+
 
 def thread_stack_top(thread_id: int) -> int:
     """Top-of-stack address for a given runtime thread (0 = main)."""
@@ -41,7 +49,7 @@ def thread_tls_base(thread_id: int) -> int:
 
 # Vector mode parks each packed loop's patched bound in a scratch word of
 # the main thread's TLS block, far above the slots the parallel rewrites
-# use (slot 0 = main rsp, 1 = chunk bound, 2+ = privatised words).  The
+# use (see TLS_MAIN_RSP_SLOT and the ones after it).  The
 # packed compare addresses the word absolutely, so no register is stolen.
 VECTOR_SCRATCH_FIRST_SLOT = 32
 

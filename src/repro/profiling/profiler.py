@@ -238,9 +238,10 @@ class Profiler(IterationShadowChecker):
     def _excall_start(self, ctx, record_index: int):
         self._charge(ctx)
         self.drain()
-        _, loop_id, name = self.dbm.schedule.record(record_index)
+        excall = self.excalls[record_index]
+        loop_id = excall.loop_id
         self._windows.append(_Window(
-            record_index, loop_id, name, ctx.instructions,
+            record_index, loop_id, excall.name, ctx.instructions,
             self.frame_of(loop_id), self._profile(loop_id)))
         self.set_recording(True)
         return None

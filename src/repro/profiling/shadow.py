@@ -26,6 +26,8 @@ reported (``report``).
 from __future__ import annotations
 
 from repro.dbm.accesslog import AccessLog
+from repro.rewrite.metadata import decode_payloads
+from repro.rewrite.rules import RuleID
 
 
 class LoopShadow:
@@ -58,6 +60,10 @@ class IterationShadowChecker:
         self.log = AccessLog(site_cycles=site_cycles, sites=sites,
                              private=private)
         dbm.interp.access_log = self.log
+        # The external-call windows' ExCallDescs, by pool index.
+        self.excalls = {} if dbm.schedule is None else decode_payloads(
+            dbm.schedule, RuleID.PROF_EXCALL_START,
+            RuleID.PROF_EXCALL_FINISH)
 
     # -- the log -----------------------------------------------------------
 

@@ -15,9 +15,8 @@ For every *selected* loop this emits the rule pattern of paper Fig. 2(a):
 * ``TX_START``/``TX_FINISH`` around calls into dynamically discovered code;
 * ``THREAD_YIELD`` + ``LOOP_FINISH`` at the loop's exit target.
 
-TLS layout used by the emitted rules (offsets from r15):
-slot 0 holds the main thread's rsp (for MEM_MAIN_STACK redirection);
-slots 1+ hold privatised words.
+The emitted rules address thread-local storage by the slot layout of
+:mod:`repro.jbin.layout`.
 """
 
 from __future__ import annotations
@@ -26,13 +25,16 @@ from repro.analysis.alias import MemReduction, PrivatisableGroup
 from repro.analysis.analyzer import BinaryAnalysis
 from repro.analysis.classify import LoopAnalysisResult, VariableClass
 from repro.analysis.expr import Poly
+from repro.jbin.layout import TLS_FIRST_PRIVATE_SLOT, WORD
 from repro.rewrite.metadata import (
     AffineAccessDesc,
     BoundsCheckDesc,
     DerivedIVDesc,
     LoopMeta,
+    MainStackDesc,
     MetadataError,
     PrivGroupDesc,
+    PrivSlotDesc,
     RangeSide,
     ReductionDesc,
     encode_operand,
@@ -42,14 +44,6 @@ from repro.rewrite.metadata import (
 from repro.rewrite.rules import RuleID
 from repro.rewrite.schedule import RewriteSchedule
 from repro.telemetry.core import get_recorder
-
-# TLS layout (must match repro.dbm.handlers): slot 0 holds the main
-# thread's stack pointer, slot 1 the thread's patched loop bound;
-# privatised words start at slot 2.
-TLS_MAIN_RSP_SLOT = 0
-TLS_BOUND_SLOT = 1
-TLS_FIRST_PRIVATE_SLOT = 2
-WORD = 8
 
 
 class GenerationError(Exception):
@@ -169,13 +163,14 @@ def _generate_for_loop(schedule: RewriteSchedule, analysis: BinaryAnalysis,
 
     for slot, readers in sorted(result.readonly_slot_readers.items()):
         disp = slot - meta.delta_header
-        record_index = schedule.add_record(("ms", disp))
+        record_index = schedule.add_record(MainStackDesc(disp).to_record())
         for reader_addr in readers:
             schedule.add_rule(reader_addr, RuleID.MEM_MAIN_STACK,
                               record_index)
 
     for address, tls_slot in privatise_rules:
-        record_index = schedule.add_record(("mp", tls_slot))
+        record_index = schedule.add_record(
+            PrivSlotDesc(tls_slot).to_record())
         schedule.add_rule(address, RuleID.MEM_PRIVATISE, record_index)
 
     for call_addr in meta.stm_sites:

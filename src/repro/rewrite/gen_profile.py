@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.analysis.analyzer import BinaryAnalysis
 from repro.analysis.classify import LoopCategory
-from repro.rewrite.metadata import encode_operand
+from repro.rewrite.metadata import ExCallDesc, MemSiteDesc, encode_operand
 from repro.rewrite.rules import RuleID
 from repro.rewrite.schedule import RewriteSchedule
 from repro.telemetry.core import get_recorder
@@ -97,15 +97,15 @@ def _add_dependence_rules(schedule: RewriteSchedule,
     for access in result.alias.accesses:
         if id(access) in handled:
             continue
-        record = ("pm", result.loop_id, encode_operand(access.operand),
-                  access.is_write, access.lanes)
-        index = schedule.add_record(record)
+        site = MemSiteDesc(result.loop_id, encode_operand(access.operand),
+                           access.is_write, access.lanes)
+        index = schedule.add_record(site.to_record())
         schedule.add_rule(access.address, RuleID.PROF_MEM_ACCESS, index)
     fa = analysis.function_of_loop(result)
     for addr, name in result.external_calls:
         ins = _instruction_at(fa, addr)
-        record = ("pe", result.loop_id, name)
-        index = schedule.add_record(record)
+        index = schedule.add_record(
+            ExCallDesc(result.loop_id, name).to_record())
         schedule.add_rule(addr, RuleID.PROF_EXCALL_START, index)
         schedule.add_rule(addr + ins.size, RuleID.PROF_EXCALL_FINISH, index)
     # Memory-writing *internal* calls are speculation sites too: bracket
@@ -115,8 +115,8 @@ def _add_dependence_rules(schedule: RewriteSchedule,
         if addr in external_addrs:
             continue
         ins = _instruction_at(fa, addr)
-        record = ("pe", result.loop_id, f"fn_{ins.branch_target():#x}")
-        index = schedule.add_record(record)
+        window = ExCallDesc(result.loop_id, f"fn_{ins.branch_target():#x}")
+        index = schedule.add_record(window.to_record())
         schedule.add_rule(addr, RuleID.PROF_EXCALL_START, index)
         schedule.add_rule(addr + ins.size, RuleID.PROF_EXCALL_FINISH, index)
 

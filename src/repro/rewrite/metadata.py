@@ -4,7 +4,10 @@ Rules are fixed-length (address, id, 64-bit data); anything richer — loop
 metadata, bounds-check descriptors, privatisation groups — lives in the
 schedule's data pool, addressed by index from the rule's data field.  The
 records here are the contract between the static analyser's rule generators
-and the DBM's runtime handlers.
+and the DBM's runtime handlers, and the one place that knows their format:
+every record is a dataclass whose pool form is ``(TAG, *fields)``
+(:class:`PoolRecord`), and :data:`RULE_PAYLOAD` says which record each
+pool-indexing rule points at.
 
 Variables are encoded as ``("r", register_id)`` or ``("s", slot_offset)``;
 runtime-evaluable polynomials (paper Fig. 4's symbolic ranges) become lists
@@ -14,14 +17,19 @@ reads directly from the context at loop entry.
 
 from __future__ import annotations
 
+import dataclasses
+import typing
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.isa.operands import Imm, Mem, Reg
 from repro.analysis.expr import Poly
+from repro.rewrite.rules import RuleID
 
 
 class MetadataError(Exception):
-    """Raised when a polynomial or operand cannot be encoded for runtime use."""
+    """Raised when a polynomial or operand cannot be encoded for runtime
+    use, or a pool record does not decode as the record expected."""
 
 
 # -- variable codes -----------------------------------------------------------
@@ -125,95 +133,126 @@ def decode_operand(record: tuple):
     raise MetadataError(f"bad operand record {record!r}")
 
 
+# -- the record codec ---------------------------------------------------------
+
+class PoolRecord:
+    """A pool payload, encoded as ``(TAG, *fields)`` in declaration order
+    (dense, for paper Fig. 10's pool bytes).  Nested records and lists of
+    records encode as their own tuples; other fields are stored as they
+    stand and decode converted by annotation (``tuple``, ``list``).
+    ``TAG = None`` (:class:`RangeSide`, only ever nested) drops the tag.
+    """
+
+    TAG: ClassVar[str | None] = None
+    # Set by pool_record: (name, encoder or None) per field, and
+    # (position, decoder) for just the fields decoding converts.
+    _ENCODERS: ClassVar[tuple] = ()
+    _DECODERS: ClassVar[tuple] = ()
+
+    def to_record(self) -> tuple:
+        values = tuple(getattr(self, name) if encode is None
+                       else encode(getattr(self, name))
+                       for name, encode in self._ENCODERS)
+        return values if self.TAG is None else (self.TAG, *values)
+
+    @classmethod
+    def from_record(cls, rec):
+        try:
+            values = list(rec)
+            if cls.TAG is not None and values.pop(0) != cls.TAG:
+                raise MetadataError(f"{cls.__name__} record has tag "
+                                    f"{rec[0]!r}, expected {cls.TAG!r}")
+            if len(values) != len(cls._ENCODERS):
+                raise MetadataError(
+                    f"{cls.__name__} record has {len(values)} fields, "
+                    f"expected {len(cls._ENCODERS)}")
+            for position, decode in cls._DECODERS:
+                values[position] = decode(values[position])
+            return cls(*values)
+        except (TypeError, ValueError, IndexError) as exc:
+            raise MetadataError(f"{cls.__name__} record: {exc}") from None
+
+
+def _field_codec(kind) -> tuple:
+    """(encoder, decoder) for one annotated field; ``None`` = as stored."""
+    origin = typing.get_origin(kind) or kind
+    item = (typing.get_args(kind) or (None,))[0]
+    if isinstance(origin, type) and issubclass(origin, PoolRecord):
+        return origin.to_record, origin.from_record
+    if origin is list and isinstance(item, type) \
+            and issubclass(item, PoolRecord):
+        return ((lambda records: [r.to_record() for r in records]),
+                (lambda records: [item.from_record(r) for r in records]))
+    return None, (origin if origin in (tuple, list) else None)
+
+
+def pool_record(cls):
+    """Declare a :class:`PoolRecord` subclass: a dataclass plus its codec."""
+    cls = dataclass(cls)
+    hints = typing.get_type_hints(cls)
+    names = [f.name for f in dataclasses.fields(cls)]
+    codecs = [_field_codec(hints[name]) for name in names]
+    cls._ENCODERS = tuple((name, encode)
+                          for name, (encode, _) in zip(names, codecs))
+    cls._DECODERS = tuple((position, decode)
+                          for position, (_, decode) in enumerate(codecs)
+                          if decode is not None)
+    return cls
+
+
 # -- records --------------------------------------------------------------------
 
-@dataclass
-class ReductionDesc:
+@pool_record
+class ReductionDesc(PoolRecord):
     """A register (or slot) reduction merged at LOOP_FINISH."""
 
+    TAG = "red"
     var: tuple  # encoded variable
     op: str  # "+" only (paper: add/sub reductions)
     is_float: bool = False
 
-    def to_record(self):
-        return ("red", self.var, self.op, self.is_float)
 
-    @classmethod
-    def from_record(cls, rec):
-        return cls(var=tuple(rec[1]), op=rec[2], is_float=rec[3])
-
-
-@dataclass
-class DerivedIVDesc:
+@pool_record
+class DerivedIVDesc(PoolRecord):
     """A secondary basic induction variable (set per chunk at LOOP_INIT)."""
 
+    TAG = "iv"
     var: tuple
     step: int
 
-    def to_record(self):
-        return ("iv", self.var, self.step)
 
-    @classmethod
-    def from_record(cls, rec):
-        return cls(var=tuple(rec[1]), step=rec[2])
-
-
-@dataclass
-class PrivGroupDesc:
+@pool_record
+class PrivGroupDesc(PoolRecord):
     """One loop-invariant memory word privatised into thread-local storage."""
 
+    TAG = "priv"
     tls_slot: int
     address_form: list  # runtime polynomial for the real address
     kind: str  # "priv" (write-first) or "reduce" (merged additively)
     is_float: bool = False
 
-    def to_record(self):
-        return ("priv", self.tls_slot, self.address_form, self.kind,
-                self.is_float)
 
-    @classmethod
-    def from_record(cls, rec):
-        return cls(tls_slot=rec[1], address_form=rec[2], kind=rec[3],
-                   is_float=rec[4])
-
-
-@dataclass
-class RangeSide:
+@pool_record
+class RangeSide(PoolRecord):
     """One side of a bounds check: a base plus per-iteration extents."""
 
     base_form: list  # runtime polynomial
     # (theta_coefficient, constant_offset, lanes) per access in the group.
     extents: list
 
-    def to_record(self):
-        return (self.base_form, self.extents)
 
-    @classmethod
-    def from_record(cls, rec):
-        return cls(base_form=rec[0], extents=rec[1])
-
-
-@dataclass
-class BoundsCheckDesc:
+@pool_record
+class BoundsCheckDesc(PoolRecord):
     """A MEM_BOUNDS_CHECK payload: two ranges that must not overlap."""
 
+    TAG = "bc"
     loop_id: int
     write_side: RangeSide
     other_side: RangeSide
 
-    def to_record(self):
-        return ("bc", self.loop_id, self.write_side.to_record(),
-                self.other_side.to_record())
 
-    @classmethod
-    def from_record(cls, rec):
-        return cls(loop_id=rec[1],
-                   write_side=RangeSide.from_record(rec[2]),
-                   other_side=RangeSide.from_record(rec[3]))
-
-
-@dataclass
-class VectorMeta:
+@pool_record
+class VectorMeta(PoolRecord):
     """Everything the runtime needs to run one loop's packed rewrite.
 
     Mirrors the iterator/bound description of :class:`LoopMeta` (the
@@ -223,6 +262,7 @@ class VectorMeta:
     is broadcast across the packed lanes for the duration of the loop.
     """
 
+    TAG = "vec"
     loop_id: int
     header_addr: int
     preheader_addr: int
@@ -241,40 +281,9 @@ class VectorMeta:
     ordinal: int
     broadcast_regs: list[int] = field(default_factory=list)
 
-    def to_record(self):
-        return ("vec", self.loop_id, self.header_addr, self.preheader_addr,
-                self.exit_target, self.iterator_var, self.step, self.cond,
-                self.test_offset, self.test_position, self.bound_form,
-                self.cmp_address, self.iv_operand_index, self.delta_header,
-                self.lanes, self.ordinal, self.broadcast_regs)
 
-    @classmethod
-    def from_record(cls, rec) -> "VectorMeta":
-        (_, loop_id, header_addr, preheader_addr, exit_target, iterator_var,
-         step, cond, test_offset, test_position, bound_form, cmp_address,
-         iv_operand_index, delta_header, lanes, ordinal, broadcast) = rec
-        return cls(
-            loop_id=loop_id,
-            header_addr=header_addr,
-            preheader_addr=preheader_addr,
-            exit_target=exit_target,
-            iterator_var=tuple(iterator_var),
-            step=step,
-            cond=cond,
-            test_offset=test_offset,
-            test_position=test_position,
-            bound_form=tuple(bound_form),
-            cmp_address=cmp_address,
-            iv_operand_index=iv_operand_index,
-            delta_header=delta_header,
-            lanes=lanes,
-            ordinal=ordinal,
-            broadcast_regs=list(broadcast),
-        )
-
-
-@dataclass
-class PrefetchDesc:
+@pool_record
+class PrefetchDesc(PoolRecord):
     """A MEM_PREFETCH payload: where the hint aims relative to its access.
 
     ``stride`` is the covered access's per-iteration advance in bytes and
@@ -282,23 +291,15 @@ class PrefetchDesc:
     targets the access's address displaced by ``stride * distance``.
     """
 
+    TAG = "pf"
     loop_id: int
     access_address: int
     stride: int
     distance: int
 
-    def to_record(self):
-        return ("pf", self.loop_id, self.access_address, self.stride,
-                self.distance)
 
-    @classmethod
-    def from_record(cls, rec) -> "PrefetchDesc":
-        return cls(loop_id=rec[1], access_address=rec[2], stride=rec[3],
-                   distance=rec[4])
-
-
-@dataclass
-class AffineAccessDesc:
+@pool_record
+class AffineAccessDesc(PoolRecord):
     """A loop access statically proven affine in the iterator.
 
     The compiled shadow tier (:mod:`repro.dbm.shadow`) skips the site at
@@ -311,6 +312,7 @@ class AffineAccessDesc:
     per chunk (on the failing test).
     """
 
+    TAG = "aff"
     address: int
     is_write: bool
     lanes: int
@@ -318,21 +320,12 @@ class AffineAccessDesc:
     theta_coeff: int
     header_extra: bool = False
 
-    def to_record(self):
-        return ("aff", self.address, self.is_write, self.lanes,
-                self.base_form, self.theta_coeff, self.header_extra)
 
-    @classmethod
-    def from_record(cls, rec) -> "AffineAccessDesc":
-        return cls(address=rec[1], is_write=rec[2], lanes=rec[3],
-                   base_form=rec[4], theta_coeff=rec[5],
-                   header_extra=rec[6])
-
-
-@dataclass
-class LoopMeta:
+@pool_record
+class LoopMeta(PoolRecord):
     """Everything the runtime needs to execute one loop in parallel."""
 
+    TAG = "loop"
     loop_id: int
     header_addr: int
     preheader_addr: int
@@ -364,48 +357,84 @@ class LoopMeta:
     stm_sites: list[int] = field(default_factory=list)
     affine_accesses: list[AffineAccessDesc] = field(default_factory=list)
 
-    def to_record(self):
-        # Positional tuple: pool bytes are measured by paper Fig. 10, so
-        # the record format is kept dense.
-        return ("loop", self.loop_id, self.header_addr, self.preheader_addr,
-                self.exit_target, self.iterator_var, self.step, self.cond,
-                self.test_offset, self.test_position, self.bound_form,
-                self.cmp_address, self.iv_operand_index, self.static_trips,
-                self.delta_header,
-                [d.to_record() for d in self.derived_ivs],
-                [r.to_record() for r in self.reductions],
-                self.written_slots, self.readonly_slots,
-                [p.to_record() for p in self.priv_groups],
-                self.bounds_check_indices, self.stm_sites,
-                [a.to_record() for a in self.affine_accesses])
 
-    @classmethod
-    def from_record(cls, rec) -> "LoopMeta":
-        (_, loop_id, header_addr, preheader_addr, exit_target, iterator_var,
-         step, cond, test_offset, test_position, bound_form, cmp_address,
-         iv_operand_index, static_trips, delta_header, divs, reds, ws, rs,
-         priv, bc, stm, aff) = rec
-        return cls(
-            loop_id=loop_id,
-            header_addr=header_addr,
-            preheader_addr=preheader_addr,
-            exit_target=exit_target,
-            iterator_var=tuple(iterator_var),
-            step=step,
-            cond=cond,
-            test_offset=test_offset,
-            test_position=test_position,
-            bound_form=tuple(bound_form),
-            cmp_address=cmp_address,
-            iv_operand_index=iv_operand_index,
-            static_trips=static_trips,
-            delta_header=delta_header,
-            derived_ivs=[DerivedIVDesc.from_record(r) for r in divs],
-            reductions=[ReductionDesc.from_record(r) for r in reds],
-            written_slots=list(ws),
-            readonly_slots=list(rs),
-            priv_groups=[PrivGroupDesc.from_record(r) for r in priv],
-            bounds_check_indices=list(bc),
-            stm_sites=list(stm),
-            affine_accesses=[AffineAccessDesc.from_record(r) for r in aff],
-        )
+@pool_record
+class MemSiteDesc(PoolRecord):
+    """A PROF_MEM_ACCESS payload: one memory access the profiler logs."""
+
+    TAG = "pm"
+    loop_id: int
+    operand: tuple  # encode_operand form of the accessing Mem operand
+    is_write: bool
+    lanes: int
+
+
+@pool_record
+class ExCallDesc(PoolRecord):
+    """A PROF_EXCALL_START/FINISH payload: one profiled call window."""
+
+    TAG = "pe"
+    loop_id: int
+    name: str  # import name, or ``fn_<target>`` for an internal call
+
+
+@pool_record
+class MainStackDesc(PoolRecord):
+    """A MEM_MAIN_STACK payload: the read's displacement from main rsp."""
+
+    TAG = "ms"
+    disp: int
+
+
+@pool_record
+class PrivSlotDesc(PoolRecord):
+    """A MEM_PRIVATISE payload: the TLS slot an access is redirected to."""
+
+    TAG = "mp"
+    tls_slot: int
+
+
+@pool_record
+class SpillDesc(PoolRecord):
+    """A MEM_SPILL_REG/MEM_RECOVER_REG payload: registers and the first
+    TLS slot of the consecutive slots they spill to."""
+
+    TAG = "spill"
+    regs: list[int]
+    base_slot: int
+
+
+# The payload record each pool-indexing rule's data field points at.  The
+# other rules carry an immediate: a loop id or a lane count.
+RULE_PAYLOAD: dict[RuleID, type[PoolRecord]] = {
+    RuleID.PROF_MEM_ACCESS: MemSiteDesc,
+    RuleID.MEM_MAIN_STACK: MainStackDesc,
+    RuleID.MEM_PRIVATISE: PrivSlotDesc,
+    RuleID.MEM_BOUNDS_CHECK: BoundsCheckDesc,
+    RuleID.MEM_PREFETCH: PrefetchDesc,
+    **dict.fromkeys((RuleID.PROF_EXCALL_START, RuleID.PROF_EXCALL_FINISH),
+                    ExCallDesc),
+    **dict.fromkeys((RuleID.MEM_SPILL_REG, RuleID.MEM_RECOVER_REG),
+                    SpillDesc),
+    **dict.fromkeys((RuleID.VECT_INIT, RuleID.VECT_BOUND,
+                     RuleID.VECT_FINISH), VectorMeta),
+    **dict.fromkeys((RuleID.LOOP_INIT, RuleID.THREAD_SCHEDULE,
+                     RuleID.LOOP_UPDATE_BOUND, RuleID.TX_START,
+                     RuleID.TX_FINISH, RuleID.THREAD_YIELD,
+                     RuleID.LOOP_FINISH), LoopMeta),
+}
+
+
+def payload(schedule, rule):
+    """The decoded payload a pool-indexing rule points at."""
+    return RULE_PAYLOAD[rule.rule_id].from_record(schedule.record(rule.data))
+
+
+def decode_payloads(schedule, *rule_ids: RuleID) -> dict:
+    """Pool index -> decoded payload of every rule of the given IDs, each
+    record decoded once: runtimes look payloads up here per trap."""
+    decoded: dict = {}
+    for rule in schedule.rules:
+        if rule.rule_id in rule_ids and rule.data not in decoded:
+            decoded[rule.data] = payload(schedule, rule)
+    return decoded

@@ -10,7 +10,7 @@ instruction replacements, and byte-round-trip through the on-disk format.
 
 from __future__ import annotations
 
-from repro.rewrite.metadata import LoopMeta, VectorMeta
+from repro.rewrite.metadata import RULE_PAYLOAD, LoopMeta, VectorMeta
 from repro.rewrite.rules import (
     PARALLEL_RULES,
     PREFETCH_RULES,
@@ -23,27 +23,6 @@ from repro.rewrite.schedule import RewriteSchedule, ScheduleError
 from repro.verify.findings import Finding, Severity
 
 _TIER = "schedule"
-
-# Rules whose data field indexes the pool, and the record tag expected there.
-_POOL_TAG = {
-    RuleID.PROF_MEM_ACCESS: "pm",
-    RuleID.PROF_EXCALL_START: "pe",
-    RuleID.PROF_EXCALL_FINISH: "pe",
-    RuleID.THREAD_SCHEDULE: "loop",
-    RuleID.THREAD_YIELD: "loop",
-    RuleID.LOOP_INIT: "loop",
-    RuleID.LOOP_FINISH: "loop",
-    RuleID.LOOP_UPDATE_BOUND: "loop",
-    RuleID.MEM_MAIN_STACK: "ms",
-    RuleID.MEM_PRIVATISE: "mp",
-    RuleID.MEM_BOUNDS_CHECK: "bc",
-    RuleID.TX_START: "loop",
-    RuleID.TX_FINISH: "loop",
-    RuleID.VECT_INIT: "vec",
-    RuleID.VECT_BOUND: "vec",
-    RuleID.VECT_FINISH: "vec",
-    RuleID.MEM_PREFETCH: "pf",
-}
 
 # Rules whose data field is a lane count, not a pool index.
 _LANE_COUNT_RULES = frozenset((RuleID.VECT_CONVERT,
@@ -94,8 +73,8 @@ def lint_schedule(analysis, schedule: RewriteSchedule) -> list[Finding]:
             findings.append(_finding(
                 "rule.address-boundary", loc,
                 "trigger address is not an instruction boundary"))
-        tag = _POOL_TAG.get(rule.rule_id)
-        if tag is not None:
+        record_type = RULE_PAYLOAD.get(rule.rule_id)
+        if record_type is not None:
             if not 0 <= rule.data < len(pool):
                 findings.append(_finding(
                     "rule.operand-range", loc,
@@ -105,11 +84,11 @@ def lint_schedule(analysis, schedule: RewriteSchedule) -> list[Finding]:
                 record = pool[rule.data]
                 actual = record[0] if isinstance(record, (tuple, list)) \
                     and record else None
-                if actual != tag:
+                if actual != record_type.TAG:
                     findings.append(_finding(
                         "rule.operand-kind", loc,
                         f"pool record {rule.data} is {actual!r}, "
-                        f"expected {tag!r}"))
+                        f"expected {record_type.TAG!r}"))
         elif rule.rule_id in _LOOP_ID_RULES:
             if not 0 <= rule.data < n_loops:
                 findings.append(_finding(
@@ -199,15 +178,11 @@ def _loop_anchors(analysis, loop_id: int):
 def _check_parallel_pairing(analysis, schedule: RewriteSchedule
                             ) -> list[Finding]:
     findings: list[Finding] = []
-    by_kind: dict[RuleID, dict[int, list[RewriteRule]]] = {}
-    for rule in schedule.rules:
-        if rule.rule_id in _POOL_TAG and _POOL_TAG[rule.rule_id] == "loop" \
-                and 0 <= rule.data < len(schedule.pool):
-            by_kind.setdefault(rule.rule_id, {}) \
-                .setdefault(rule.data, []).append(rule)
-
-    inits = by_kind.get(RuleID.LOOP_INIT, {})
-    finishes = by_kind.get(RuleID.LOOP_FINISH, {})
+    by_kind = {rule_id: _by_record(schedule, rule_id)
+               for rule_id, record_type in RULE_PAYLOAD.items()
+               if record_type is LoopMeta}
+    inits = by_kind[RuleID.LOOP_INIT]
+    finishes = by_kind[RuleID.LOOP_FINISH]
     for meta_index in sorted(set(inits) | set(finishes)):
         loc = f"loop meta {meta_index}"
         n_init = len(inits.get(meta_index, ()))
@@ -244,31 +219,22 @@ def _check_parallel_pairing(analysis, schedule: RewriteSchedule
                 "rule.finish-placement", loc,
                 f"LOOP_FINISH at {finish.address:#x}, expected the loop "
                 f"exit target {meta.exit_target:#x}"))
-        for rule in by_kind.get(RuleID.THREAD_SCHEDULE, {}) \
-                .get(meta_index, ()):
-            if rule.address != header:
-                findings.append(_finding(
-                    "rule.schedule-placement", loc,
-                    f"THREAD_SCHEDULE at {rule.address:#x}, expected the "
-                    f"loop header {header:#x}"))
-        for rule in by_kind.get(RuleID.LOOP_UPDATE_BOUND, {}) \
-                .get(meta_index, ()):
-            if rule.address != meta.cmp_address:
-                findings.append(_finding(
-                    "rule.bound-placement", loc,
-                    f"LOOP_UPDATE_BOUND at {rule.address:#x}, expected "
-                    f"the iterator cmp {meta.cmp_address:#x}"))
-        for rule in by_kind.get(RuleID.THREAD_YIELD, {}) \
-                .get(meta_index, ()):
-            if rule.address != meta.exit_target:
-                findings.append(_finding(
-                    "rule.yield-placement", loc,
-                    f"THREAD_YIELD at {rule.address:#x}, expected the "
-                    f"loop exit target {meta.exit_target:#x}"))
+        for rule_id, check, expected, what in (
+                (RuleID.THREAD_SCHEDULE, "rule.schedule-placement", header,
+                 "the loop header"),
+                (RuleID.LOOP_UPDATE_BOUND, "rule.bound-placement",
+                 meta.cmp_address, "the iterator cmp"),
+                (RuleID.THREAD_YIELD, "rule.yield-placement",
+                 meta.exit_target, "the loop exit target")):
+            for rule in by_kind[rule_id].get(meta_index, ()):
+                if rule.address != expected:
+                    findings.append(_finding(
+                        check, loc, f"{rule_id.name} at {rule.address:#x}, "
+                                    f"expected {what} {expected:#x}"))
 
     findings.extend(_check_bracket_pairs(
-        analysis, by_kind.get(RuleID.TX_START, {}),
-        by_kind.get(RuleID.TX_FINISH, {}), "TX_START", "TX_FINISH",
+        analysis, by_kind[RuleID.TX_START],
+        by_kind[RuleID.TX_FINISH], "TX_START", "TX_FINISH",
         "rule.tx-pairing"))
     return findings
 

@@ -269,16 +269,14 @@ class DOALLOracle(IterationShadowChecker):
 
     def _excall_start(self, ctx, record_index: int):
         self.drain()
-        record = self.dbm.schedule.record(record_index)
-        frame = self.frame_of(record[1])
+        frame = self.frame_of(self.excalls[record_index].loop_id)
         if frame is not None:
             frame.spec_depth += 1
         return None
 
     def _excall_finish(self, ctx, record_index: int):
         self.drain()
-        record = self.dbm.schedule.record(record_index)
-        frame = self.frame_of(record[1])
+        frame = self.frame_of(self.excalls[record_index].loop_id)
         if frame is not None and frame.spec_depth > 0:
             frame.spec_depth -= 1
         return None

@@ -146,14 +146,16 @@ class TestSpillRecover:
 
 class TestTLSLayoutConsistency:
     def test_generator_and_handlers_agree(self):
-        """The schedule generator's slot allocator must never hand out the
-        runtime-reserved TLS slots (main rsp, thread bound)."""
-        from repro.dbm import handlers as h
-        from repro.rewrite import gen_parallel as g
+        """Generator, handlers and runtime read one TLS slot layout
+        (repro.jbin.layout): the generator's slot allocator must never
+        hand out the runtime-reserved slots (main rsp, thread bound)."""
+        from repro.jbin import layout
 
-        assert g.TLS_MAIN_RSP_SLOT == h.TLS_MAIN_RSP == 0
-        assert g.TLS_BOUND_SLOT == h.TLS_BOUND == 1
-        assert g.TLS_FIRST_PRIVATE_SLOT > h.TLS_BOUND
+        assert layout.TLS_MAIN_RSP_SLOT == 0
+        assert layout.TLS_BOUND_SLOT == 1
+        assert layout.TLS_FIRST_PRIVATE_SLOT > layout.TLS_BOUND_SLOT
+        assert layout.VECTOR_SCRATCH_FIRST_SLOT \
+            > layout.TLS_FIRST_PRIVATE_SLOT
 
 
 class TestThreadScheduleIsMetadataOnly:

@@ -98,6 +98,36 @@ class TestEndToEnd:
         assert reporting.render_fig6(rows_parallel) \
             == reporting.render_fig6(rows_serial)
 
+    def test_warm_runs_only_cells_missing_from_the_cache(self, tmp_path,
+                                                         monkeypatch):
+        cache = str(tmp_path / "cache")
+        assert EvalHarness(jobs=2, cache_dir=cache).warm(
+            ["fig6"], benchmarks=CHEAP) == 2 * len(CHEAP)
+
+        executed = []
+        monkeypatch.setattr(scheduler, "execute",
+                            lambda cells, *args, **kwargs:
+                            executed.extend(cells))
+        # Warm: no cell left to run, so no pool starts.
+        assert EvalHarness(jobs=2, cache_dir=cache).warm(
+            ["fig6"], benchmarks=CHEAP) == 0
+        assert executed == []
+
+        # Without its digest sidecar a cell counts as missing: the
+        # parent never compiles an image to decide.
+        for name in os.listdir(cache):
+            if name.startswith("digest-"):
+                os.remove(os.path.join(cache, name))
+
+        def no_compile(*args, **kwargs):
+            raise AssertionError("warm compiled an image")
+
+        monkeypatch.setattr(harness_mod, "compile_workload", no_compile)
+        assert EvalHarness(jobs=2, cache_dir=cache).warm(
+            ["fig6"], benchmarks=CHEAP) == 2 * len(CHEAP)
+        assert sorted(cell.benchmark for cell in executed) \
+            == sorted(2 * CHEAP)
+
     def test_warm_is_noop_without_cache_or_jobs(self):
         assert EvalHarness(jobs=4).warm(["fig6"], benchmarks=CHEAP) == 0
         assert EvalHarness(jobs=1, cache_dir="/nonexistent").warm(

@@ -1,5 +1,7 @@
 """Tier 2: the schedule linter against generated and corrupted schedules."""
 
+import pytest
+
 from repro.analysis import analyze_image
 from repro.isa import Imm, Mem, Opcode as O, Reg
 from repro.isa.operands import Label
@@ -201,3 +203,29 @@ class TestCorruptedSchedules:
         schedule.rules.append(RewriteRule(address=2**63, rule_id=7, data=-1))
         findings = lint_schedule(analysis, schedule)
         assert findings  # reported, not raised
+
+
+# A metadata record with the wrong tag, or one field short.
+_BREAKAGES = {
+    "wrong-tag": lambda record: ("bogus",) + tuple(record[1:]),
+    "wrong-arity": lambda record: tuple(record[:-1]),
+}
+
+
+@pytest.mark.parametrize("breakage", sorted(_BREAKAGES))
+@pytest.mark.parametrize("family", ["loop", "vector"])
+def test_undecodable_metadata_record(family, breakage):
+    if family == "loop":
+        analysis = analyze_image(doall_image())
+        schedule = generate_parallel_schedule(analysis, [0])
+        init, check = RuleID.LOOP_INIT, "rule.loop-meta"
+    else:
+        analysis = analyze_image(fp_doall_image())
+        schedule = generate_vector_schedule(analysis)
+        init, check = RuleID.VECT_INIT, "rule.vect-meta"
+    (rule,) = schedule.rules_of_kind(init)
+    schedule.pool[rule.data] = _BREAKAGES[breakage](schedule.pool[rule.data])
+    messages = [f.message for f in lint_schedule(analysis, schedule)
+                if f.check == check]
+    assert len(messages) == 1
+    assert "does not decode" in messages[0]
