@@ -167,9 +167,11 @@ def collect_accesses(ssa: SSAForm, loop: Loop,
     for start in sorted(loop.body):
         block = ssa.cfg.blocks[start]
         for index, ins in enumerate(block.instructions):
+            _, _, reads, writes = ins.facts()
+            if not (reads or writes):
+                continue
             delta = ssa.delta_at(start, index)
-            for is_write, mems in ((False, ins.mem_reads()),
-                                   (True, ins.mem_writes())):
+            for is_write, mems in ((False, reads), (True, writes)):
                 for mem in mems:
                     if slot_of(delta, mem) is not None:
                         continue  # private stack slot, handled via SSA

@@ -178,7 +178,8 @@ def classify_loop(loop: Loop, cfg: FunctionCFG, dom: DominatorInfo,
 
     reserved = {SCRATCH_REG, TLS_REG}
     for ins in body_instructions:
-        if (ins.reg_uses() | ins.reg_defs()) & reserved:
+        uses, defs, _, _ = ins.facts()
+        if not (reserved.isdisjoint(uses) and reserved.isdisjoint(defs)):
             _mark_incompatible(
                 result, "loop uses the Janus-reserved registers r14/r15")
             return result
@@ -878,13 +879,18 @@ def _classify_variables(result: LoopAnalysisResult, ssa: SSAForm,
                 result.written_slots.add(var[1])
             else:
                 readonly_slots.add(var[1])
+    if not readonly_slots:
+        return
+    from repro.analysis.stack import slot_of
+
     for start in loop.body:
         block = ssa.cfg.blocks[start]
         for index, ins in enumerate(block.instructions):
+            reads = ins.mem_reads()
+            if not reads:
+                continue
             delta = ssa.delta_at(start, index)
-            from repro.analysis.stack import slot_of
-
-            for mem in ins.mem_reads():
+            for mem in reads:
                 slot = slot_of(delta, mem)
                 if slot is not None and slot in readonly_slots:
                     result.readonly_slot_readers.setdefault(

@@ -116,13 +116,16 @@ class SSAForm:
 
 def instruction_vars(ins: Instruction, delta: int) -> tuple[set, set]:
     """(uses, defs) variable sets for one instruction at stack delta."""
-    uses = {u for u in ins.reg_uses() if u != FLAGS_REG}
-    defs = {d for d in ins.reg_defs() if d != FLAGS_REG}
-    for mem in ins.mem_reads():
+    reg_uses, reg_defs, reads, writes = ins.facts()
+    uses = set(reg_uses)
+    uses.discard(FLAGS_REG)
+    defs = set(reg_defs)
+    defs.discard(FLAGS_REG)
+    for mem in reads:
         slot = slot_of(delta, mem)
         if slot is not None:
             uses.add(("stack", slot))
-    for mem in ins.mem_writes():
+    for mem in writes:
         slot = slot_of(delta, mem)
         if slot is not None:
             defs.add(("stack", slot))

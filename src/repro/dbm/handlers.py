@@ -8,8 +8,8 @@ cache and in a pool thread's cache ("independent interpretation of rewrite
 rules to specialise computation for each thread", paper section II-E).
 
 Handlers address thread-local storage (r15) by the slot layout of
-:mod:`repro.jbin.layout`, and read their payloads through
-:func:`repro.rewrite.metadata.payload`.
+:mod:`repro.jbin.layout`, and read their payloads from the DBM's table
+``JanusDBM.payloads``, decoded once per pool record.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.dbm.accesslog import RecordSite
 from repro.dbm.editor import BlockEditor
 from repro.dbm.rtcalls import RTCallID
 from repro.jbin.layout import TLS_BOUND_SLOT, TLS_MAIN_RSP_SLOT, WORD
-from repro.rewrite.metadata import decode_operand, payload
+from repro.rewrite.metadata import decode_operand
 from repro.rewrite.rules import RewriteRule, RuleID
 
 
@@ -71,7 +71,7 @@ def _h_loop_update_bound(editor: BlockEditor, rule: RewriteRule,
                          tctx: TranslationContext) -> None:
     if tctx.worker is None:
         return
-    meta = payload(tctx.dbm.schedule, rule)
+    meta = tctx.dbm.payloads[rule.data]
     cmp_ins = editor.instruction_at(meta.cmp_address)
     bound_position = 1 - meta.iv_operand_index
     # Each thread reads its own chunk bound from TLS, so the cached block
@@ -101,7 +101,7 @@ def _h_mem_main_stack(editor: BlockEditor, rule: RewriteRule,
                       tctx: TranslationContext) -> None:
     if tctx.worker is None:
         return
-    disp = payload(tctx.dbm.schedule, rule).disp
+    disp = tctx.dbm.payloads[rule.data].disp
     # Fig. 2b: load the main thread's stack pointer into the scratch
     # register once per block, then redirect the read through it.
     editor.ensure_prelude(
@@ -124,7 +124,7 @@ def _h_mem_privatise(editor: BlockEditor, rule: RewriteRule,
                      tctx: TranslationContext) -> None:
     if tctx.worker is None:
         return
-    tls_slot = payload(tctx.dbm.schedule, rule).tls_slot
+    tls_slot = tctx.dbm.payloads[rule.data].tls_slot
     target = editor.instruction_at(rule.address)
     new_ops = []
     replaced = False
@@ -159,7 +159,7 @@ def _h_mem_spill_reg(editor: BlockEditor, rule: RewriteRule,
     through consecutive TLS slots, before the triggering instruction."""
     if tctx.worker is None:
         return
-    spill = payload(tctx.dbm.schedule, rule)
+    spill = tctx.dbm.payloads[rule.data]
     for offset, reg in enumerate(spill.regs):
         slot = Mem(base=TLS_REG, disp=WORD * (spill.base_slot + offset))
         operands = (slot, Reg(reg)) if rule.rule_id == RuleID.MEM_SPILL_REG \
@@ -189,7 +189,7 @@ def _h_vect_bound(editor: BlockEditor, rule: RewriteRule,
         return
     from repro.jbin.layout import vector_scratch_address
 
-    meta = payload(tctx.dbm.schedule, rule)
+    meta = tctx.dbm.payloads[rule.data]
     cmp_ins = editor.instruction_at(meta.cmp_address)
     bound_position = 1 - meta.iv_operand_index
     new_ops = list(cmp_ins.operands)
@@ -259,7 +259,7 @@ def _h_mem_prefetch(editor: BlockEditor, rule: RewriteRule,
                     tctx: TranslationContext) -> None:
     from repro.isa.costs import PREFETCH_SAVINGS_CYCLES
 
-    desc = payload(tctx.dbm.schedule, rule)
+    desc = tctx.dbm.payloads[rule.data]
     target = editor.instruction_at(rule.address)
     mem = next((op for op in target.operands if isinstance(op, Mem)), None)
     if mem is None:
@@ -298,7 +298,7 @@ def _h_prof_mem_access(editor, rule, tctx) -> None:
     # once; the block runner appends the site's address to the access
     # log inline (repro.dbm.accesslog).
     if tctx.is_main:
-        desc = payload(tctx.dbm.schedule, rule)
+        desc = tctx.dbm.payloads[rule.data]
         site = RecordSite(desc.loop_id, decode_operand(desc.operand),
                           bool(desc.is_write), desc.lanes)
         editor.insert_before(rule.address,

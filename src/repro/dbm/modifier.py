@@ -25,6 +25,7 @@ from repro.dbm.machine import Machine, ThreadContext, make_main_context
 from repro.dbm.tracecache import run_loop
 from repro.isa.costs import DEFAULT_COST_MODEL, CostModel
 from repro.jbin.loader import Process
+from repro.rewrite.metadata import PayloadTable
 from repro.rewrite.rules import ScheduleFormatError
 from repro.rewrite.schedule import RewriteSchedule
 from repro.telemetry.core import (
@@ -90,6 +91,10 @@ class JanusDBM:
         self.stats = DBMStats(self.registry)
         if schedule is not None and schedule.rules:
             self._check_schedule()
+        # Rule payloads by pool index, each record decoded once: the
+        # handlers read them at translation, the runtimes at their traps.
+        self.payloads: dict = {} if schedule is None \
+            else PayloadTable(schedule)
 
     def _check_schedule(self) -> None:
         rules = self.schedule.rules

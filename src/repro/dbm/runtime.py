@@ -59,12 +59,10 @@ from repro.rewrite.metadata import (
     LoopMeta,
     VectorMeta,
     decode_operand,
-    decode_payloads,
     decode_var,
     evaluate_runtime_poly,
 )
 from repro.rewrite.rules import RuleID
-from repro.rewrite.schedule import RewriteSchedule
 from repro.stm.stm import STMManager, STMStats
 from repro.telemetry.core import get_recorder
 
@@ -121,15 +119,9 @@ class ParallelRuntime:
         self.pending_checks: list[int] = []
         self.active_workers: list[WorkerState] = []
         self._current_worker: WorkerState | None = None
-        # The payloads the traps read, decoded once per pool index (an
-        # rtcall's argument is the index its rule carried).
-        schedule = dbm.schedule or RewriteSchedule()
-        self._loop_metas: dict[int, LoopMeta] = decode_payloads(
-            schedule, RuleID.LOOP_INIT)
-        self._bounds_checks = decode_payloads(schedule,
-                                              RuleID.MEM_BOUNDS_CHECK)
-        self._vector_metas: dict[int, VectorMeta] = decode_payloads(
-            schedule, RuleID.VECT_INIT, RuleID.VECT_FINISH)
+        # The DBM's decoded payloads, by pool index (an rtcall's argument
+        # is the index its rule carried).
+        self.payloads: dict = dbm.payloads
         # Shadow tracking: persistent per-thread event sinks (the
         # generated runners bind their list-append methods at compile
         # time, so one sink serves every invocation on that thread) and
@@ -137,9 +129,12 @@ class ParallelRuntime:
         # all summarised addresses parameterises shadow codegen via
         # ``interp.shadow_summarised``.
         self._sinks: dict[int, ShadowSink] = {}
+        rules = dbm.schedule.rules if dbm.schedule is not None else ()
         self._affine_by_loop: dict[int, list] = {
             meta.loop_id: meta.affine_accesses
-            for meta in self._loop_metas.values() if meta.affine_accesses}
+            for meta in (self.payloads[rule.data] for rule in rules
+                         if rule.rule_id == RuleID.LOOP_INIT)
+            if meta.affine_accesses}
         dbm.interp.shadow_summarised = frozenset(
             access.address for accesses in self._affine_by_loop.values()
             for access in accesses)
@@ -203,7 +198,7 @@ class ParallelRuntime:
     # -- vectorisation rtcalls ---------------------------------------------
 
     def _rt_vector_enter(self, ctx, arg):
-        meta = self._vector_metas[arg]
+        meta = self.payloads[arg]
         with get_recorder().span("runtime.vector_loop", cat="runtime",
                                  loop=meta.loop_id) as span:
             return self._vector_enter(ctx, meta, span)
@@ -253,7 +248,7 @@ class ParallelRuntime:
         return None
 
     def _rt_vector_epilogue(self, ctx, arg):
-        meta = self._vector_metas[arg]
+        meta = self.payloads[arg]
         pending = self._vector_pending.pop(meta.loop_id, None)
         if pending is None:
             # Reached without an armed packed pass (scalar fallback, or
@@ -294,7 +289,7 @@ class ParallelRuntime:
     # -- the main event ------------------------------------------------------
 
     def _rt_loop_enter(self, ctx, arg):
-        meta = self._loop_metas[arg]
+        meta = self.payloads[arg]
         with get_recorder().span("runtime.loop", cat="runtime",
                                  loop=meta.loop_id) as span:
             return self._loop_enter(ctx, meta, span)
@@ -382,7 +377,7 @@ class ParallelRuntime:
         theta_first = init
         theta_last = init + meta.step * max(trips - 1, 0)
         for index in checks:
-            desc = self._bounds_checks[index]
+            desc = self.payloads[index]
             ctx.cycles += cost.bounds_check_pair_cycles
             self.dbm.stats.check_cycles += cost.bounds_check_pair_cycles
             if not evaluate_bounds_check(desc, read_var, theta_first,

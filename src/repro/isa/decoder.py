@@ -25,7 +25,8 @@ class DecodingError(Exception):
     """Raised on malformed instruction bytes (bad opcode, truncation, ...)."""
 
 
-_VALID_OPCODES = {int(op) for op in Opcode if op not in PSEUDO_OPCODES}
+# Opcode byte -> Opcode, for every byte a binary may hold.
+_OPCODE_OF_BYTE = {int(op): op for op in Opcode if op not in PSEUDO_OPCODES}
 
 
 def decode_instruction(data: bytes, offset: int, address: int) -> Instruction:
@@ -38,7 +39,8 @@ def decode_instruction(data: bytes, offset: int, address: int) -> Instruction:
         opbyte = data[offset]
     except IndexError:
         raise DecodingError(f"truncated instruction at {address:#x}") from None
-    if opbyte not in _VALID_OPCODES:
+    opcode = _OPCODE_OF_BYTE.get(opbyte)
+    if opcode is None:
         raise DecodingError(f"invalid opcode {opbyte:#x} at {address:#x}")
     pos = offset + 1
     try:
@@ -76,7 +78,7 @@ def decode_instruction(data: bytes, offset: int, address: int) -> Instruction:
         except (IndexError, struct.error):
             raise DecodingError(
                 f"truncated instruction at {address:#x}") from None
-    return Instruction(Opcode(opbyte), tuple(operands),
+    return Instruction(opcode, tuple(operands),
                        address=address, size=pos - offset)
 
 

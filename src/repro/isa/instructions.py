@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 from repro.isa.operands import Imm, Label, Mem, Reg
+from repro.isa.registers import ARG_REGS, RET_REG
 
 # Pseudo register id used by data-flow analysis to model the flags word.
 FLAGS_REG = 32
@@ -155,12 +156,6 @@ FLAG_WRITERS = frozenset(
      Opcode.CMP, Opcode.TEST, Opcode.UCOMISD)
 )
 
-# Scalar FP opcodes of the form OP dst, src where dst is also a source.
-_FP_RMW = frozenset(
-    (Opcode.ADDSD, Opcode.SUBSD, Opcode.MULSD, Opcode.DIVSD,
-     Opcode.MINSD, Opcode.MAXSD)
-)
-
 # Packed opcodes and their lane counts.
 PACKED_LANES = {
     Opcode.MOVAPD: 2, Opcode.ADDPD: 2, Opcode.SUBPD: 2,
@@ -168,11 +163,6 @@ PACKED_LANES = {
     Opcode.VMOVAPD: 4, Opcode.VADDPD: 4, Opcode.VSUBPD: 4,
     Opcode.VMULPD: 4, Opcode.VDIVPD: 4,
 }
-
-_PACKED_RMW = frozenset(
-    (Opcode.ADDPD, Opcode.SUBPD, Opcode.MULPD, Opcode.DIVPD,
-     Opcode.VADDPD, Opcode.VSUBPD, Opcode.VMULPD, Opcode.VDIVPD)
-)
 
 # Scalar FP opcode -> its packed equivalent, per lane count.  Only these
 # scalar ops are auto-vectorisable (SQRTSD/MINSD/MAXSD/UCOMISD/CVT* have
@@ -186,13 +176,133 @@ VECTOR_WIDEN: dict[int, dict[Opcode, Opcode]] = {
         Opcode.DIVSD: Opcode.VDIVPD},
 }
 
-# Two-operand integer read-modify-write opcodes.
-_INT_RMW = frozenset(
-    (Opcode.ADD, Opcode.SUB, Opcode.IMUL, Opcode.IDIV, Opcode.IMOD,
-     Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.SHL, Opcode.SHR, Opcode.SAR)
-)
+# Opcode classes tested by the control-flow properties.
+JUMPS = frozenset((Opcode.JMP, Opcode.JMPI))
+CALLS = frozenset((Opcode.CALL, Opcode.CALLI))
+INDIRECT = frozenset((Opcode.JMPI, Opcode.CALLI))
+CONTROL = COND_BRANCHES | JUMPS | CALLS | {Opcode.RET, Opcode.HLT}
 
-_ONE_OP_RMW = frozenset((Opcode.INC, Opcode.DEC, Opcode.NEG, Opcode.NOT))
+# -- operand roles ------------------------------------------------------------
+#
+# OPERAND_ROLES[opcode] is (positions, implicit uses, implicit defs).
+# ``positions`` holds one role mask per operand position: whether a Reg
+# operand there is read (_RR) or written (_RW), and whether a Mem operand
+# there is read (_MR) or written (_MW).  The base and index registers of
+# every Mem operand are read whatever its role, LEA's included.  An
+# operand position past the row, and any operand that is neither Reg nor
+# Mem, has no role.
+_RR, _RW, _MR, _MW = 1, 2, 4, 8
+
+# A move's destination is written, its source read; a conversion or
+# square root writes only a register destination.
+_MOVE = (_RW | _MW, _RR | _MR)
+_CONVERT = (_RW, _RR | _MR)
+# Read-modify-write: the destination is also a source.
+_RMW = (_RR | _RW | _MR | _MW, _RR | _MR)
+_COMPARE = (_RR | _MR, _RR | _MR)
+# cmov reads the destination (it may keep it) but never stores to memory.
+_CMOV = (_RR | _RW, _RR | _MR)
+# xorpd reads no memory operand; ``xorpd x, x`` is the zeroing idiom,
+# which reads nothing (see operand_facts).
+_XORPD = (_RR | _RW, _RR)
+_XORPD_ZEROING = (_RW, 0)
+
+
+def _operand_roles() -> dict:
+    rows: dict[Opcode, tuple] = dict.fromkeys(Opcode, ())
+    rows.update(dict.fromkeys(
+        (Opcode.MOV, Opcode.MOVSD, Opcode.MOVAPD, Opcode.VMOVAPD), _MOVE))
+    rows.update(dict.fromkeys(
+        (Opcode.CVTSI2SD, Opcode.CVTTSD2SI, Opcode.SQRTSD), _CONVERT))
+    rows.update(dict.fromkeys(
+        (Opcode.ADD, Opcode.SUB, Opcode.IMUL, Opcode.IDIV, Opcode.IMOD,
+         Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.SHL, Opcode.SHR,
+         Opcode.SAR, Opcode.ADDSD, Opcode.SUBSD, Opcode.MULSD, Opcode.DIVSD,
+         Opcode.MINSD, Opcode.MAXSD, Opcode.ADDPD, Opcode.SUBPD,
+         Opcode.MULPD, Opcode.DIVPD, Opcode.VADDPD, Opcode.VSUBPD,
+         Opcode.VMULPD, Opcode.VDIVPD), _RMW))
+    # One-operand read-modify-write: the destination alone.
+    rows.update(dict.fromkeys(
+        (Opcode.INC, Opcode.DEC, Opcode.NEG, Opcode.NOT), _RMW[:1]))
+    rows.update(dict.fromkeys(
+        (Opcode.CMP, Opcode.TEST, Opcode.UCOMISD), _COMPARE))
+    rows.update(dict.fromkeys(CMOV_OPCODES, _CMOV))
+    rows.update(dict.fromkeys(
+        (Opcode.PUSH, Opcode.JMPI, Opcode.CALLI), (_RR | _MR,)))
+    rows[Opcode.LEA] = (_RW, 0)
+    rows[Opcode.POP] = (_RW,)
+    rows[Opcode.XORPD] = _XORPD
+
+    flags = frozenset((FLAGS_REG,))
+    table = {}
+    for op, row in rows.items():
+        uses = flags if op in COND_BRANCHES or op in CMOV_OPCODES else _NO_REGS
+        defs = flags if op in FLAG_WRITERS else _NO_REGS
+        if op is Opcode.SYSCALL:
+            # rax holds the call number; the interpreter reads argument
+            # registers per call, so conservatively the whole set.
+            uses = frozenset((RET_REG, *ARG_REGS))
+            defs = frozenset((RET_REG,))
+        table[op] = (row, uses, defs)
+    return table
+
+
+# Shared by every instruction with no register use or def.
+_NO_REGS: frozenset[int] = frozenset()
+# One set per machine register (and FLAGS), shared by every instruction
+# whose use or def set is that register alone: most of them.
+_SINGLE_REG = {reg: frozenset((reg,)) for reg in range(FLAGS_REG + 1)}
+
+OPERAND_ROLES = _operand_roles()
+
+
+def operand_facts(opcode: Opcode, operands: tuple) -> tuple:
+    """(register uses, register defs, memory reads, memory writes).
+
+    Registers are frozensets of ids, memory operands tuples in operand
+    order; all four come from one pass over the operands, driven by
+    ``OPERAND_ROLES``.  Decoded instructions keep the result
+    (:meth:`Instruction.facts`).
+    """
+    row, implicit_uses, implicit_defs = OPERAND_ROLES[opcode]
+    if opcode is Opcode.XORPD and operands[0] == operands[1]:
+        row = _XORPD_ZEROING
+    uses = []
+    defs = []
+    reads = []
+    writes = []
+    for position, operand in enumerate(operands):
+        kind = type(operand)
+        if kind is Reg:
+            role = row[position] if position < len(row) else 0
+            if role & _RR:
+                uses.append(operand.id)
+            if role & _RW:
+                defs.append(operand.id)
+        elif kind is Mem:
+            if operand.base is not None:
+                uses.append(operand.base)
+            if operand.index is not None:
+                uses.append(operand.index)
+            role = row[position] if position < len(row) else 0
+            if role & _MR:
+                reads.append(operand)
+            if role & _MW:
+                writes.append(operand)
+    return (_reg_set(uses, implicit_uses), _reg_set(defs, implicit_defs),
+            tuple(reads), tuple(writes))
+
+
+def _reg_set(ids: list, implicit: frozenset) -> frozenset:
+    if not ids:
+        return implicit
+    if implicit:
+        return implicit.union(ids)
+    if len(ids) == 1:
+        shared = _SINGLE_REG.get(ids[0])
+        if shared is not None:
+            return shared
+    return frozenset(ids)
 
 
 @dataclass(slots=True)
@@ -204,12 +314,18 @@ class Instruction:
     address of a translated instruction through ``address`` even after it has
     been modified, which is what lets multiple rewrite rules target the same
     instruction (paper Fig. 2b).
+
+    ``opcode`` and ``operands`` are never assigned after construction (an
+    edit builds a new instruction, see :func:`replace_operand`), so the
+    operand facts are derived once, on the first query, and kept.
     """
 
     opcode: Opcode
     operands: tuple = ()
     address: int | None = None
     size: int | None = None
+    _facts: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     # -- classification helpers ------------------------------------------
 
@@ -219,11 +335,11 @@ class Instruction:
 
     @property
     def is_jump(self) -> bool:
-        return self.opcode in (Opcode.JMP, Opcode.JMPI)
+        return self.opcode in JUMPS
 
     @property
     def is_call(self) -> bool:
-        return self.opcode in (Opcode.CALL, Opcode.CALLI)
+        return self.opcode in CALLS
 
     @property
     def is_ret(self) -> bool:
@@ -231,18 +347,12 @@ class Instruction:
 
     @property
     def is_indirect(self) -> bool:
-        return self.opcode in (Opcode.JMPI, Opcode.CALLI)
+        return self.opcode in INDIRECT
 
     @property
     def is_control(self) -> bool:
         """True for any instruction that may divert sequential control flow."""
-        return (
-            self.is_cond_branch
-            or self.is_jump
-            or self.is_call
-            or self.is_ret
-            or self.opcode is Opcode.HLT
-        )
+        return self.opcode in CONTROL
 
     @property
     def lanes(self) -> int:
@@ -259,124 +369,29 @@ class Instruction:
 
     # -- use/def metadata (consumed by the static analyser) ---------------
 
-    def reg_uses(self) -> set[int]:
+    def facts(self) -> tuple:
+        """:func:`operand_facts` of this instruction, derived on the first
+        query and kept."""
+        facts = self._facts
+        if facts is None:
+            facts = self._facts = operand_facts(self.opcode, self.operands)
+        return facts
+
+    def reg_uses(self) -> frozenset[int]:
         """Register ids read by this instruction (including address registers)."""
-        uses: set[int] = set()
-        op = self.opcode
-        ops = self.operands
-        # Address computation always reads base/index registers.
-        for o in ops:
-            if isinstance(o, Mem):
-                if o.base is not None:
-                    uses.add(o.base)
-                if o.index is not None:
-                    uses.add(o.index)
-        if op in (Opcode.MOV, Opcode.MOVSD, Opcode.MOVAPD, Opcode.VMOVAPD,
-                  Opcode.CVTSI2SD, Opcode.CVTTSD2SI, Opcode.SQRTSD):
-            if isinstance(ops[1], Reg):
-                uses.add(ops[1].id)
-        elif op is Opcode.LEA:
-            pass  # only address registers, already added
-        elif op in _INT_RMW or op in _FP_RMW or op in _PACKED_RMW:
-            if isinstance(ops[0], Reg):
-                uses.add(ops[0].id)
-            if isinstance(ops[1], Reg):
-                uses.add(ops[1].id)
-        elif op in _ONE_OP_RMW:
-            if isinstance(ops[0], Reg):
-                uses.add(ops[0].id)
-        elif op in (Opcode.CMP, Opcode.TEST, Opcode.UCOMISD):
-            for o in ops:
-                if isinstance(o, Reg):
-                    uses.add(o.id)
-        elif op in CMOV_OPCODES:
-            # cmov reads both the destination (it may keep it) and the source.
-            if isinstance(ops[0], Reg):
-                uses.add(ops[0].id)
-            if isinstance(ops[1], Reg):
-                uses.add(ops[1].id)
-            uses.add(FLAGS_REG)
-        elif op is Opcode.XORPD:
-            if ops[0] != ops[1]:  # xorpd x, x is an idiomatic zeroing
-                for o in ops:
-                    if isinstance(o, Reg):
-                        uses.add(o.id)
-        elif op in (Opcode.PUSH, Opcode.JMPI, Opcode.CALLI):
-            if ops and isinstance(ops[0], Reg):
-                uses.add(ops[0].id)
-        elif op is Opcode.SYSCALL:
-            # Syscall number in rax; the interpreter reads argument registers
-            # depending on the call.  Conservatively use the full arg set.
-            from repro.isa.registers import ARG_REGS, RET_REG
+        return self.facts()[0]
 
-            uses.add(RET_REG)
-            uses.update(ARG_REGS)
-        if self.is_cond_branch:
-            uses.add(FLAGS_REG)
-        return uses
-
-    def reg_defs(self) -> set[int]:
+    def reg_defs(self) -> frozenset[int]:
         """Register ids written by this instruction."""
-        defs: set[int] = set()
-        op = self.opcode
-        ops = self.operands
-        if op in (Opcode.MOV, Opcode.LEA, Opcode.MOVSD, Opcode.MOVAPD,
-                  Opcode.VMOVAPD, Opcode.CVTSI2SD, Opcode.CVTTSD2SI,
-                  Opcode.SQRTSD, Opcode.XORPD):
-            if isinstance(ops[0], Reg):
-                defs.add(ops[0].id)
-        elif op in _INT_RMW or op in _FP_RMW or op in _PACKED_RMW:
-            if isinstance(ops[0], Reg):
-                defs.add(ops[0].id)
-        elif op in _ONE_OP_RMW:
-            if isinstance(ops[0], Reg):
-                defs.add(ops[0].id)
-        elif op in CMOV_OPCODES:
-            if isinstance(ops[0], Reg):
-                defs.add(ops[0].id)
-        elif op is Opcode.POP:
-            if isinstance(ops[0], Reg):
-                defs.add(ops[0].id)
-        elif op is Opcode.SYSCALL:
-            from repro.isa.registers import RET_REG
+        return self.facts()[1]
 
-            defs.add(RET_REG)
-        if op in FLAG_WRITERS:
-            defs.add(FLAGS_REG)
-        return defs
-
-    def mem_reads(self) -> list[Mem]:
+    def mem_reads(self) -> tuple[Mem, ...]:
         """Memory operands read by this instruction."""
-        op = self.opcode
-        ops = self.operands
-        if op is Opcode.LEA:
-            return []
-        if op in (Opcode.MOV, Opcode.MOVSD, Opcode.MOVAPD, Opcode.VMOVAPD,
-                  Opcode.CVTSI2SD, Opcode.CVTTSD2SI, Opcode.SQRTSD):
-            return [ops[1]] if isinstance(ops[1], Mem) else []
-        if op in _INT_RMW or op in _FP_RMW or op in _PACKED_RMW:
-            return [o for o in ops if isinstance(o, Mem)]
-        if op in _ONE_OP_RMW:
-            return [ops[0]] if isinstance(ops[0], Mem) else []
-        if op in (Opcode.CMP, Opcode.TEST, Opcode.UCOMISD):
-            return [o for o in ops if isinstance(o, Mem)]
-        if op in CMOV_OPCODES:
-            return [ops[1]] if isinstance(ops[1], Mem) else []
-        if op in (Opcode.PUSH, Opcode.JMPI, Opcode.CALLI):
-            return [ops[0]] if ops and isinstance(ops[0], Mem) else []
-        return []
+        return self.facts()[2]
 
-    def mem_writes(self) -> list[Mem]:
+    def mem_writes(self) -> tuple[Mem, ...]:
         """Memory operands written by this instruction."""
-        op = self.opcode
-        ops = self.operands
-        if op in (Opcode.MOV, Opcode.MOVSD, Opcode.MOVAPD, Opcode.VMOVAPD):
-            return [ops[0]] if isinstance(ops[0], Mem) else []
-        if op in _INT_RMW or op in _FP_RMW or op in _PACKED_RMW:
-            return [ops[0]] if isinstance(ops[0], Mem) else []
-        if op in _ONE_OP_RMW:
-            return [ops[0]] if isinstance(ops[0], Mem) else []
-        return []
+        return self.facts()[3]
 
     def __repr__(self) -> str:
         name = self.opcode.name.lower()

@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from repro.isa.instructions import Instruction, Opcode as O
+from repro.isa.instructions import Instruction, Opcode as O, operand_facts
 from repro.isa.operands import Label, Mem, Reg
 from repro.isa.registers import R
 from repro.jcc.codegen import FunctionCode, VREG_BASE
@@ -79,8 +79,10 @@ def vreg_uses_defs(stream: list) -> list:
         if kind != "ins":
             use_def.append(None)
             continue
-        use_def.append(({r for r in item.reg_uses() if r >= VREG_BASE},
-                        {r for r in item.reg_defs() if r >= VREG_BASE}))
+        # Each IR instruction is asked once: derive, do not keep.
+        uses, defs, _, _ = operand_facts(item.opcode, item.operands)
+        use_def.append(({r for r in uses if r >= VREG_BASE},
+                        {r for r in defs if r >= VREG_BASE}))
     return use_def
 
 

@@ -238,7 +238,7 @@ class Profiler(IterationShadowChecker):
     def _excall_start(self, ctx, record_index: int):
         self._charge(ctx)
         self.drain()
-        excall = self.excalls[record_index]
+        excall = self.dbm.payloads[record_index]
         loop_id = excall.loop_id
         self._windows.append(_Window(
             record_index, loop_id, excall.name, ctx.instructions,

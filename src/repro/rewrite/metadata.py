@@ -425,16 +425,26 @@ RULE_PAYLOAD: dict[RuleID, type[PoolRecord]] = {
 }
 
 
-def payload(schedule, rule):
-    """The decoded payload a pool-indexing rule points at."""
-    return RULE_PAYLOAD[rule.rule_id].from_record(schedule.record(rule.data))
+_PAYLOAD_OF_TAG = {kind.TAG: kind for kind in RULE_PAYLOAD.values()}
 
 
-def decode_payloads(schedule, *rule_ids: RuleID) -> dict:
-    """Pool index -> decoded payload of every rule of the given IDs, each
-    record decoded once: runtimes look payloads up here per trap."""
-    decoded: dict = {}
-    for rule in schedule.rules:
-        if rule.rule_id in rule_ids and rule.data not in decoded:
-            decoded[rule.data] = payload(schedule, rule)
-    return decoded
+class PayloadTable(dict):
+    """Pool index -> decoded rule payload of one schedule.
+
+    A record is decoded on its first lookup, by the payload class its tag
+    names, and kept: translation and the runtimes' traps look payloads up
+    here, so each record is decoded at most once per table."""
+
+    def __init__(self, schedule) -> None:
+        super().__init__()
+        self.schedule = schedule
+
+    def __missing__(self, index: int):
+        record = self.schedule.record(index)
+        try:
+            kind = _PAYLOAD_OF_TAG[record[0]]
+        except (TypeError, IndexError, KeyError):
+            raise MetadataError(
+                f"pool record {index} is not a rule payload") from None
+        decoded = self[index] = kind.from_record(record)
+        return decoded

@@ -269,14 +269,14 @@ class DOALLOracle(IterationShadowChecker):
 
     def _excall_start(self, ctx, record_index: int):
         self.drain()
-        frame = self.frame_of(self.excalls[record_index].loop_id)
+        frame = self.frame_of(self.dbm.payloads[record_index].loop_id)
         if frame is not None:
             frame.spec_depth += 1
         return None
 
     def _excall_finish(self, ctx, record_index: int):
         self.drain()
-        frame = self.frame_of(self.excalls[record_index].loop_id)
+        frame = self.frame_of(self.dbm.payloads[record_index].loop_id)
         if frame is not None and frame.spec_depth > 0:
             frame.spec_depth -= 1
         return None

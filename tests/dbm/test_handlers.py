@@ -11,6 +11,7 @@ from repro.dbm.blocks import discover_block
 from repro.dbm.editor import BlockEditor
 from repro.dbm.handlers import HANDLERS, TranslationContext
 from repro.dbm.rtcalls import RTCallID
+from repro.rewrite.metadata import PayloadTable
 from repro.rewrite.rules import RewriteRule, RuleID
 from repro.rewrite.schedule import RewriteSchedule
 
@@ -18,6 +19,7 @@ from repro.rewrite.schedule import RewriteSchedule
 class FakeDBM:
     def __init__(self, schedule):
         self.schedule = schedule
+        self.payloads = PayloadTable(schedule)
 
 
 def build_loop_process():
@@ -168,3 +170,40 @@ class TestThreadScheduleIsMetadataOnly:
             editor, RewriteRule(block.start, RuleID.THREAD_SCHEDULE, 0),
             worker_tctx(schedule))
         assert editor.instructions == before
+
+
+class TestPayloadsDecodeOnce:
+    @pytest.mark.parametrize("name", ["433.milc", "464.h264ref"])
+    def test_each_pool_record_decodes_once_per_dbm(self, monkeypatch, name):
+        """Training and a 4-thread Janus run translate worker blocks again
+        and again; every pool record is still decoded at most once by each
+        DBM (handlers and runtimes share ``JanusDBM.payloads``)."""
+        from collections import Counter
+
+        from repro.dbm.modifier import JanusDBM
+        from repro.pipeline import Janus, JanusConfig, SelectionMode
+        from repro.rewrite.metadata import RULE_PAYLOAD
+        from repro.workloads import compile_workload
+
+        decoded_by_dbm: list[list] = []
+        init = JanusDBM.__init__
+
+        def counting_init(self, *args, **kwargs):
+            decoded_by_dbm.append([])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(JanusDBM, "__init__", counting_init)
+        for kind in set(RULE_PAYLOAD.values()):
+            def from_record(cls, record, _decode=kind.from_record.__func__):
+                if decoded_by_dbm:
+                    decoded_by_dbm[-1].append(record)
+                return _decode(cls, record)
+            monkeypatch.setattr(kind, "from_record", classmethod(from_record))
+
+        janus = Janus(compile_workload(name), JanusConfig(n_threads=4))
+        result = janus.run(SelectionMode.JANUS, training=janus.train())
+        assert result.stats["loop_invocations_parallel"] >= 1
+        assert any(decoded_by_dbm)
+        for records in decoded_by_dbm:
+            counts = Counter(id(record) for record in records)
+            assert max(counts.values(), default=1) == 1

@@ -57,26 +57,26 @@ class TestUseDef:
         i = ins(Opcode.MOV, m, Reg(R.rsi))
         assert i.reg_uses() == {R.r8, R.rax, R.rsi}
         assert i.reg_defs() == set()
-        assert i.mem_writes() == [m]
-        assert i.mem_reads() == []
+        assert i.mem_writes() == (m,)
+        assert i.mem_reads() == ()
 
     def test_load_has_mem_read(self):
         m = Mem(base=R.r9, disp=16)
         i = ins(Opcode.MOV, Reg(R.rdx), m)
-        assert i.mem_reads() == [m]
-        assert i.mem_writes() == []
+        assert i.mem_reads() == (m,)
+        assert i.mem_writes() == ()
 
     def test_rmw_memory_destination_reads_and_writes(self):
         m = Mem(base=R.rcx)
         i = ins(Opcode.ADD, m, Reg(R.rax))
-        assert i.mem_reads() == [m]
-        assert i.mem_writes() == [m]
+        assert i.mem_reads() == (m,)
+        assert i.mem_writes() == (m,)
 
     def test_lea_reads_no_memory(self):
         m = Mem(base=R.r8, index=R.rax, scale=8)
         i = ins(Opcode.LEA, Reg(R.rdx), m)
-        assert i.mem_reads() == []
-        assert i.mem_writes() == []
+        assert i.mem_reads() == ()
+        assert i.mem_writes() == ()
         assert i.reg_uses() == {R.r8, R.rax}
         assert i.reg_defs() == {R.rdx}
 
